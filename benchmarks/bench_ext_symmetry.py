@@ -16,7 +16,8 @@ def bench_symmetry_census_experiment(run_experiment):
 
 
 def bench_automorphism_search_kernel(benchmark):
-    """Full n! automorphism scan for the (3,3) adversarial clique."""
+    """Automorphism search (node-0 image propagation) for the (3,3)
+    adversarial clique."""
     shape = (3, 3)
     alpha = RandomnessConfiguration.from_group_sizes(shape)
     ports = adversarial_assignment(shape)

@@ -34,6 +34,7 @@ from .symmetry import (
 from .worst_case_search import (
     exhaustive_worst_case,
     iter_all_port_assignments,
+    port_orbit_table,
     worst_case_port_search,
 )
 from .figures import (
@@ -205,6 +206,7 @@ __all__ = [
     "exhaustive_worst_case",
     "has_nontrivial_automorphism",
     "iter_all_port_assignments",
+    "port_orbit_table",
     "source_preserving_automorphisms",
     "symmetry_census",
     "worst_case_port_search",

@@ -16,19 +16,27 @@ measures its reach:
   finer than symmetry -- which matches the related work's use of graph
   *fibrations* (Boldi et al.) rather than automorphisms for the
   deterministic characterization.
+
+The census never compiles a chain of its own: it reads
+:func:`~repro.analysis.worst_case_search.port_orbit_table`, whose
+orbit-weighted counts are exact because anonymity makes the limit
+constant on every orbit of source-preserving node relabelings.  The
+symmetry flag is orbit-constant too: if ``g`` is an automorphism of
+``T`` that fixes every source and ``r`` relabels nodes (and sources by
+``h``), then ``r g r^-1`` is an automorphism of ``r.T`` with
+``source(r g r^-1(j)) = h(source(g(r^-1 j))) = source(j)``.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
-from ..core.leader_election import leader_election
-from ..chain import compile_chain
+from ..chain.engine import neighbour_tables
+from ..chain.quotient import _port_automorphisms
 from ..models.ports import PortAssignment
 from ..randomness.configuration import RandomnessConfiguration
 from .result import ExperimentResult
-from .worst_case_search import iter_all_port_assignments
+from .worst_case_search import port_orbit_table
 
 
 def source_preserving_automorphisms(
@@ -38,25 +46,18 @@ def source_preserving_automorphisms(
 
     A permutation ``g`` qualifies when ``source(g(i)) = source(i)`` and
     ``neighbour(g(i), p) = g(neighbour(i, p))`` for every node ``i`` and
-    port ``p``.  Exhaustive over ``n!`` permutations -- small ``n`` only.
+    port ``p``.  These are the chain's structural automorphisms (at most
+    ``n``, found by node-0 image propagation) that relabel no source,
+    yielded in lexicographic order.
     """
     n = ports.n
     if alpha.n != n:
         raise ValueError("configuration and ports sizes differ")
+    source = alpha.assignment
     identity = tuple(range(n))
-    for perm in itertools.permutations(range(n)):
-        if perm == identity:
-            continue
-        if any(
-            alpha.source_of(perm[i]) != alpha.source_of(i) for i in range(n)
-        ):
-            continue
-        if all(
-            ports.neighbour(perm[i], p) == perm[ports.neighbour(i, p)]
-            for i in range(n)
-            for p in range(1, n)
-        ):
-            yield perm
+    for g in sorted(_port_automorphisms(source, neighbour_tables(ports), None)):
+        if g != identity and all(source[g[i]] == source[i] for i in range(n)):
+            yield g
 
 
 def has_nontrivial_automorphism(
@@ -77,30 +78,18 @@ def symmetry_census(
     passed = True
     for shape in shapes:
         alpha = RandomnessConfiguration.from_group_sizes(shape)
-        task = leader_election(alpha.n)
-        solvable_with_symmetry = 0
-        unsolvable_with_symmetry = 0
-        unsolvable_without_symmetry = 0
-        solvable = 0
-        total = 0
-        for ports in iter_all_port_assignments(alpha.n):
-            total += 1
-            # One-shot chains per enumerated assignment: skip the memo
-            # so the census does not pin thousands of chains in memory.
-            is_solvable = (
-                compile_chain(
-                    alpha, ports, use_memo=False
-                ).limit_solving_probability(task)
-                == 1
-            )
-            symmetric = has_nontrivial_automorphism(ports, alpha)
-            if is_solvable:
-                solvable += 1
-                solvable_with_symmetry += symmetric
-            elif symmetric:
-                unsolvable_with_symmetry += 1
-            else:
-                unsolvable_without_symmetry += 1
+        table = port_orbit_table(tuple(shape))
+        total = sum(row.size for row in table)
+        solvable = sum(row.size for row in table if row.limit == 1)
+        solvable_with_symmetry = sum(
+            row.size for row in table if row.limit == 1 and row.symmetric
+        )
+        unsolvable_with_symmetry = sum(
+            row.size for row in table if row.limit != 1 and row.symmetric
+        )
+        unsolvable_without_symmetry = (
+            total - solvable - unsolvable_with_symmetry
+        )
         # The sound direction must be exceptionless.
         ok = solvable_with_symmetry == 0
         # For gcd > 1 shapes the converse must visibly fail (that is the

@@ -52,7 +52,6 @@ from .spec import (
 from .sweep import SweepOutcome, aggregate_records, run_sweep
 from .worker import (
     execute_experiment,
-    execute_port_chunk,
     execute_run,
     execute_sample_batch,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "aggregate_records",
     "derive_seed",
     "execute_experiment",
-    "execute_port_chunk",
     "execute_run",
     "execute_sample_batch",
     "make_engine",

@@ -410,49 +410,10 @@ def execute_sample_batch(payload: dict) -> dict:
     }
 
 
-def execute_port_chunk(payload: dict) -> dict:
-    """Fold the exact solvability limit over a chunk of port assignments.
-
-    ``payload`` is ``{"sizes": [...], "task": str, "tables": [...]}``
-    where each table is one clique port assignment; the record carries the
-    chunk's min/max limit and solvable/total counts for exact re-folding.
-
-    Each assignment in a chunk is visited exactly once, so its chain is
-    compiled unmemoized -- keeping thousands of one-shot chains out of
-    the process-wide memo.
-    """
-    from ..models.ports import PortAssignment
-
-    _apply_chain_context(payload)
-    sizes = tuple(payload["sizes"])
-    alpha = RandomnessConfiguration.from_group_sizes(sizes)
-    task = make_task(payload["task"], alpha.n)
-    lowest = Fraction(1)
-    highest = Fraction(0)
-    solvable = 0
-    total = 0
-    for table in payload["tables"]:
-        ports = PortAssignment([list(row) for row in table])
-        limit = exact_limit_value(
-            compile_chain(alpha, ports, use_memo=False), task
-        )
-        lowest = min(lowest, limit)
-        highest = max(highest, limit)
-        solvable += limit == 1
-        total += 1
-    return {
-        "lowest": str(lowest),
-        "highest": str(highest),
-        "solvable": solvable,
-        "total": total,
-    }
-
-
 __all__ = [
     "chain_context_payload",
     "exact_limit_value",
     "execute_experiment",
-    "execute_port_chunk",
     "execute_run",
     "execute_run_group",
     "execute_sample_batch",

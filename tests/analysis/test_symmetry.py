@@ -1,5 +1,7 @@
 """Tests for port-assignment symmetries."""
 
+import itertools
+
 import pytest
 
 from repro.analysis import (
@@ -40,6 +42,33 @@ class TestAutomorphisms:
                     round_robin_assignment(4), alpha
                 )
             )
+
+    def test_matches_brute_force_over_all_two_two_assignments(self):
+        from repro.analysis import iter_all_port_assignments
+
+        alpha = RandomnessConfiguration.from_group_sizes((2, 2))
+        identity = (0, 1, 2, 3)
+
+        def brute_force(ports):
+            return [
+                perm
+                for perm in itertools.permutations(range(4))
+                if perm != identity
+                and all(
+                    alpha.source_of(perm[i]) == alpha.source_of(i)
+                    for i in range(4)
+                )
+                and all(
+                    ports.neighbour(perm[i], p) == perm[ports.neighbour(i, p)]
+                    for i in range(4)
+                    for p in range(1, 4)
+                )
+            ]
+
+        for ports in iter_all_port_assignments(4):
+            assert list(
+                source_preserving_automorphisms(ports, alpha)
+            ) == brute_force(ports)
 
     def test_automorphism_implies_unsolvable(self):
         """The sound direction, spot-checked beyond the census."""

@@ -1,6 +1,8 @@
 """Tests for the exhaustive worst-case port search."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,11 +10,64 @@ import pytest
 from repro.analysis import (
     exhaustive_worst_case,
     iter_all_port_assignments,
+    port_orbit_table,
+    symmetry_census,
     worst_case_port_search,
 )
+from repro.chain import compile_chain, configure_quotient
 from repro.core import ConsistencyChain, leader_election
-from repro.models import adversarial_assignment
+from repro.models import PortAssignment, adversarial_assignment
 from repro.randomness import RandomnessConfiguration
+
+
+def _relabel(ports, g):
+    """``g.T`` with ``(g.T)[g(i)] = g(T[i])``."""
+    rows = [None] * ports.n
+    for i in range(ports.n):
+        rows[g[i]] = [g[j] for j in ports.neighbours(i)]
+    return PortAssignment(rows)
+
+
+def _relabelings(alpha):
+    """Node permutations mapping every source group onto a source group."""
+    groups = {frozenset(group) for group in alpha.groups()}
+    return [
+        g
+        for g in itertools.permutations(range(alpha.n))
+        if all(frozenset(g[i] for i in group) in groups for group in groups)
+    ]
+
+
+def _strictly_symmetric(ports, alpha):
+    """Brute force over all n! permutations: a non-identity one fixing
+    every source and every port."""
+    n = ports.n
+    return any(
+        g != tuple(range(n))
+        and all(alpha.source_of(g[i]) == alpha.source_of(i) for i in range(n))
+        and _relabel(ports, g) == ports
+        for g in itertools.permutations(range(n))
+    )
+
+
+def _reference(shape):
+    """The literal per-assignment loop: one compile per assignment.
+
+    Returns ``(min, max, #solvable, #assignments, census split)`` where
+    the split counts ``(solvable, symmetric)`` pairs.
+    """
+    alpha = RandomnessConfiguration.from_group_sizes(shape)
+    task = leader_election(alpha.n)
+    limits = []
+    split = Counter()
+    for ports in iter_all_port_assignments(alpha.n):
+        limit = compile_chain(
+            alpha, ports, use_memo=False
+        ).limit_solving_probability(task)
+        limits.append(limit)
+        split[limit == 1, _strictly_symmetric(ports, alpha)] += 1
+    solvable = sum(limit == 1 for limit in limits)
+    return min(limits), max(limits), solvable, len(limits), split
 
 
 class TestEnumeration:
@@ -79,3 +134,67 @@ class TestExperiment:
         for row in result.rows:
             shape = row[0]
             assert (row[4] == 1.0) == (math.gcd(*shape) == 1)
+
+
+ORACLE_SHAPES = ((1, 2), (3,), (1, 1, 1), (2, 2), (4,))
+
+
+class TestPortOrbitTable:
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_matches_the_per_assignment_loop(self, shape):
+        lowest, highest, solvable, total, split = _reference(shape)
+        assert exhaustive_worst_case(shape) == (
+            lowest, highest, solvable, total
+        )
+        table_split = Counter()
+        for row in port_orbit_table(shape):
+            table_split[row.limit == 1, row.symmetric] += row.size
+        assert table_split == split
+
+    def test_census_rows_match_the_per_assignment_loop(self):
+        for shape, row in zip(
+            ((2, 2), (4,)), symmetry_census(shapes=((2, 2), (4,))).rows
+        ):
+            _, _, solvable, total, split = _reference(shape)
+            assert row[2:7] == (
+                total,
+                solvable,
+                split[False, True],
+                split[False, False],
+                split[True, True],
+            )
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_burnside_identities(self, shape):
+        alpha = RandomnessConfiguration.from_group_sizes(shape)
+        group = _relabelings(alpha)
+        position = {
+            ports: index
+            for index, ports in enumerate(iter_all_port_assignments(alpha.n))
+        }
+        table = port_orbit_table(shape)
+        assert sum(row.size for row in table) == math.factorial(
+            alpha.n - 1
+        ) ** alpha.n
+        for row in table:
+            images = [_relabel(row.ports, g) for g in group]
+            stabilizer = sum(image == row.ports for image in images)
+            assert row.size * stabilizer == len(group)
+            assert len(set(images)) == row.size
+            # The representative is the orbit's first enumerated member.
+            assert min(position[image] for image in images) == position[
+                row.ports
+            ]
+
+    def test_rows_are_independent_of_the_quotient_mode(self):
+        tables = []
+        for mode in ("on", "off"):
+            port_orbit_table.cache_clear()
+            previous = configure_quotient(mode)
+            try:
+                tables.append(port_orbit_table((2, 2)))
+            finally:
+                configure_quotient(previous)
+        port_orbit_table.cache_clear()
+        assert tables[0] == tables[1]
+        assert len(tables[0]) == 177

@@ -1,13 +1,10 @@
 """Runner-backed parallel paths in the analysis package."""
 
-from fractions import Fraction
-
 from repro.analysis import (
     estimate_solving_probability,
     parallel_estimate,
     run_all_experiments,
 )
-from repro.analysis.worst_case_search import exhaustive_worst_case
 from repro.core import ConsistencyChain, leader_election
 from repro.randomness import RandomnessConfiguration
 from repro.runner import ProcessPoolEngine, SerialEngine
@@ -43,24 +40,6 @@ class TestParallelEstimate:
         many = parallel_estimate(alpha, task, 4, samples=300, batches=10)
         assert one.samples == many.samples == 300
         assert abs(one.probability - many.probability) < 0.15
-
-
-class TestWorstCaseSearchEngine:
-    def test_pooled_enumeration_matches_serial(self):
-        serial = exhaustive_worst_case((1, 2))
-        pooled = exhaustive_worst_case(
-            (1, 2), engine=ProcessPoolEngine(workers=2), chunk=2
-        )
-        assert serial == pooled
-        assert isinstance(pooled[0], Fraction)
-
-    def test_invalid_chunk_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            exhaustive_worst_case(
-                (1, 2), engine=ProcessPoolEngine(workers=2), chunk=0
-            )
 
 
 class TestExperimentFanOut:
