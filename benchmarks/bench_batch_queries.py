@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.chain import Query, compile_chain, run_query_batch
+from repro.chain import Query, QueryPlan, compile_chain
 from repro.core import (
     k_leader_election,
     leader_and_deputy,
@@ -93,7 +93,7 @@ def scalar_sweep(backend: str) -> list:
 def batched_sweep(backend: str) -> list:
     """The same sweep as one query batch."""
     chain = compile_chain(RandomnessConfiguration.from_group_sizes(SHAPE))
-    return run_query_batch(chain, _queries(), backend=backend)
+    return QueryPlan(chain, _queries()).execute(backend=backend)
 
 
 def _float_scalar() -> list:

@@ -32,12 +32,7 @@ import json
 import os
 import time
 
-from repro.chain import (
-    MultiQueryPlan,
-    Query,
-    compile_chain,
-    run_query_batch,
-)
+from repro.chain import MultiQueryPlan, Query, QueryPlan, compile_chain
 from repro.core import k_leader_election, leader_election
 from repro.models import adversarial_assignment, round_robin_assignment
 from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
@@ -83,7 +78,7 @@ def _items() -> list[tuple]:
 def per_chain_sweep(items: list[tuple], backend: str) -> list[list]:
     """The PR 3 pattern: one batched pass per chain of the axis."""
     return [
-        run_query_batch(chain, queries, backend=backend)
+        QueryPlan(chain, queries).execute(backend=backend)
         for chain, queries in items
     ]
 

@@ -150,8 +150,8 @@ def iter_all_experiments(engine=None):
         return
     from ..runner.worker import chain_context_payload, execute_experiment
 
-    # The parent's chain context (e.g. --no-batch) travels with every
-    # pool payload (results are identical either way).
+    # The parent's chain context (e.g. the quotient mode) travels with
+    # every pool payload, so workers compile exactly what the parent would.
     context = chain_context_payload()
     payloads = [
         {"index": i, **context} for i in range(len(ALL_EXPERIMENTS))

@@ -33,10 +33,7 @@ from .batch import (
     Query,
     QueryBatch,
     QueryPlan,
-    batching_enabled,
-    configure_batching,
     run_queries,
-    run_query_batch,
 )
 from .cache import (
     CacheEntry,
@@ -64,9 +61,6 @@ from .multi import (
     MAX_GROUP_STATES,
     ChainGroup,
     MultiQueryPlan,
-    configure_grouping,
-    group_state_budget,
-    grouping_enabled,
     plan_chunks,
     run_group_queries,
 )
@@ -126,7 +120,6 @@ __all__ = [
     "automorphism_count",
     "automorphism_generators",
     "back_port_tables",
-    "batching_enabled",
     "block_count",
     "block_sizes",
     "blocks_from_labels",
@@ -134,23 +127,19 @@ __all__ = [
     "chain_key",
     "clear_memo",
     "compile_chain",
-    "configure_batching",
     "configure_disk_cache",
-    "configure_grouping",
     "configure_quotient",
     "configure_shared_chains",
     "configure_shared_groups",
     "disk_cache",
     "effective_chain_key",
     "evolution_strategy",
-    "grouping_enabled",
     "is_chain_automorphism",
     "is_quotient_key",
     "labels_from_blocks",
     "memo_size",
     "memoized_chain",
     "neighbour_tables",
-    "group_state_budget",
     "plan_chunks",
     "quotient_key",
     "quotient_mode",
@@ -158,7 +147,6 @@ __all__ = [
     "resolve_quotient",
     "run_group_queries",
     "run_queries",
-    "run_query_batch",
     "set_distribution_cache_cap",
     "shared_chain",
     "shared_group",

@@ -26,8 +26,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..obs.policy import POLICY
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .engine import CompiledChain
 
@@ -65,23 +63,13 @@ def evolution_strategy(num_states: int, nnz: int) -> str:
     the matvec's fused arithmetic to beat the scatter-add's indexing,
     scatter otherwise.  :class:`~repro.chain.batch.QueryBatch` and
     :class:`~repro.chain.multi.ChainGroup` expose the verdict in their
-    ``repr`` for debuggability.
-
-    Under ``--policy measured`` a fitted
-    :class:`~repro.obs.policy.CostModelPolicy` picks whichever strategy
-    its cost models predict is faster; the hard memory cap is applied
-    first and a policy without both timing models falls through to the
-    static heuristics below.  Either way the two strategies evolve the
-    same distribution, so the verdict only moves wall-clock, never
-    results.
+    ``repr`` for debuggability.  Both strategies evolve the same
+    distribution, so the verdict only moves wall-clock, never results.
     """
     from .engine import DENSE_STATE_LIMIT
 
     if num_states > DENSE_STATE_LIMIT:
         return "scatter"
-    verdict = POLICY.evolution_strategy(num_states, nnz)
-    if verdict is not None:
-        return verdict
     if num_states <= DENSE_ALWAYS_STATES:
         return "dense"
     if transition_density(num_states, nnz) >= DENSE_DENSITY_FLOOR:

@@ -21,10 +21,10 @@ optional ``horizon``) against one chain, answered together:
   exact kernels are the very ones the scalar path uses, so batched
   exact results are byte-identical to scalar ones by construction.
 
-:func:`run_queries` is the front door consumers use: it honours the
-process-wide batching toggle (:func:`configure_batching`, the CLI's
-``--batch/--no-batch``) and falls back to the scalar per-query methods
-when batching is off -- with identical results either way.
+:func:`run_queries` is the front door consumers use: it answers memo
+hits from the query memo and runs the misses as one plan.  The scalar
+per-query methods on :class:`~repro.chain.engine.CompiledChain` remain
+as the reference the tests compare batched answers against.
 """
 
 from __future__ import annotations
@@ -338,31 +338,8 @@ class QueryBatch:
         )
 
     def run(self, *, backend: str = "exact") -> list:
-        """Execute (respecting the batching toggle), in handle order."""
+        """Execute through :func:`run_queries`, in handle order."""
         return run_queries(self.chain, self._queries, backend=backend)
-
-
-# ----------------------------------------------------------------------
-# The process-wide batching toggle (CLI --batch/--no-batch)
-# ----------------------------------------------------------------------
-_BATCHING = True
-
-
-def configure_batching(enabled: bool) -> bool:
-    """Turn the batched query path on or off; returns the previous value.
-
-    Results are identical either way (the exact kernels are shared, the
-    float ones agree to 1e-12); the toggle exists so regressions can be
-    bisected to the planner and so benchmarks can time both paths.
-    """
-    global _BATCHING
-    previous = _BATCHING
-    _BATCHING = bool(enabled)
-    return previous
-
-
-def batching_enabled() -> bool:
-    return _BATCHING
 
 
 def memoized_answers(chain, queries: Sequence[Query], backend: str):
@@ -417,23 +394,6 @@ def record_answers(tokens: Sequence, indices: Sequence[int],
         memo.record(tokens[i], results[i])
 
 
-def _scalar_answer(chain, query: Query, backend: str):
-    """The PR-2 scalar path for one query (the --no-batch fallback)."""
-    if query.quantity == "probability":
-        return chain.solving_probability(
-            query.task, query.horizon, backend=backend
-        )
-    if query.quantity == "series":
-        return chain.solving_probability_series(
-            query.task, query.horizon, backend=backend
-        )
-    if query.quantity == "limit":
-        return chain.limit_solving_probability(query.task, backend=backend)
-    if query.quantity == "expected":
-        return chain.expected_solving_time(query.task, backend=backend)
-    return chain.eventually_solvable(query.task)
-
-
 def run_queries(
     chain, queries: Sequence[Query], *, backend: str = "exact"
 ) -> list:
@@ -443,9 +403,8 @@ def run_queries(
     (:func:`repro.results.memo.configure_query_memo`) every memoizable
     query is first looked up by content key, and only the misses pay
     for a pass -- hits are byte-identical to recomputation under the
-    exact backend.  Misses run batched (one shared pass per needed
-    kernel) when batching is enabled, else through the scalar
-    per-query methods.
+    exact backend.  Misses run as one :class:`QueryPlan` (one shared
+    pass per needed kernel).
     """
     queries = list(queries)
     if not queries:
@@ -454,39 +413,25 @@ def run_queries(
     results, tokens, misses = memoized_answers(chain, queries, backend)
     if misses:
         subset = [queries[i] for i in misses]
-        if _BATCHING:
-            plan = QueryPlan(chain, subset)
-            if OBS.enabled:
-                OBS.metrics.inc("chain.batch.plans")
-                OBS.metrics.inc("chain.batch.queries", len(subset))
-                OBS.metrics.observe("chain.batch.plan_size", len(subset))
-                OBS.metrics.observe(
-                    "chain.batch.states", chain.num_states
-                )
-                OBS.metrics.inc(f"chain.batch.evolution.{plan.evolution}")
-                with trace(
-                    "chain.batch.execute",
-                    queries=len(subset),
-                    states=chain.num_states,
-                ):
-                    answers = plan.execute(backend=backend)
-            else:
+        plan = QueryPlan(chain, subset)
+        if OBS.enabled:
+            OBS.metrics.inc("chain.batch.plans")
+            OBS.metrics.inc("chain.batch.queries", len(subset))
+            OBS.metrics.observe("chain.batch.plan_size", len(subset))
+            OBS.metrics.observe("chain.batch.states", chain.num_states)
+            OBS.metrics.inc(f"chain.batch.evolution.{plan.evolution}")
+            with trace(
+                "chain.batch.execute",
+                queries=len(subset),
+                states=chain.num_states,
+            ):
                 answers = plan.execute(backend=backend)
         else:
-            answers = [
-                _scalar_answer(chain, query, backend) for query in subset
-            ]
+            answers = plan.execute(backend=backend)
         for i, value in zip(misses, answers):
             results[i] = value
         record_answers(tokens, misses, results)
     return results
-
-
-def run_query_batch(
-    chain, queries: Sequence[Query], *, backend: str = "exact"
-) -> list:
-    """Always-batched execution (ignores the toggle; benchmarks use it)."""
-    return QueryPlan(chain, queries).execute(backend=backend)
 
 
 __all__ = [
@@ -494,10 +439,7 @@ __all__ = [
     "Query",
     "QueryBatch",
     "QueryPlan",
-    "batching_enabled",
-    "configure_batching",
     "memoized_answers",
     "record_answers",
     "run_queries",
-    "run_query_batch",
 ]

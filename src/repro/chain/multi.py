@@ -30,11 +30,7 @@ This module stacks whole families of chains into one numerical object:
   uses, so grouped exact results are byte-identical to per-chain
   :class:`~repro.chain.batch.QueryBatch` results by construction.
 
-Grouping is skipped -- every item falls back to a per-chain
-:func:`~repro.chain.batch.run_queries` call with identical results --
-when the process-wide toggle is off (:func:`configure_grouping`, the
-CLI's ``--group-chains/--no-group-chains``) or when per-chain batching
-itself is off.  A singleton group degenerates to the per-chain plan.
+A singleton group degenerates to the per-chain plan.
 
 The grouping key is deliberately coarse: the merged level schedule makes
 *any* chains structurally compatible, so chains are stacked greedily in
@@ -60,10 +56,8 @@ from .batch import (
     Query,
     QueryPlan,
     _assert_zero_one,
-    batching_enabled,
     memoized_answers,
     record_answers,
-    run_queries,
 )
 
 #: Stacked-state budget per :class:`ChainGroup`: groups are split so one
@@ -82,21 +76,6 @@ GROUP_CACHE_SIZE = 16
 _GROUP_CACHE: "dict[tuple[int, ...], ChainGroup]" = {}
 
 
-def group_state_budget() -> int:
-    """The stacked-state budget in force for group chunking.
-
-    :data:`MAX_GROUP_STATES` by default; under ``--policy measured`` a
-    fitted ``group.budget`` cost model may *narrow* it (never widen --
-    the static budget stays the hard working-set cap).  Chunk budgets
-    only re-partition the same stacked passes, so the budget moves
-    wall-clock and memory, never results.
-    """
-    from ..obs.policy import POLICY
-
-    measured = POLICY.group_state_budget(MAX_GROUP_STATES)
-    return MAX_GROUP_STATES if measured is None else measured
-
-
 def plan_chunks(chains: Sequence) -> "list[list]":
     """Greedy partition of an ordered chain list under the state budget.
 
@@ -105,19 +84,15 @@ def plan_chunks(chains: Sequence) -> "list[list]":
     and the sweep's publisher to predict those chunks and publish each
     one's :class:`ChainGroup` arrays ahead of time.  Repeated chains
     (the memo makes equal configurations the same object) count against
-    the budget once per chunk, mirroring the stacking dedup.  The
-    budget comes from :func:`group_state_budget`, so parent and pool
-    workers agree on the partition as long as the policy is forwarded
-    (the runner ships it in every chain-context payload).
+    the budget once per chunk, mirroring the stacking dedup.
     """
-    budget = group_state_budget()
     chunks: list[list] = []
     current: list = []
     seen: set[int] = set()
     states = 0
     for chain in chains:
         size = 0 if id(chain) in seen else chain.num_states
-        if current and states + size > budget:
+        if current and states + size > MAX_GROUP_STATES:
             chunks.append(current)
             current, seen, states = [], set(), chain.num_states
         else:
@@ -585,41 +560,15 @@ class MultiQueryPlan:
             results[index] = out
 
 
-# ----------------------------------------------------------------------
-# The process-wide grouping toggle (CLI --group-chains/--no-group-chains)
-# ----------------------------------------------------------------------
-_GROUPING = True
-
-
-def configure_grouping(enabled: bool) -> bool:
-    """Turn the multi-chain group path on or off; returns the previous value.
-
-    Exact results are identical either way (the group path executes the
-    per-chain plans); float results agree to well under 1e-12.  The
-    toggle exists so regressions bisect to the group layer and so
-    benchmarks can time both paths.
-    """
-    global _GROUPING
-    previous = _GROUPING
-    _GROUPING = bool(enabled)
-    return previous
-
-
-def grouping_enabled() -> bool:
-    return _GROUPING
-
-
 def run_group_queries(
     items: Iterable[tuple], *, backend: str = "exact"
 ) -> list[list]:
     """Answer many chains' query batches at once; one list per item.
 
-    ``items`` is a sequence of ``(chain, queries)`` pairs.  With
-    grouping (and per-chain batching) enabled, the float backend runs
-    stacked block-diagonal passes over :class:`ChainGroup`; the exact
-    backend executes the per-chain plans (byte-identical to per-chain
-    :func:`~repro.chain.batch.run_queries`).  With either toggle off,
-    every item falls back to exactly that per-chain call.
+    ``items`` is a sequence of ``(chain, queries)`` pairs.  The float
+    backend runs stacked block-diagonal passes over
+    :class:`ChainGroup`; the exact backend executes the per-chain plans
+    (byte-identical to per-chain :func:`~repro.chain.batch.run_queries`).
 
     A configured cross-run query memo
     (:func:`repro.results.memo.configure_query_memo`) is consulted
@@ -631,12 +580,6 @@ def run_group_queries(
     items = [(chain, list(queries)) for chain, queries in items]
     if not items:
         return []
-    if not (_GROUPING and batching_enabled()):
-        validate_backend(backend)
-        return [
-            run_queries(chain, queries, backend=backend)
-            for chain, queries in items
-        ]
     validate_backend(backend)
     results: list = [None] * len(items)
     pending: list[tuple] = []
@@ -673,9 +616,6 @@ __all__ = [
     "ChainGroup",
     "MAX_GROUP_STATES",
     "MultiQueryPlan",
-    "configure_grouping",
-    "group_state_budget",
-    "grouping_enabled",
     "plan_chunks",
     "run_group_queries",
 ]

@@ -12,20 +12,17 @@ experiments     run reproduction experiments (all or by id)
 run             execute one runner job and print its JSON record
 estimate        Monte-Carlo Pr[S(t)] estimate (mergeable memoized substreams)
 sweep           expand and execute a sweep (parallel, resumable)
-chains          list/inspect/prune a chain disk cache; calibrate cost models
+chains          list/inspect/prune a chain disk cache
 results         query/export/stats/compact/ingest/vacuum a results warehouse
 metrics         show/export collected telemetry; cross-run history (OBS.md)
 obs             cross-run analytics: diff two sweeps, per-tier attribution
 trace           prefix: run any command traced and print its span tree
 
-Chain queries default to the batched query layer (``repro.chain.batch``:
-one shared pass answers a whole set of (task, horizon) questions);
-``--no-batch`` on the query-heavy commands falls back to scalar
-per-query passes with byte-identical exact results.  Sweep-wide queries
-additionally default to the block-diagonal multi-chain group engine
-(``repro.chain.multi``: one stacked pass answers a whole shape axis);
-``--no-group-chains`` falls back to per-chain passes, again with
-byte-identical exact results.  Chains themselves compile **quotiented**
+Chain queries run through the batched query layer (``repro.chain.batch``:
+one shared pass answers a whole set of (task, horizon) questions), and
+sweep-wide queries through the block-diagonal multi-chain group engine
+(``repro.chain.multi``: one stacked pass answers a whole shape axis).
+Chains themselves compile **quotiented**
 by the configuration's automorphism group when it has one
 (``repro.chain.quotient``: orbit states instead of raw partitions);
 ``--no-quotient`` forces full chains and ``--quotient`` insists, with
@@ -98,11 +95,7 @@ counters/gauges/histograms (histograms with p50/p90/p99 summaries);
 sweeps with a warehouse persist the same rows into a ``telemetry``
 table served by ``repro results query --table telemetry``.  Across
 runs, ``repro metrics history`` trends those rows, ``repro obs
-diff``/``tiers`` compare sweeps and attribute wall-clock, ``repro
-chains calibrate`` fits cost models from the measured ``groups``
-forensics, and ``--policy measured`` lets the planner select execution
-strategies from those models (results byte-identical under every
-policy).  See ``OBS.md`` for the instrumentation map and "From
+diff``/``tiers`` compare sweeps and attribute wall-clock.  See ``OBS.md`` for the instrumentation map and "From
 telemetry to decisions".
 """
 
@@ -196,19 +189,6 @@ def _add_backend_arg(p) -> None:
     )
 
 
-def _add_batch_arg(p) -> None:
-    p.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "answer chain queries through the batched query layer "
-            "(default; --no-batch falls back to scalar per-query passes "
-            "-- exact results are byte-identical either way)"
-        ),
-    )
-
-
 def _add_warehouse_args(p) -> None:
     p.add_argument(
         "--warehouse",
@@ -246,21 +226,6 @@ def _add_profile_arg(p) -> None:
     )
 
 
-def _add_group_arg(p) -> None:
-    p.add_argument(
-        "--group-chains",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "answer sweep-wide queries through the block-diagonal "
-            "multi-chain group engine (default; stacked passes under "
-            "the float backend, shared per-chain planning under exact "
-            "-- --no-group-chains falls back to per-chain passes with "
-            "byte-identical exact results)"
-        ),
-    )
-
-
 def _add_quotient_arg(p) -> None:
     p.add_argument(
         "--quotient",
@@ -274,61 +239,6 @@ def _add_quotient_arg(p) -> None:
             "either way)"
         ),
     )
-
-
-def _add_policy_arg(p) -> None:
-    p.add_argument(
-        "--policy",
-        choices=("static", "measured"),
-        default=None,
-        help=(
-            "execution-strategy policy: static heuristics (default) or "
-            "cost models fitted by `repro chains calibrate` and loaded "
-            "from the warehouse.  A measured policy only re-ranks "
-            "strategies (dense-vs-scatter, group chunk budgets) -- "
-            "results are byte-identical under either policy; missing "
-            "models fall back to the static heuristics deterministically"
-        ),
-    )
-
-
-def _configure_policy_from(args) -> None:
-    """Install the ``--policy`` choice (and its models) process-wide.
-
-    ``measured`` loads the latest fitted models from the warehouse the
-    command is already pointed at (``--warehouse``, or the run
-    directory's warehouse).  A measured policy without a reachable
-    ``models`` table is installed empty -- every decision then falls
-    back to the static heuristics, deterministically -- with a note on
-    stderr so the opt-in isn't silently inert.
-    """
-    import pathlib
-
-    from .obs import configure_policy
-
-    mode = getattr(args, "policy", None) or "static"
-    models = {}
-    if mode == "measured":
-        source = _warehouse_from(args) or None
-        if not source and getattr(args, "run_dir", None):
-            source = str(pathlib.Path(args.run_dir) / "warehouse")
-        if source:
-            root = pathlib.Path(source)
-            if (root / "warehouse").is_dir():
-                root = root / "warehouse"
-            if (root / "segments").is_dir():
-                from .obs.calibrate import load_cost_models
-                from .results import ResultsStore
-
-                models = load_cost_models(ResultsStore(root))
-        if not models:
-            print(
-                "policy: measured requested but no fitted models found "
-                "(run `repro chains calibrate` on a traced sweep's "
-                "warehouse); static heuristics in effect",
-                file=sys.stderr,
-            )
-    configure_policy(mode, models)
 
 
 def _add_progress_args(p) -> None:
@@ -599,15 +509,13 @@ def cmd_graphs(args) -> int:
 
 
 def cmd_chains(args) -> int:
-    """List, inspect, prune a chain disk cache -- or calibrate models."""
+    """List, inspect, or prune a chain disk cache."""
     import datetime
     import pathlib
     import pickle
 
     from .chain import ChainDiskCache
 
-    if args.action == "calibrate":
-        return _cmd_chains_calibrate(args)
     root = pathlib.Path(args.directory)
     # Accept a run directory transparently: sweeps persist their chains
     # under <run_dir>/chains.
@@ -670,48 +578,6 @@ def cmd_chains(args) -> int:
     )
     print(format_table(headers, rows))
     print(f"{len(entries)} chains, {cache.total_bytes()} bytes in {root}")
-    return 0
-
-
-def _cmd_chains_calibrate(args) -> int:
-    """Fit cost models from the warehouse's measured group forensics.
-
-    ``repro chains calibrate DIR``: reads the ``groups`` table, fits
-    the per-strategy timing models and the group-budget scalar
-    (:mod:`repro.obs.calibrate`), persists anything new to the
-    content-addressed ``models`` table, and prints the fitted models.
-    Re-running over unchanged history appends nothing.
-    """
-    from .obs.calibrate import MIN_FIT_ROWS, calibrate_store
-
-    store = _results_store(args.directory)
-    models, appended = calibrate_store(store)
-    if not models:
-        print(
-            "no cost models fitted: need a groups table with at least "
-            f"{MIN_FIT_ROWS} measured rows per evolution strategy "
-            "(run grouped sweeps against this warehouse first)"
-        )
-        return 1
-    print(
-        format_table(
-            ("target", "rows", "residual", "coefficients", "digest"),
-            [
-                (
-                    model.target,
-                    model.rows,
-                    f"{model.residual:.4f}",
-                    " ".join(f"{c:.4g}" for c in model.coef),
-                    model.digest()[:12],
-                )
-                for model in models
-            ],
-        )
-    )
-    print(
-        f"{len(models)} models fitted, {appended} new row(s) persisted "
-        "to the models table"
-    )
     return 0
 
 
@@ -1460,14 +1326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide eventual solvability")
     add_common(p)
     _add_backend_arg(p)
-    _add_batch_arg(p)
     _add_quotient_arg(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("series", help="exact Pr[S(t)] series")
     add_common(p)
     _add_backend_arg(p)
-    _add_batch_arg(p)
     _add_quotient_arg(p)
     p.add_argument("--t-max", type=int, default=8)
     p.set_defaults(func=cmd_series)
@@ -1475,7 +1339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expected-time", help="exact expected solving time")
     add_common(p)
     _add_backend_arg(p)
-    _add_batch_arg(p)
     _add_quotient_arg(p)
     p.set_defaults(func=cmd_expected_time)
 
@@ -1486,10 +1349,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-dir", default=None, help="JSONL run directory (resumable)"
     )
     _add_engine_args(p)
-    _add_batch_arg(p)
-    _add_group_arg(p)
     _add_quotient_arg(p)
-    _add_policy_arg(p)
     _add_warehouse_args(p)
     _add_profile_arg(p)
     _add_progress_args(p)
@@ -1507,8 +1367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiments", help="run reproduction experiments")
     p.add_argument("ids", nargs="*", help="experiment ids (default: all)")
     _add_engine_args(p)
-    _add_batch_arg(p)
-    _add_group_arg(p)
     _add_quotient_arg(p)
     p.set_defaults(func=cmd_experiments)
 
@@ -1539,7 +1397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicate", type=int, default=0)
     p.add_argument("--master-seed", type=int, default=0)
     _add_quotient_arg(p)
-    _add_policy_arg(p)
     _add_warehouse_args(p)
     _add_progress_args(p)
     p.set_defaults(func=cmd_run)
@@ -1625,10 +1482,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-dir", default=None, help="JSONL run directory (resumable)"
     )
     _add_engine_args(p)
-    _add_batch_arg(p)
-    _add_group_arg(p)
     _add_quotient_arg(p)
-    _add_policy_arg(p)
     _add_warehouse_args(p)
     _add_profile_arg(p)
     _add_progress_args(p)
@@ -1653,18 +1507,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chains",
-        help="list/inspect/prune a chain disk cache; calibrate cost models",
+        help="list/inspect/prune a chain disk cache",
     )
-    p.add_argument(
-        "action", choices=("list", "inspect", "prune", "calibrate")
-    )
+    p.add_argument("action", choices=("list", "inspect", "prune"))
     p.add_argument(
         "directory",
-        help=(
-            "cache directory (or a run directory containing chains/); "
-            "for calibrate: a warehouse directory (or a run directory "
-            "containing warehouse/) whose groups table to fit from"
-        ),
+        help="cache directory (or a run directory containing chains/)",
     )
     p.add_argument(
         "--max-bytes", type=int, default=None,
@@ -1752,10 +1600,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("output", help="output directory")
     _add_engine_args(p)
-    _add_batch_arg(p)
-    _add_group_arg(p)
     _add_quotient_arg(p)
-    _add_policy_arg(p)
     _add_warehouse_args(p)
     _add_profile_arg(p)
     _add_progress_args(p)
@@ -1868,18 +1713,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         traced = True
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "batch"):
-        from .chain import configure_batching
-
-        # Process-wide: run_sweep additionally forwards the toggle into
-        # pool workers via the job payloads.
-        configure_batching(args.batch)
-    if hasattr(args, "group_chains"):
-        from .chain import configure_grouping
-
-        # Same deal: process-wide here, forwarded to pool workers by
-        # the sweep/experiment payloads.
-        configure_grouping(args.group_chains)
     if hasattr(args, "quotient"):
         from .chain import configure_quotient
 
@@ -1890,11 +1723,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "auto" if args.quotient is None
             else "on" if args.quotient else "off"
         )
-    if hasattr(args, "policy"):
-        # Process-wide like the toggles above; the sweep/experiment
-        # payloads forward the resolved policy (mode + models) into
-        # pool workers so both sides plan identically.
-        _configure_policy_from(args)
     profile_out = getattr(args, "profile_out", None)
     if traced or profile_out:
         from .obs import configure_tracing

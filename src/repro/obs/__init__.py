@@ -9,12 +9,8 @@ low-overhead **span tracer** (:mod:`repro.obs.trace`), a mergeable
 stamps (:mod:`repro.obs.clock`), and the dependency-free schema
 validator for ``--profile-out`` documents (:mod:`repro.obs.schema`).
 On top of the collection substrate sits the read-back loop: cross-run
-analytics over persisted telemetry (:mod:`repro.obs.analyze`), cost-
-model fitting from measured group forensics
-(:mod:`repro.obs.calibrate`), and the opt-in
-:class:`~repro.obs.policy.CostModelPolicy` the chain/runner planners
-consult (:mod:`repro.obs.policy`) -- see OBS.md, "From telemetry to
-decisions".  Alongside the after-the-fact profile sits the *in-flight*
+analytics over persisted telemetry (:mod:`repro.obs.analyze`) -- see
+OBS.md, "From telemetry to decisions".  Alongside the after-the-fact profile sits the *in-flight*
 layer (:mod:`repro.obs.live`, OBS.md "Live operation"): worker
 heartbeats with resource gauges (:mod:`repro.obs.resources`), a
 streaming ``progress.jsonl`` event log, and a stall watchdog.
@@ -64,14 +60,6 @@ from .metrics import (
     bin_edges,
     bin_index,
     histogram_percentiles,
-)
-from .policy import (
-    CostModel,
-    CostModelPolicy,
-    configure_policy,
-    configure_policy_payload,
-    policy_mode,
-    policy_payload,
 )
 from .profile import (
     PROFILE_SCHEMA_VERSION,
@@ -143,7 +131,7 @@ def configure_tracing(enabled: bool = True) -> bool:
     """Turn span tracing and metric collection on or off, process-wide.
 
     Returns the previous state.  The runner mirrors this flag through
-    worker payloads (like the batching/grouping toggles), so pool
+    worker payloads (like the quotient mode), so pool
     workers always match the parent.  Off is the default; the
     ``REPRO_TRACE`` environment variable (any non-empty value except
     ``0``) enables it at import time.
@@ -172,8 +160,6 @@ if os.environ.get("REPRO_TRACE", "0") not in ("", "0"):
 __all__ = [
     "LIVE",
     "OBS",
-    "CostModel",
-    "CostModelPolicy",
     "HeartbeatEmitter",
     "LiveConfig",
     "Observability",
@@ -186,16 +172,12 @@ __all__ = [
     "bin_index",
     "build_profile",
     "configure_heartbeat",
-    "configure_policy",
-    "configure_policy_payload",
     "configure_tracing",
     "drain_telemetry",
     "histogram_percentiles",
     "merge_telemetry",
     "monitored_map",
     "now",
-    "policy_mode",
-    "policy_payload",
     "render_span_tree",
     "reset_telemetry",
     "span_aggregates",

@@ -108,24 +108,6 @@ TELEMETRY_COLUMNS: dict[str, str] = {
     "count": "int",
 }
 
-#: Fixed schema of the ``models`` table (fitted cost models -- see
-#: ``repro.obs.calibrate``).  ``digest`` is the model's content address
-#: (sha256 of its canonical JSON), making calibration idempotent:
-#: re-fitting identical data appends nothing.  ``features`` and ``coef``
-#: are JSON-encoded lists; ``version`` is the fitting-recipe version
-#: (``repro.obs.policy.MODEL_VERSION``) -- a policy ignores rows from
-#: another recipe.  Latest row per ``target`` wins.
-MODEL_COLUMNS: dict[str, str] = {
-    "stamp": "float",
-    "digest": "str",
-    "version": "int",
-    "target": "str",
-    "features": "str",
-    "coef": "str",
-    "rows": "int",
-    "residual": "float",
-}
-
 _DEFAULTS = {"int": 0, "float": float("nan"), "bool": False, "str": ""}
 
 _SPEC_FIELDS = (
@@ -803,7 +785,6 @@ __all__ = [
     "EXPERIMENT_COLUMNS",
     "GROUP_COLUMNS",
     "KINDS",
-    "MODEL_COLUMNS",
     "RECORD_COLUMNS",
     "TELEMETRY_COLUMNS",
     "ResultsStore",

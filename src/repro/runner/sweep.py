@@ -94,20 +94,16 @@ def _group_job_payloads(jobs, payloads, engine):
     weighs its family's (estimated) compiled-state count
     (:func:`_family_state_weight`), the per-bin budget is the total
     weight split over four bins per pool worker, and no bin ever
-    exceeds the active group-state budget
-    (:func:`~repro.chain.multi.group_state_budget`:
-    :data:`~repro.chain.multi.MAX_GROUP_STATES`, or tighter under
-    ``--policy measured``) -- so a shape axis mixing n=3 and n=8
-    families no longer hands one worker all the heavy chains that
-    another worker's job-count-equal bin dodged.
-    Returns ``None`` -- dispatch one payload per job exactly as before
-    -- when grouping is off, the sweep is sampling-kind (Monte-Carlo
-    jobs gain nothing from a shared chain pass), or there is at most
-    one job.
+    exceeds :data:`~repro.chain.multi.MAX_GROUP_STATES` -- so a shape
+    axis mixing n=3 and n=8 families no longer hands one worker all the
+    heavy chains that another worker's job-count-equal bin dodged.
+    Returns ``None`` -- dispatch one payload per job -- when the sweep
+    is sampling-kind (Monte-Carlo jobs gain nothing from a shared chain
+    pass) or there is at most one job.
     """
-    from ..chain import group_state_budget, grouping_enabled
+    from ..chain import MAX_GROUP_STATES
 
-    if not grouping_enabled() or len(payloads) < 2:
+    if len(payloads) < 2:
         return None
     if any(jobs[p["index"]].kind != "exact" for p in payloads):
         return None
@@ -125,7 +121,7 @@ def _group_job_payloads(jobs, payloads, engine):
     workers = getattr(engine, "workers", 1) or 1
     bins = max(1, min(len(runs), workers * 4))
     budget = min(
-        group_state_budget(), max(1, math.ceil(sum(weights) / bins))
+        MAX_GROUP_STATES, max(1, math.ceil(sum(weights) / bins))
     )
     groups: list[list[dict]] = []
     current: list[dict] = []
@@ -139,10 +135,7 @@ def _group_job_payloads(jobs, payloads, engine):
         current_weight += weight
     if current:
         groups.append(current)
-    context_keys = (
-        "chain_cache", "batch", "group_chains", "quotient",
-        "results_memo", "obs", "policy", "live",
-    )
+    context_keys = ("chain_cache", "quotient", "results_memo", "obs", "live")
     return [
         {
             "jobs": group,
@@ -515,8 +508,8 @@ def run_sweep(
             resumed=len(prior),
         )
     for payload in payloads:
-        # Propagate the parent's chain context (e.g. the CLI --no-batch
-        # toggle) into pool workers; results are identical either way.
+        # Propagate the parent's chain context (e.g. the quotient mode)
+        # into pool workers, so they compile exactly what the parent would.
         payload.update(context)
     # The shape-grouping dispatcher: hand each worker one group payload
     # (one shared-memory attach, one grouped query pass) per slice of

@@ -20,9 +20,7 @@ from ..chain import (
     CompiledChain,
     Query,
     compile_chain,
-    configure_batching,
     configure_disk_cache,
-    configure_grouping,
     configure_shared_chains,
     run_group_queries,
     run_queries,
@@ -47,10 +45,9 @@ def exact_limit_value(
 ) -> Fraction:
     """The one exact chain evaluation every worker path shares.
 
-    Both the per-job exact runs and the port-chunk folds used to inline
-    their own ``ConsistencyChain(...)`` construction; routing them
-    through one helper over the batched query layer keeps the
-    evaluation semantics (and any future instrumentation) in one place.
+    Per-job exact runs route their chain evaluation through this one
+    helper over the batched query layer, which keeps the evaluation
+    semantics (and any future instrumentation) in one place.
     """
     return run_queries(chain, [Query.limit(task)])[0]
 
@@ -59,25 +56,17 @@ def chain_context_payload() -> dict:
     """The parent-side chain-context fields every pool payload carries.
 
     One choke point for the fields :func:`_apply_chain_context` mirrors
-    in the worker (currently the batching and chain-grouping toggles,
-    the quotient-compilation mode, and the cost-model policy;
-    ``chain_cache`` / ``chain_shm`` / ``chain_shm_groups`` / ``live``
+    in the worker (currently the quotient-compilation mode and the
+    tracing switch; ``chain_cache`` / ``chain_shm`` / ``chain_shm_groups`` / ``live``
     are sweep-specific and attached by ``run_sweep``).  A payload producer
     that merges this dict can never silently reset a worker to defaults
     the parent has overridden.
     """
-    from ..chain import batching_enabled, grouping_enabled, quotient_mode
-    from ..obs import policy_payload
+    from ..chain import quotient_mode
 
     return {
-        "batch": batching_enabled(),
-        "group_chains": grouping_enabled(),
         "quotient": quotient_mode(),
         "obs": tracing_enabled(),
-        # The fitted models ride in the payload itself, so workers need
-        # no warehouse access to plan exactly like the parent (the
-        # shared-group handshake depends on both sides chunking alike).
-        "policy": policy_payload(),
     }
 
 
@@ -133,23 +122,19 @@ def _apply_chain_context(payload: dict) -> None:
     ``results_memo`` directory (the warehouse's cross-run query memo)
     lets the worker skip whole cells another run already answered.
     Everything is configured *unconditionally*: a payload without a
-    cache/manifest/batch flag detaches whatever a previous job in this
+    cache/manifest/memo field detaches whatever a previous job in this
     (reused pool or in-process serial) worker installed, so one sweep's
     context never bleeds into the next job's compilations.
     """
     from ..chain import configure_quotient, configure_shared_groups
-    from ..obs import configure_policy_payload
     from ..results.memo import configure_query_memo
 
     configure_disk_cache(payload.get("chain_cache"))
     configure_shared_chains(payload.get("chain_shm"))
     configure_shared_groups(payload.get("chain_shm_groups"))
-    configure_batching(payload.get("batch", True))
-    configure_grouping(payload.get("group_chains", True))
     configure_quotient(payload.get("quotient", "off"))
     configure_query_memo(payload.get("results_memo"))
     configure_tracing(payload.get("obs", False))
-    configure_policy_payload(payload.get("policy"))
     # The live-sweep heartbeat side channel (repro.obs.live): installed
     # per payload like everything above, so a live sweep's emitter never
     # outlives its payloads.  Heartbeats go to their own append logs,

@@ -15,11 +15,8 @@ from repro.chain import (
     Query,
     QueryBatch,
     QueryPlan,
-    batching_enabled,
     compile_chain,
-    configure_batching,
     run_queries,
-    run_query_batch,
     set_distribution_cache_cap,
 )
 from repro.core import k_leader_election, leader_election, unique_ids
@@ -95,7 +92,7 @@ class TestExactAgreement:
         alpha = RandomnessConfiguration.from_group_sizes(shape)
         chain = compile_chain(alpha, make_ports(shape))
         queries = _all_queries(_tasks(alpha.n), HORIZONS)
-        batched = run_query_batch(chain, queries, backend="exact")
+        batched = QueryPlan(chain, queries).execute(backend="exact")
         scalar = _scalar_answers(chain, queries, "exact")
         assert batched == scalar
         # Byte-identical means identical types too: Fractions everywhere
@@ -113,7 +110,7 @@ class TestFloatAgreement:
         alpha = RandomnessConfiguration.from_group_sizes(shape)
         chain = compile_chain(alpha, make_ports(shape))
         queries = _all_queries(_tasks(alpha.n), HORIZONS)
-        batched = run_query_batch(chain, queries, backend="float")
+        batched = QueryPlan(chain, queries).execute(backend="float")
         scalar = _scalar_answers(chain, queries, "float")
         exact = _scalar_answers(chain, queries, "exact")
         for got, flt, ref in zip(batched, scalar, exact):
@@ -165,8 +162,8 @@ class TestPlan:
         alpha = RandomnessConfiguration.from_group_sizes((1, 2))
         chain = compile_chain(alpha)
         with pytest.raises(ValueError):
-            run_query_batch(
-                chain, [Query.limit(leader_election(3))], backend="decimal"
+            QueryPlan(chain, [Query.limit(leader_election(3))]).execute(
+                backend="decimal"
             )
 
 
@@ -190,48 +187,17 @@ class TestQueryBatchBuilder:
         assert results[h_solvable] == chain.eventually_solvable(task)
 
 
-class TestToggle:
-    def test_configure_batching_round_trips(self):
-        assert batching_enabled()
-        previous = configure_batching(False)
-        try:
-            assert previous is True
-            assert not batching_enabled()
-            alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
-            chain = compile_chain(alpha)
-            task = leader_election(alpha.n)
-            off = run_queries(
-                chain, [Query.series(task, 5), Query.limit(task)]
-            )
-        finally:
-            configure_batching(True)
-        on = run_queries(chain, [Query.series(task, 5), Query.limit(task)])
-        assert off == on
-
-    def test_run_query_batch_ignores_toggle(self):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
-        chain = compile_chain(alpha)
-        task = leader_election(3)
-        configure_batching(False)
-        try:
-            value = run_query_batch(chain, [Query.limit(task)])[0]
-        finally:
-            configure_batching(True)
-        assert value == chain.limit_solving_probability(task)
-
-
 class TestZeroOneAssertion:
     def test_solvable_asserts_zero_one_on_both_backends(self):
         alpha = RandomnessConfiguration.from_group_sizes((2, 2))
         chain = compile_chain(alpha)
         task = leader_election(4)
-        assert run_query_batch(chain, [Query.solvable(task)]) == [False]
-        assert run_query_batch(
-            chain, [Query.solvable(task)], backend="float"
-        ) == [False]
+        plan = QueryPlan(chain, [Query.solvable(task)])
+        assert plan.execute() == [False]
+        assert plan.execute(backend="float") == [False]
         # Float 'solvable' verdicts are exact Fractions under the hood.
         assert isinstance(
-            run_query_batch(chain, [Query.limit(task)])[0], Fraction
+            QueryPlan(chain, [Query.limit(task)]).execute()[0], Fraction
         )
 
 
@@ -247,7 +213,7 @@ class TestDistributionCacheCap:
             assert fresh.solving_probability(task, 12) == reference
             assert len(fresh._dist_exact) <= 4
             # Batched series past the cap stays byte-identical too.
-            capped = run_query_batch(fresh, [Query.series(task, 12)])[0]
+            capped = QueryPlan(fresh, [Query.series(task, 12)]).execute()[0]
         finally:
             set_distribution_cache_cap(None)
         assert capped == chain.solving_probability_series(task, 12)

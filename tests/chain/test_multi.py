@@ -1,17 +1,13 @@
-"""Multi-chain groups: stacked results vs per-chain, toggles, structure."""
+"""Multi-chain groups: stacked results vs per-chain, structure."""
 
 import numpy as np
-import pytest
 
 from repro.chain import (
     ChainGroup,
     MultiQueryPlan,
     Query,
     compile_chain,
-    configure_batching,
-    configure_grouping,
     evolution_strategy,
-    grouping_enabled,
     run_group_queries,
     run_queries,
 )
@@ -23,13 +19,6 @@ from repro.core import (
 )
 from repro.models import adversarial_assignment, round_robin_assignment
 from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
-
-
-@pytest.fixture(autouse=True)
-def _toggles():
-    yield
-    configure_grouping(True)
-    configure_batching(True)
 
 
 def _mixed_shape_items():
@@ -124,24 +113,6 @@ class TestGroupedResults:
         assert run_group_queries([]) == []
         alpha = RandomnessConfiguration.from_group_sizes((1, 2))
         assert run_group_queries([(compile_chain(alpha), [])]) == [[]]
-
-
-class TestToggles:
-    def test_grouping_toggle_falls_back_per_chain(self):
-        items = _mixed_shape_items()[:4]
-        previous = configure_grouping(False)
-        assert previous is True
-        assert not grouping_enabled()
-        assert run_group_queries(items) == _per_chain(items, "exact")
-        configure_grouping(True)
-        assert grouping_enabled()
-
-    def test_batching_off_also_bypasses_the_group_path(self):
-        items = _mixed_shape_items()[:4]
-        configure_batching(False)
-        grouped_off = run_group_queries(items)
-        configure_batching(True)
-        assert grouped_off == _per_chain(items, "exact")
 
 
 class TestChainGroupStructure:

@@ -14,14 +14,3 @@ def _reset_quotient_mode():
 
     configure_quotient("off")
 
-
-@pytest.fixture(autouse=True)
-def _reset_cost_model_policy():
-    """CLI entry points (``--policy measured``) configure the process-wide
-    cost-model policy; restore the static default afterwards so a test
-    that routes through ``repro.cli.main`` cannot change which evolution
-    strategy or group budget a later test observes."""
-    yield
-    from repro.obs import configure_policy
-
-    configure_policy()

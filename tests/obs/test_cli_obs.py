@@ -160,34 +160,6 @@ class TestFrozenStamps:
         assert {row["master_seed"] for row in rows} == {0}
 
 
-def _calibration_rows():
-    """A groups history rich enough to fit every model target."""
-    import math
-
-    rows = []
-    for states in (16, 64, 256, 1024):
-        for factor in (2, 8):
-            for evolution, c0 in (("dense", -20.0), ("scatter", -18.0)):
-                nnz = states * factor
-                elapsed = 2.0 ** (
-                    c0 + math.log2(states) + 0.5 * math.log2(nnz)
-                )
-                rows.append(
-                    {
-                        "master_seed": 0,
-                        "jobs": 4,
-                        "chains": 2,
-                        "states": states,
-                        "transitions": nnz,
-                        "density": nnz / (states * states),
-                        "evolution": evolution,
-                        "memo_hits": 0,
-                        "elapsed": elapsed,
-                    }
-                )
-    return rows
-
-
 class TestCrossRunAnalyticsCLI:
     """Satellite coverage: several traced sweeps in one warehouse stay
     distinguishable and drive history/diff/tiers read-back."""
@@ -407,84 +379,3 @@ class TestObsDiffStamps:
                 ["obs", "diff", str(warehouse),
                  "--stamps", "123.0", "200.0"]
             )
-
-
-class TestCalibrateCLI:
-    def test_calibrate_fits_persists_and_is_idempotent(
-        self, tmp_path, capsys
-    ):
-        from repro.results.store import GROUP_COLUMNS
-
-        warehouse = tmp_path / "warehouse"
-        ResultsStore(warehouse).append_rows(
-            "groups", _calibration_rows(), GROUP_COLUMNS
-        )
-        assert main(["chains", "calibrate", str(warehouse)]) == 0
-        out = capsys.readouterr().out
-        assert "evolve.dense" in out
-        assert "evolve.scatter" in out
-        assert "3 new row(s) persisted" in out
-
-        assert main(["chains", "calibrate", str(warehouse)]) == 0
-        again = capsys.readouterr().out
-        assert "0 new row(s) persisted" in again
-
-    def test_calibrate_without_history_reports_and_fails(
-        self, tmp_path, capsys
-    ):
-        from repro.results.store import TELEMETRY_COLUMNS
-
-        warehouse = tmp_path / "warehouse"
-        # A real store (so the CLI opens it) with no groups history.
-        ResultsStore(warehouse).append_rows(
-            "telemetry",
-            [{"stamp": 1.0, "master_seed": 0, "kind": "counter",
-              "name": "x", "value": 1.0, "count": 1}],
-            TELEMETRY_COLUMNS,
-        )
-        assert main(["chains", "calibrate", str(warehouse)]) == 1
-        out = capsys.readouterr().out
-        assert "no cost models fitted" in out
-
-
-class TestPolicyCLI:
-    def test_measured_without_models_warns_and_falls_back(self, capsys):
-        assert main(["run", "2,3", "--policy", "measured"]) == 0
-        err = capsys.readouterr().err
-        assert "no fitted models" in err
-
-    def test_measured_policy_records_identical_to_static(
-        self, tmp_path, capsys
-    ):
-        from repro.results.store import GROUP_COLUMNS
-
-        warehouse = tmp_path / "models-warehouse"
-        ResultsStore(warehouse).append_rows(
-            "groups", _calibration_rows(), GROUP_COLUMNS
-        )
-        assert main(["chains", "calibrate", str(warehouse)]) == 0
-        capsys.readouterr()
-
-        clear_memo()
-        assert main(
-            ["sweep", "--n", "4", "--run-dir", str(tmp_path / "static")]
-        ) == 0
-        clear_memo()
-        assert main(
-            ["sweep", "--n", "4", "--run-dir", str(tmp_path / "measured"),
-             "--policy", "measured", "--warehouse", str(warehouse)]
-        ) == 0
-        captured = capsys.readouterr()
-        # The models were found: no fallback warning on stderr.
-        assert "no fitted models" not in captured.err
-
-        def stripped(path):
-            return [
-                {k: v for k, v in json.loads(line).items()
-                 if k != "elapsed"}
-                for line in path.read_text().splitlines()
-            ]
-
-        assert stripped(
-            tmp_path / "static" / "records.jsonl"
-        ) == stripped(tmp_path / "measured" / "records.jsonl")

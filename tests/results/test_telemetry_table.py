@@ -1,17 +1,19 @@
-"""Multi-sweep telemetry and models tables in one warehouse.
+"""Multi-sweep telemetry, and legacy tables, in one warehouse.
 
 The cross-run analytics tier (`repro.obs.analyze`) assumes the
 warehouse keeps telemetry from *different* traced sweeps apart: rows
 carry their sweep's clock stamp and master seed, and both must survive
 segment writes and compaction so `metrics history --master-seed` and
-`obs diff` read clean per-sweep slices.  Same for the versioned
-``models`` table the calibration pass appends to.
+`obs diff` read clean per-sweep slices.  Warehouses written by older
+releases may also hold a ``models`` table (fitted cost models) that no
+code writes any more; the store reads every schema from its segment
+manifests, so such tables stay readable and compactable.
 """
 
 import pytest
 
 from repro.results import ResultsStore, col
-from repro.results.store import MODEL_COLUMNS, TELEMETRY_COLUMNS
+from repro.results.store import TELEMETRY_COLUMNS
 
 
 def sweep_rows(stamp, master_seed, jobs):
@@ -68,22 +70,69 @@ class TestMultiSweepTelemetry:
         assert counters.column("master_seed").tolist() == [0, 7]
 
 
-class TestModelsTable:
-    def test_models_rows_survive_compaction_in_append_order(self, tmp_path):
-        from repro.obs.calibrate import model_row
-        from repro.obs.policy import CostModel
+#: The ``models`` schema older releases wrote (one fitted cost model per
+#: row); kept here verbatim because no current code defines it.
+LEGACY_MODEL_COLUMNS = {
+    "stamp": "float",
+    "digest": "str",
+    "version": "int",
+    "target": "str",
+    "features": "str",
+    "coef": "str",
+    "rows": "int",
+    "residual": "float",
+}
 
-        store = ResultsStore(tmp_path / "warehouse")
-        old = CostModel("evolve.dense", ("log2_states", "log2_nnz"),
-                        (-20.0, 1.0, 0.5))
-        new = CostModel("evolve.dense", ("log2_states", "log2_nnz"),
-                        (-19.0, 1.1, 0.4))
-        store.append_rows("models", [model_row(old, 100.0)], MODEL_COLUMNS)
-        store.append_rows("models", [model_row(new, 200.0)], MODEL_COLUMNS)
-        store.compact()
-        digests = store.table("models").column("digest").tolist()
-        assert digests == [old.digest(), new.digest()]
-        # Latest-wins load order is what the policy depends on.
-        from repro.obs.calibrate import load_cost_models
 
-        assert load_cost_models(store)["evolve.dense"] == new
+def legacy_model_row(stamp, target, digest):
+    return {
+        "stamp": float(stamp),
+        "digest": digest,
+        "version": 1,
+        "target": target,
+        "features": '["log2_states", "log2_nnz"]',
+        "coef": "[-20.0, 1.0, 0.5]",
+        "rows": 8,
+        "residual": 0.01,
+    }
+
+
+class TestLegacyModelsTable:
+    def test_cli_stats_query_and_compact_read_a_legacy_models_table(
+        self, store, capsys
+    ):
+        from repro.cli import main
+
+        store.append_rows(
+            "models",
+            [legacy_model_row(100.0, "evolve.dense", "a" * 64)],
+            LEGACY_MODEL_COLUMNS,
+        )
+        store.append_rows(
+            "models",
+            [legacy_model_row(200.0, "evolve.scatter", "b" * 64)],
+            LEGACY_MODEL_COLUMNS,
+        )
+        root = str(store.root)
+
+        assert main(["results", "stats", root]) == 0
+        stats = capsys.readouterr().out
+        assert "models" in stats and "telemetry" in stats
+
+        def query_models():
+            assert main(
+                ["results", "query", root, "--table", "models",
+                 "--columns", "target,rows", "--sort-by", "target"]
+            ) == 0
+            return capsys.readouterr().out
+
+        before = query_models()
+        assert "evolve.dense" in before and "evolve.scatter" in before
+
+        assert main(["results", "compact", root]) == 0
+        capsys.readouterr()
+        assert store.stats()["tables"]["models"]["segments"] == 1
+        assert query_models() == before
+        table = store.table("models")
+        assert table.column("stamp").tolist() == [100.0, 200.0]
+        assert set(table.columns) == set(LEGACY_MODEL_COLUMNS)

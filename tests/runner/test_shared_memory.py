@@ -141,12 +141,12 @@ class TestPooledSharedMemorySweeps:
         assert _strip_timing(again.records) == _strip_timing(outcome.records)
 
     def test_grouped_pooled_sweep_byte_identical_to_serial(self, tmp_path):
-        """The ISSUE 4 contract: a 2-worker sweep dispatched as group
+        """The grouped-dispatch contract: a 2-worker sweep dispatched as group
         payloads (one shm attach + one grouped pass per payload) writes
         a run directory byte-identical to a serial one, and both match
-        an ungrouped (--no-group-chains) serial baseline."""
-        from repro.chain import configure_grouping
-        from repro.runner.worker import execute_run_group
+        per-job records from :func:`~repro.runner.worker.execute_run`,
+        which never enters the grouped pass."""
+        from repro.runner.worker import execute_run, execute_run_group
 
         captured = []
 
@@ -162,11 +162,14 @@ class TestPooledSharedMemorySweeps:
             engine=SpyPool(workers=2),
             run_dir=tmp_path / "pooled",
         )
-        configure_grouping(False)
-        try:
-            ungrouped = run_sweep(_sweep(), engine=SerialEngine())
-        finally:
-            configure_grouping(True)
+        sweep = _sweep()
+        per_job = [
+            execute_run(
+                {"spec": spec.to_dict(), "master_seed": sweep.master_seed,
+                 "index": i}
+            )
+            for i, spec in enumerate(sweep.expand())
+        ]
         # The pool really ran group payloads, several jobs per payload.
         fn, payloads = captured[0]
         assert fn is execute_run_group
@@ -174,9 +177,7 @@ class TestPooledSharedMemorySweeps:
         assert len(payloads) < serial.total
         assert sum(len(p["jobs"]) for p in payloads) == serial.total
         assert _strip_timing(serial.records) == _strip_timing(pooled.records)
-        assert _strip_timing(serial.records) == _strip_timing(
-            ungrouped.records
-        )
+        assert _strip_timing(serial.records) == _strip_timing(per_job)
         for run in ("serial", "pooled"):
             lines = (tmp_path / run / "records.jsonl").read_text()
             loaded = [json.loads(line) for line in lines.splitlines()]
@@ -239,50 +240,6 @@ class TestProcessContext:
         installed = configure_disk_cache(tmp_path / "mine")
         run_sweep(_sweep(), engine=ProcessPoolEngine(workers=2))
         assert disk_cache() is installed
-
-    def test_no_batch_travels_in_every_pool_payload(self):
-        from repro.analysis import iter_all_experiments
-        from repro.chain import configure_batching
-
-        captured = []
-
-        class SpyEngine:
-            name = "spy"
-
-            def map(self, fn, payloads):
-                captured.extend(payloads)
-                return iter(())
-
-        configure_batching(False)
-        try:
-            list(iter_all_experiments(engine=SpyEngine()))
-        finally:
-            configure_batching(True)
-        assert captured and all(
-            payload["batch"] is False for payload in captured
-        )
-
-    def test_no_group_chains_travels_in_every_pool_payload(self):
-        from repro.analysis import iter_all_experiments
-        from repro.chain import configure_grouping
-
-        captured = []
-
-        class SpyEngine:
-            name = "spy"
-
-            def map(self, fn, payloads):
-                captured.extend(payloads)
-                return iter(())
-
-        configure_grouping(False)
-        try:
-            list(iter_all_experiments(engine=SpyEngine()))
-        finally:
-            configure_grouping(True)
-        assert captured and all(
-            payload["group_chains"] is False for payload in captured
-        )
 
     def test_pooled_experiments_get_a_published_chain_manifest(self):
         from repro.analysis import iter_all_experiments
