@@ -1,13 +1,17 @@
-"""Multi-chain groups: stacked results vs per-chain, structure."""
+"""Multi-chain groups: stacked results vs per-chain and vs the scalar
+oracle, chunk planning, structure."""
 
 import numpy as np
+import pytest
 
 from repro.chain import (
+    MAX_GROUP_STATES,
     ChainGroup,
     MultiQueryPlan,
     Query,
     compile_chain,
     evolution_strategy,
+    plan_chunks,
     run_group_queries,
     run_queries,
 )
@@ -19,6 +23,11 @@ from repro.core import (
 )
 from repro.models import adversarial_assignment, round_robin_assignment
 from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
+
+#: Every size shape with 2..5 processes: one grouped-vs-oracle case each.
+ORACLE_SHAPES = [
+    shape for n in (2, 3, 4, 5) for shape in enumerate_size_shapes(n)
+]
 
 
 def _mixed_shape_items():
@@ -48,6 +57,46 @@ def _per_chain(items, backend):
     return [
         run_queries(chain, queries, backend=backend)
         for chain, queries in items
+    ]
+
+
+def _scalar_answer(chain, query, backend):
+    """One query through the scalar ``CompiledChain`` method (the oracle)."""
+    if query.quantity == "probability":
+        return chain.solving_probability(
+            query.task, query.horizon, backend=backend
+        )
+    if query.quantity == "series":
+        return chain.solving_probability_series(
+            query.task, query.horizon, backend=backend
+        )
+    if query.quantity == "limit":
+        return chain.limit_solving_probability(query.task, backend=backend)
+    if query.quantity == "expected":
+        return chain.expected_solving_time(query.task, backend=backend)
+    return chain.eventually_solvable(query.task)
+
+
+def _oracle_items(shape):
+    """One shape under every port model, every quantity: one group."""
+    n = sum(shape)
+    alpha = RandomnessConfiguration.from_group_sizes(shape)
+    queries = []
+    for task in (leader_election(n), weak_symmetry_breaking(n)):
+        queries += [
+            Query.probability(task, 2),
+            Query.series(task, 5),
+            Query.limit(task),
+            Query.expected_time(task),
+            Query.solvable(task),
+        ]
+    return [
+        (compile_chain(alpha, ports), queries)
+        for ports in (
+            None,
+            adversarial_assignment(shape),
+            round_robin_assignment(n),
+        )
     ]
 
 
@@ -113,6 +162,80 @@ class TestGroupedResults:
         assert run_group_queries([]) == []
         alpha = RandomnessConfiguration.from_group_sizes((1, 2))
         assert run_group_queries([(compile_chain(alpha), [])]) == [[]]
+
+
+class TestGroupedAgainstScalarOracle:
+    """The grouped path against the scalar per-query methods.
+
+    The per-chain comparison above checks the group layer against plans
+    it executes itself; these cases pin it to an independent reference,
+    one size shape (under every port model) at a time.
+    """
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    def test_exact_byte_identical_to_scalar(self, shape):
+        items = _oracle_items(shape)
+        grouped = run_group_queries(items, backend="exact")
+        for (chain, queries), row in zip(items, grouped):
+            oracle = [_scalar_answer(chain, q, "exact") for q in queries]
+            assert row == oracle
+            for got, want in zip(row, oracle):
+                inner_got = got if isinstance(got, list) else [got]
+                inner_want = want if isinstance(want, list) else [want]
+                assert (
+                    [type(x) for x in inner_got]
+                    == [type(x) for x in inner_want]
+                )
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    def test_float_within_1e12_of_scalar(self, shape):
+        items = _oracle_items(shape)
+        grouped = run_group_queries(items, backend="float")
+        for (chain, queries), row in zip(items, grouped):
+            for query, got in zip(queries, row):
+                want = _scalar_answer(chain, query, "float")
+                inner_got = got if isinstance(got, list) else [got]
+                inner_want = want if isinstance(want, list) else [want]
+                assert len(inner_got) == len(inner_want)
+                for g, w in zip(inner_got, inner_want):
+                    if g is None or w is None or isinstance(g, bool):
+                        assert g == w
+                    else:
+                        assert abs(g - w) < 1e-12
+
+
+class TestPlanChunks:
+    @pytest.mark.parametrize("budget", [1, 16, 64, 256, MAX_GROUP_STATES])
+    def test_greedy_partition_under_the_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(multi_module, "MAX_GROUP_STATES", budget)
+        chains = [chain for chain, _ in _mixed_shape_items()]
+        chunks = plan_chunks(chains)
+        # An order-preserving partition of the input.
+        assert [id(c) for chunk in chunks for c in chunk] == [
+            id(c) for c in chains
+        ]
+        for position, chunk in enumerate(chunks):
+            distinct = {id(c): c.num_states for c in chunk}
+            states = sum(distinct.values())
+            # Within budget, or one oversized chain alone in its chunk.
+            assert states <= budget or len(distinct) == 1
+            if position + 1 < len(chunks):
+                # Greedy: the next chunk opens only when its first chain
+                # would have overflowed this one.
+                assert states + chunks[position + 1][0].num_states > budget
+        if budget == MAX_GROUP_STATES:
+            assert len(chunks) == 1
+
+    def test_repeated_chain_counts_once_per_chunk(self, monkeypatch):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
+        chain = compile_chain(alpha)
+        monkeypatch.setattr(
+            multi_module, "MAX_GROUP_STATES", chain.num_states
+        )
+        chunks = plan_chunks([chain, chain, chain])
+        assert [[id(c) for c in chunk] for chunk in chunks] == [
+            [id(chain)] * 3
+        ]
 
 
 class TestChainGroupStructure:

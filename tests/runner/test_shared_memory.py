@@ -259,6 +259,29 @@ class TestProcessContext:
             payload.get("chain_shm") for payload in captured
         )
 
+    @pytest.mark.parametrize("mode", ["off", "auto", "on"])
+    def test_quotient_mode_travels_in_every_pool_payload(self, mode):
+        from repro.chain import configure_quotient
+        from repro.runner.worker import chain_context_payload
+
+        captured = []
+
+        class SpyPool(ProcessPoolEngine):
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                captured.extend(payloads)
+                return super().map(fn, payloads)
+
+        configure_quotient(mode)
+        assert chain_context_payload() == {"quotient": mode, "obs": False}
+        run_sweep(_sweep(), engine=SpyPool(workers=2))
+        assert captured
+        for payload in captured:
+            for job in payload.get("jobs", [payload]):
+                assert job["quotient"] == mode
+                for key in ("batch", "group_chains", "policy"):
+                    assert key not in job
+
 
 class TestWarmWorkersSkipDisk:
     def test_attach_beats_the_disk_cache_on_cache_warm_chains(

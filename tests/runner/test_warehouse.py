@@ -179,3 +179,54 @@ class TestStateBudgetPacking:
             if shapes & {(1, 6), (2, 5)}:
                 heavy_bins.append(position)
         assert len(heavy_bins) >= 2  # the two heavy families split
+
+    def test_bin_budget_is_capped_by_max_group_states(self, sweep,
+                                                      monkeypatch):
+        import repro.chain
+
+        # A one-state cap leaves every chain family alone in its bin.
+        monkeypatch.setattr(repro.chain, "MAX_GROUP_STATES", 1)
+        jobs, payloads = self._payloads(sweep)
+        groups = _group_job_payloads(
+            jobs, payloads, ProcessPoolEngine(workers=1)
+        )
+
+        def family(spec):
+            return (spec.sizes, spec.model, spec.ports, spec.replicate)
+
+        per_group = [
+            {family(jobs[p["index"]]) for p in group["jobs"]}
+            for group in groups
+        ]
+        assert all(len(families) == 1 for families in per_group)
+        assert len(groups) == len({family(spec) for spec in jobs})
+
+    def test_sampling_sweeps_and_single_jobs_are_not_grouped(self, sweep):
+        engine = ProcessPoolEngine(workers=2)
+        sampling = SweepSpec(
+            shapes=sweep.shapes, kind="sample", samples=64, t=2
+        )
+        assert _group_job_payloads(*self._payloads(sampling), engine) is None
+        jobs, payloads = self._payloads(sweep)
+        assert _group_job_payloads(jobs, payloads[:1], engine) is None
+
+    def test_group_payloads_forward_only_the_chain_context(self, sweep):
+        jobs, payloads = self._payloads(sweep)
+        context = {
+            "chain_cache": "cache",
+            "quotient": "on",
+            "results_memo": "memo",
+            "obs": True,
+            "live": {"dir": "live"},
+        }
+        # Fields older parents put in every payload; workers no longer
+        # read them, so group payloads must not carry them.
+        retired = {"batch": False, "group_chains": False, "policy": {}}
+        for payload in payloads:
+            payload.update(context, **retired)
+        groups = _group_job_payloads(
+            jobs, payloads, ProcessPoolEngine(workers=2)
+        )
+        for group in groups:
+            assert set(group) == {"jobs", *context}
+            assert {key: group[key] for key in context} == context

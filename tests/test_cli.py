@@ -163,3 +163,41 @@ class TestCommands:
         assert main(["report", str(tmp_path)]) == 0
         assert (tmp_path / "experiments.json").exists()
         assert "experiments pass" in capsys.readouterr().out
+
+
+#: Minimal valid argv for every command that used to take the retired
+#: execution-strategy options (parsing fails before any command runs).
+RETIRED_OPTION_COMMANDS = {
+    "solve": ["solve", "1,2"],
+    "series": ["series", "1,2"],
+    "expected-time": ["expected-time", "1,2"],
+    "phase-diagram": ["phase-diagram", "3"],
+    "experiments": ["experiments"],
+    "run": ["run", "1,2"],
+    "sweep": ["sweep", "--n", "3"],
+    "report": ["report", "OUT"],
+}
+
+#: One planner path remains, so none of these spellings parse any more.
+RETIRED_OPTIONS = {
+    "policy": [["--policy", "static"], ["--policy", "measured"]],
+    "batch": [["--batch"], ["--no-batch"]],
+    "group-chains": [["--group-chains"], ["--no-group-chains"]],
+}
+
+
+class TestRetiredOptions:
+    @pytest.mark.parametrize("option", sorted(RETIRED_OPTIONS))
+    @pytest.mark.parametrize("command", sorted(RETIRED_OPTION_COMMANDS))
+    def test_retired_option_is_rejected(self, command, option, capsys):
+        for spelling in RETIRED_OPTIONS[option]:
+            with pytest.raises(SystemExit) as excinfo:
+                main(RETIRED_OPTION_COMMANDS[command] + spelling)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_chains_calibrate_action_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chains", "calibrate", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
