@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -85,6 +87,43 @@ def set_distribution_cache_cap(cap: "int | None") -> None:
     CompiledChain.distribution_cache_cap = cap
 
 
+def refinement_signature(
+    labels: LabelVector,
+    neigh: "tuple[tuple[int, ...], ...] | None",
+    back: "tuple[tuple[int, ...], ...] | None",
+) -> LabelVector:
+    """The bit-independent part of every node's refinement key, as ints.
+
+    A node's next view is its old view, its fresh bit and -- under
+    message passing (Eq. 2) -- its neighbours' *old* views, so all but
+    the bit is fixed per state.  ``sig[i] == sig[j]`` exactly when nodes
+    ``i`` and ``j`` agree on everything but the bit: the old label on
+    the blackboard (Eq. 1), plus the port-ordered neighbour labels
+    (and, with ``back``, the sender-side ports) under message passing.
+    """
+    if neigh is None:
+        return labels
+    n = len(labels)
+    if back is None:
+        return canonical_labels(
+            [
+                (labels[i], tuple(labels[j] for j in neigh[i]))
+                for i in range(n)
+            ]
+        )
+    return canonical_labels(
+        [
+            (
+                labels[i],
+                tuple(
+                    (labels[j], port) for j, port in zip(neigh[i], back[i])
+                ),
+            )
+            for i in range(n)
+        ]
+    )
+
+
 def refine_labels(
     labels: LabelVector,
     node_bits: "tuple[int, ...]",
@@ -93,43 +132,16 @@ def refine_labels(
 ) -> LabelVector:
     """One synchronous refinement round on an integer label vector.
 
-    ``node_bits[i]`` is node ``i``'s source bit this round; ``neigh`` is
-    ``None`` for the blackboard (Eq. 1) or the per-node neighbour tables
-    for message passing (Eq. 2); ``back`` additionally carries the
-    sender-side ports under the classical anonymous-network semantics.
+    ``node_bits[i]`` is node ``i``'s source bit (0 or 1) this round;
+    ``neigh`` is ``None`` for the blackboard (Eq. 1) or the per-node
+    neighbour tables for message passing (Eq. 2); ``back`` additionally
+    carries the sender-side ports under the classical anonymous-network
+    semantics.  Two nodes stay together iff they share the
+    :func:`refinement_signature` and the bit, i.e. iff ``2*sig + bit``
+    agrees.
     """
-    n = len(labels)
-    if neigh is None:
-        keys = [(labels[i], node_bits[i]) for i in range(n)]
-    elif back is None:
-        keys = [
-            (
-                labels[i],
-                node_bits[i],
-                tuple(labels[j] for j in neigh[i]),
-            )
-            for i in range(n)
-        ]
-    else:
-        keys = [
-            (
-                labels[i],
-                node_bits[i],
-                tuple(
-                    (labels[j], port)
-                    for j, port in zip(neigh[i], back[i])
-                ),
-            )
-            for i in range(n)
-        ]
-    relabel: dict = {}
-    out = []
-    for key in keys:
-        index = relabel.get(key)
-        if index is None:
-            index = relabel[key] = len(relabel)
-        out.append(index)
-    return tuple(out)
+    sig = refinement_signature(labels, neigh, back)
+    return canonical_labels([s + s + b for s, b in zip(sig, node_bits)])
 
 
 def neighbour_tables(ports) -> tuple[tuple[int, ...], ...]:
@@ -564,36 +576,52 @@ class CompiledChain:
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
-def _compile(
-    key: ChainKey, alpha: RandomnessConfiguration
-) -> CompiledChain:
-    """Explore the reachable space once and freeze it into arrays."""
-    assignment, neigh, back = key
-    n, k = alpha.n, alpha.k
+def _source_bit_rows(assignment, k: int) -> tuple[tuple[int, ...], ...]:
+    """Per-node bits of each of the ``2^(k-1)`` enumerated source-bit
+    vectors.  Bit vectors and their complements refine identically, so
+    the first source's bit is fixed to 0 (halving the enumeration)."""
+    return tuple(
+        tuple(bits[source] for source in assignment)
+        for bits in (
+            (0, *rest) for rest in itertools.product((0, 1), repeat=k - 1)
+        )
+    )
+
+
+def explore(key: ChainKey, k: int, fold=None):
+    """Explore the reachable space of ``key`` once: ``(labels, out)``.
+
+    The one exploration loop behind both the full and the quotient
+    compile.  Per state it computes the :func:`refinement_signature`
+    once, canonicalizes ``2*sig + bit`` for each source-bit vector of
+    :func:`_source_bit_rows`, tallies the refined vectors, and then
+    folds (``fold(labels) -> representative``, for the quotient) and
+    interns each *distinct* vector once.  States are reindexed
+    topologically: ascending block count (refinement strictly increases
+    it except for self-loops), ties broken by label vector for
+    determinism; ``out[sid]`` holds sorted ``(dst, count)`` pairs.
+    """
+    assignment, neigh, back = key[:3]
+    rows = _source_bit_rows(assignment, k)
+    start = (0,) * len(assignment)
     table = StateTable()
-    start = table.intern((0,) * n)
+    table.intern(start if fold is None else fold(start))
     transitions: list[dict[int, int]] = []
-    frontier = [start]
-    while frontier:
-        sid = frontier.pop()
-        while len(transitions) <= sid:
-            transitions.append({})
-        counts = transitions[sid]
-        labels = table.labels_of(sid)
-        # Bit vectors and their complements refine identically; fix the
-        # first source's bit to halve the enumeration (the seed trick).
-        for rest in itertools.product((0, 1), repeat=k - 1):
-            source_bits = (0, *rest)
-            node_bits = tuple(source_bits[assignment[i]] for i in range(n))
-            nxt_labels = refine_labels(labels, node_bits, neigh, back)
-            known = table.get(nxt_labels)
-            if known is None:
-                known = table.intern(nxt_labels)
-                frontier.append(known)
-            counts[known] = counts.get(known, 0) + 1
-    # Topological reindex: ascending block count (refinement strictly
-    # increases it except for self-loops), ties broken by label vector
-    # for determinism.
+    # Ids are handed out in discovery order, so scanning them in order
+    # is a breadth-first walk that ends when no new state appears.
+    sid = 0
+    while sid < len(table):
+        sig = refinement_signature(table.labels_of(sid), neigh, back)
+        doubled = [s + s for s in sig]
+        tally = Counter(
+            canonical_labels(map(add, doubled, row)) for row in rows
+        )
+        counts: dict[int, int] = {}
+        for nxt, cnt in tally.items():
+            dst = table.intern(nxt if fold is None else fold(nxt))
+            counts[dst] = counts.get(dst, 0) + cnt
+        transitions.append(counts)
+        sid += 1
     order = sorted(
         range(len(table)),
         key=lambda sid: (block_count(table.labels_of(sid)), table.labels_of(sid)),
@@ -609,7 +637,7 @@ def _compile(
         )
         for old in order
     )
-    return CompiledChain(key, n, k, labels, out)
+    return labels, out
 
 
 #: Process-wide memo: one compilation per structural chain, ever.
@@ -640,7 +668,8 @@ def _build_chain(key: ChainKey, alpha: RandomnessConfiguration) -> CompiledChain
     from . import quotient as quotient_backend
 
     if not quotient_backend.is_quotient_key(key):
-        return _compile(key, alpha)
+        labels, out = explore(key, alpha.k)
+        return CompiledChain(key, alpha.n, alpha.k, labels, out)
     chain = quotient_backend.compile_quotient(key, alpha)
     if OBS.enabled:
         OBS.metrics.inc("chain.compile.quotient")
@@ -749,9 +778,11 @@ __all__ = [
     "chain_key",
     "clear_memo",
     "compile_chain",
+    "explore",
     "memo_size",
     "memoized_chain",
     "neighbour_tables",
     "refine_labels",
+    "refinement_signature",
     "set_distribution_cache_cap",
 ]

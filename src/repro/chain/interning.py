@@ -17,14 +17,14 @@ flat integer arrays.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable
 
 #: A canonical label vector: ``labels[i]`` is node ``i``'s block index,
 #: blocks numbered in order of first appearance (restricted growth).
 LabelVector = tuple[int, ...]
 
 
-def canonical_labels(raw: Sequence[int]) -> LabelVector:
+def canonical_labels(raw: Iterable[Hashable]) -> LabelVector:
     """Renumber an arbitrary per-node key/label vector into RGS form.
 
     Two vectors canonicalize identically iff they induce the same

@@ -40,27 +40,23 @@ all operate on it unchanged; its key is the structural key plus a
 memory, cross-run query memo) separates the two compilations for free.
 
 The group is never enumerated as ``n!`` permutations: blackboard
-configurations get combinatorial generators (within-group transpositions
-plus equal-size group swaps), and port structures are propagated from
-the image of node 0 (a port-preserving automorphism of a connected
-structure is determined by one image), giving at most ``n`` candidates.
-Disconnected or otherwise undetermined structures degrade to the trivial
-group -- the quotient is simply not taken.
+configurations get adjacent-transposition generators (inside each source
+group, and between consecutive equal-size groups) and fold by closing
+orbits under them; port structures are propagated from the image of
+node 0 (a port-preserving automorphism of a connected structure is
+determined by one image), giving at most ``n`` elements, and fold over
+that explicit list without any closure walk.  Disconnected or otherwise
+undetermined structures degrade to the trivial group -- the quotient is
+simply not taken.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from ..randomness.configuration import RandomnessConfiguration
-from .engine import ChainKey, CompiledChain, refine_labels
-from .interning import (
-    LabelVector,
-    StateTable,
-    block_count,
-    canonical_labels,
-)
+from .engine import ChainKey, CompiledChain, explore
+from .interning import LabelVector, canonical_labels
 
 #: The key tag distinguishing a quotient compilation from the full one.
 QUOTIENT_TAG = "quotient"
@@ -221,28 +217,34 @@ def is_chain_automorphism(key: ChainKey, perm) -> bool:
 
 
 def _blackboard_generators(assignment) -> tuple[tuple[int, ...], ...]:
-    """Generators of the full blackboard group: any permutation within a
-    source group, plus swaps of equal-size groups (wreath product)."""
+    """Adjacent-transposition generators of the full blackboard group.
+
+    The group is the wreath product of any permutation within a source
+    group and any swap of equal-size groups.  Adjacent transpositions
+    inside each group generate the first factor; swapping each group
+    with the *next* group of the same size generates the second.  That
+    is ``(n - #groups) + (#groups - #distinct sizes)`` generators -- 8
+    for the ``(1^9)`` shape instead of one swap per pair of groups.
+    """
     n = len(assignment)
     groups: dict[int, list[int]] = {}
     for node, source in enumerate(assignment):
         groups.setdefault(source, []).append(node)
-    members = list(groups.values())
     identity = list(range(n))
     gens: list[tuple[int, ...]] = []
-    for nodes in members:
+    last_of_size: dict[int, list[int]] = {}
+    for nodes in groups.values():
         for a, b in zip(nodes, nodes[1:]):
             g = identity.copy()
             g[a], g[b] = b, a
             gens.append(tuple(g))
-    for x in range(len(members)):
-        for y in range(x + 1, len(members)):
-            if len(members[x]) != len(members[y]):
-                continue
+        previous = last_of_size.get(len(nodes))
+        if previous is not None:
             g = identity.copy()
-            for a, b in zip(members[x], members[y]):
+            for a, b in zip(previous, nodes):
                 g[a], g[b] = b, a
             gens.append(tuple(g))
+        last_of_size[len(nodes)] = nodes
     return tuple(gens)
 
 
@@ -333,9 +335,9 @@ def automorphism_count(key: ChainKey) -> int:
     by the sweep's state-budget estimator to shrink the Bell-number
     proxy for not-yet-compiled quotient chains.
     """
-    assignment, neigh, back = base_key(key)
+    assignment, neigh, _ = base_key(key)
     if neigh is not None:
-        return max(1, len(_port_automorphisms(assignment, neigh, back)))
+        return 1 + len(automorphism_generators(key))
     sizes: dict[int, int] = {}
     for source in assignment:
         sizes[source] = sizes.get(source, 0) + 1
@@ -362,18 +364,25 @@ def _apply_permutation(labels: LabelVector, g) -> LabelVector:
 
 
 class OrbitIndex:
-    """Lazy full-state to orbit-representative map under a generator set.
+    """Lazy full-state to orbit-representative map.
 
-    The representative is the lexicographic minimum of the orbit; every
-    member found during one closure is cached, so the total work over a
-    compilation is ``O(reachable states * |generators| * n)`` -- never
-    ``|G|`` per state.
+    The representative is the lexicographic minimum of the orbit, and
+    every member found is cached, so each orbit is computed once per
+    compilation.  With ``closed=True`` the permutations are the whole
+    group (identity included; the port case, at most ``n`` elements):
+    an orbit is the set of a vector's images, ``O(|G| * n)`` per
+    orbit, with no walk.  Otherwise they only generate the group (the
+    blackboard case) and each orbit is closed by a walk that applies
+    every generator to every member: ``O(|orbit| * |generators| * n)``
+    per orbit, so ``O(full states * |generators| * n)`` over a
+    compilation, with ``|generators| < n``.
     """
 
-    __slots__ = ("generators", "_reps", "orbit_sizes")
+    __slots__ = ("generators", "closed", "_reps", "orbit_sizes")
 
-    def __init__(self, generators):
+    def __init__(self, generators, *, closed: bool = False):
         self.generators = tuple(generators)
+        self.closed = closed
         self._reps: dict[LabelVector, LabelVector] = {}
         #: Representative label vector -> orbit cardinality.
         self.orbit_sizes: dict[LabelVector, int] = {}
@@ -382,15 +391,18 @@ class OrbitIndex:
         rep = self._reps.get(labels)
         if rep is not None:
             return rep
-        orbit = {labels}
-        frontier = [labels]
-        while frontier:
-            current = frontier.pop()
-            for g in self.generators:
-                image = _apply_permutation(current, g)
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
+        if self.closed:
+            orbit = {_apply_permutation(labels, g) for g in self.generators}
+        else:
+            orbit = {labels}
+            frontier = [labels]
+            while frontier:
+                current = frontier.pop()
+                for g in self.generators:
+                    image = _apply_permutation(current, g)
+                    if image not in orbit:
+                        orbit.add(image)
+                        frontier.append(image)
         rep = min(orbit)
         for member in orbit:
             self._reps[member] = rep
@@ -479,72 +491,30 @@ def compile_quotient(
     key: ChainKey, alpha: RandomnessConfiguration
 ) -> QuotientChain:
     """Compile the quotient chain for ``key`` (uncached; the memo and
-    cache flow live in :func:`~repro.chain.engine.compile_chain`)."""
-    key = quotient_key(key)
-    return _compile_quotient(key, alpha, automorphism_generators(key))
+    cache flow live in :func:`~repro.chain.engine.compile_chain`).
 
-
-def _compile_quotient(
-    key: ChainKey, alpha: RandomnessConfiguration, generators
-) -> QuotientChain:
-    """The quotient analogue of ``engine._compile``.
-
-    Identical BFS over the same halved source-bit enumeration, except
-    every refined label vector is folded to its orbit representative
-    before interning -- so only representatives are ever expanded
-    (``orbits * 2^(k-1)`` refinements instead of ``states * 2^(k-1)``)
-    and the transition counts lump whole orbits.
+    The same exploration loop as the full compile
+    (:func:`~repro.chain.engine.explore`), except every distinct refined
+    label vector is folded to its orbit representative before interning
+    -- so only representatives are ever expanded (``orbits * 2^(k-1)``
+    refinements instead of ``states * 2^(k-1)``) and the transition
+    counts lump whole orbits.  Port structures fold over their explicit
+    automorphism list; blackboard configurations close orbits under
+    their generators.
     """
-    assignment, neigh, back = base_key(key)
-    n, k = alpha.n, alpha.k
-    orbits = OrbitIndex(generators)
-    table = StateTable()
-    # The single-block start state is fixed by every permutation, so it
-    # is its own representative (registered for the orbit-size ledger).
-    start = table.intern(orbits.representative((0,) * n))
-    transitions: list[dict[int, int]] = []
-    frontier = [start]
-    while frontier:
-        sid = frontier.pop()
-        while len(transitions) <= sid:
-            transitions.append({})
-        counts = transitions[sid]
-        labels = table.labels_of(sid)
-        for rest in itertools.product((0, 1), repeat=k - 1):
-            source_bits = (0, *rest)
-            node_bits = tuple(source_bits[assignment[i]] for i in range(n))
-            nxt_labels = orbits.representative(
-                refine_labels(labels, node_bits, neigh, back)
-            )
-            known = table.get(nxt_labels)
-            if known is None:
-                known = table.intern(nxt_labels)
-                frontier.append(known)
-            counts[known] = counts.get(known, 0) + 1
-    # Same topological reindex as the full compile: block counts are
-    # orbit-constant, so the level structure survives the quotient.
-    order = sorted(
-        range(len(table)),
-        key=lambda sid: (
-            block_count(table.labels_of(sid)),
-            table.labels_of(sid),
-        ),
-    )
-    renumber = {old: new for new, old in enumerate(order)}
-    labels = tuple(table.labels_of(old) for old in order)
-    out = tuple(
-        tuple(
-            sorted(
-                (renumber[dst], cnt)
-                for dst, cnt in transitions[old].items()
-            )
+    key = quotient_key(key)
+    generators = automorphism_generators(key)
+    if base_key(key)[1] is None:
+        orbits = OrbitIndex(generators)
+    else:
+        orbits = OrbitIndex(
+            (tuple(range(alpha.n)), *generators), closed=True
         )
-        for old in order
-    )
+    labels, out = explore(key, alpha.k, orbits.representative)
     return QuotientChain(
         key,
-        n,
-        k,
+        alpha.n,
+        alpha.k,
         labels,
         out,
         orbit_sizes=tuple(orbits.orbit_sizes[v] for v in labels),

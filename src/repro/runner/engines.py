@@ -13,9 +13,11 @@ record to its JSONL log as soon as the engine hands it back.  With the
 process pool that hand-back is per *chunk* in submission order (the
 ``Executor.map`` contract), so a killed sweep re-runs every finished job
 not yet yielded in order -- typically around ``workers * chunksize``
-jobs, but more if an early chunk straggles behind later ones.  Resumes
-are always safe (jobs re-run; records never corrupt), just not always
-minimal.
+jobs, but more if an early chunk straggles behind later ones.  Grouped
+exact sweeps dispatch their state-budgeted bins with ``chunksize=1``
+(one bin per task; see :func:`repro.runner.sweep._group_job_payloads`),
+so there a chunk is one bin's jobs.  Resumes are always safe (jobs
+re-run; records never corrupt), just not always minimal.
 """
 
 from __future__ import annotations

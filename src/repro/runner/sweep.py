@@ -16,6 +16,7 @@ so two runs of the same sweep compare byte-for-byte.
 
 from __future__ import annotations
 
+import copy
 import math
 import pathlib
 from dataclasses import dataclass, field
@@ -94,9 +95,11 @@ def _group_job_payloads(jobs, payloads, engine):
     weighs its family's (estimated) compiled-state count
     (:func:`_family_state_weight`), the per-bin budget is the total
     weight split over four bins per pool worker, and no bin ever
-    exceeds :data:`~repro.chain.multi.MAX_GROUP_STATES` -- so a shape
-    axis mixing n=3 and n=8 families no longer hands one worker all the
-    heavy chains that another worker's job-count-equal bin dodged.
+    exceeds :data:`~repro.chain.multi.MAX_GROUP_STATES`.  The cap can
+    leave many more bins than that (83 on the n=9 grid), and the heavy
+    families sit next to each other in the grid, so the pool dispatches
+    one bin per task (:func:`_bin_engine`) rather than re-chunking
+    adjacent bins onto one worker.
     Returns ``None`` -- dispatch one payload per job -- when the sweep
     is sampling-kind (Monte-Carlo jobs gain nothing from a shared chain
     pass) or there is at most one job.
@@ -147,6 +150,22 @@ def _group_job_payloads(jobs, payloads, engine):
         }
         for group in groups
     ]
+
+
+def _bin_engine(engine):
+    """The engine that dispatches group bins: one bin per pool task.
+
+    A pool left to its default chunking would hand each worker a run of
+    adjacent bins, and adjacent bins hold the same (heavy or light)
+    shapes.  A copy with ``chunksize=1`` keeps the caller's engine
+    untouched; an explicitly chosen chunksize, and engines without one,
+    are used as given.
+    """
+    if getattr(engine, "chunksize", 0) is not None:
+        return engine
+    engine = copy.copy(engine)
+    engine.chunksize = 1
+    return engine
 
 
 def _publish_shared_chains(jobs, payloads, directory):
@@ -483,9 +502,9 @@ def run_sweep(
     from .worker import chain_context_payload
 
     context = chain_context_payload()
-    monitor = None
+    config = None
     if live and directory is not None:
-        from ..obs.live import LiveConfig, SweepMonitor
+        from ..obs.live import LiveConfig
 
         config = LiveConfig.from_payload(
             live if isinstance(live, (dict, LiveConfig)) else None
@@ -500,13 +519,6 @@ def run_sweep(
                 "interval": config.interval,
             },
         }
-        monitor = SweepMonitor(
-            directory.path,
-            total=len(jobs),
-            config=config,
-            engine=engine,
-            resumed=len(prior),
-        )
     for payload in payloads:
         # Propagate the parent's chain context (e.g. the quotient mode)
         # into pool workers, so they compile exactly what the parent would.
@@ -516,6 +528,19 @@ def run_sweep(
     # the grid instead of one payload per grid point.
     grouped = _group_job_payloads(jobs, payloads, engine)
     dispatch = payloads if grouped is None else grouped
+    if grouped is not None:
+        engine = _bin_engine(engine)
+    monitor = None
+    if config is not None:
+        from ..obs.live import SweepMonitor
+
+        monitor = SweepMonitor(
+            directory.path,
+            total=len(jobs),
+            config=config,
+            engine=engine,
+            resumed=len(prior),
+        )
     worker_fn = execute_run if grouped is None else execute_run_group
     shm_store = None
     executed = 0

@@ -143,6 +143,30 @@ class TestGroupStructure:
             gens = automorphism_generators(key)
             assert len(_closure(alpha.n, gens)) == automorphism_count(key)
 
+    def test_blackboard_generator_set_is_pinned(self):
+        """Adjacent transpositions only: ``n - #groups`` inside the
+        source groups plus ``#groups - #distinct sizes`` between
+        consecutive equal-size groups; the closure is still the whole
+        group, and ``"auto"`` still sees a trivial group exactly when
+        no group has two nodes and no two groups have equal size."""
+        from repro.chain.quotient import _blackboard_generators
+
+        for n in range(1, 10):
+            for shape in enumerate_size_shapes(n):
+                alpha = RandomnessConfiguration.from_group_sizes(shape)
+                key = chain_key(alpha)
+                gens = _blackboard_generators(alpha.assignment)
+                groups, sizes = len(shape), len(set(shape))
+                assert len(gens) == (n - groups) + (groups - sizes)
+                assert all(is_chain_automorphism(key, g) for g in gens)
+                if n <= 6:
+                    assert len(_closure(n, gens)) == automorphism_count(key)
+                trivial = all(m == 1 for m in shape) and sizes == groups
+                assert resolve_quotient(key, "auto") is not trivial
+        assert len(_blackboard_generators((0,) * 9)) == 8
+        singletons = RandomnessConfiguration.from_group_sizes((1,) * 9)
+        assert len(_blackboard_generators(singletons.assignment)) == 8
+
     def test_every_generator_is_an_automorphism(self):
         for shape, ports, back in _registry(n_max=4):
             alpha = RandomnessConfiguration.from_group_sizes(shape)

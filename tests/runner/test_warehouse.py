@@ -9,8 +9,12 @@ from repro.chain import MAX_GROUP_STATES, clear_memo, compile_chain
 from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration
 from repro.results import ResultsStore
-from repro.runner import ProcessPoolEngine, SweepSpec, run_sweep
-from repro.runner.sweep import _family_state_weight, _group_job_payloads
+from repro.runner import ProcessPoolEngine, SerialEngine, SweepSpec, run_sweep
+from repro.runner.sweep import (
+    _bin_engine,
+    _family_state_weight,
+    _group_job_payloads,
+)
 
 
 @pytest.fixture
@@ -200,6 +204,28 @@ class TestStateBudgetPacking:
         ]
         assert all(len(families) == 1 for families in per_group)
         assert len(groups) == len({family(spec) for spec in jobs})
+
+    def test_pool_dispatches_one_bin_per_task(self, tmp_path, sweep):
+        """Bins are already balanced per worker: the pool must not
+        re-chunk adjacent (equally heavy) bins onto one worker.  The
+        caller's engine is left as it was; an explicit chunksize wins."""
+        from repro.runner.worker import execute_run_group
+
+        seen = []
+
+        class SpyPool(ProcessPoolEngine):
+            def map(self, fn, payloads):
+                seen.append((fn, self.chunksize))
+                return super().map(fn, payloads)
+
+        engine = SpyPool(workers=2)
+        run_sweep(sweep, engine=engine, run_dir=tmp_path / "run")
+        assert seen == [(execute_run_group, 1)]
+        assert engine.chunksize is None
+        explicit = ProcessPoolEngine(workers=2, chunksize=3)
+        assert _bin_engine(explicit) is explicit
+        serial = SerialEngine()
+        assert _bin_engine(serial) is serial
 
     def test_sampling_sweeps_and_single_jobs_are_not_grouped(self, sweep):
         engine = ProcessPoolEngine(workers=2)
