@@ -84,55 +84,6 @@ ALL_EXPERIMENTS = (
 )
 
 
-#: Chains the experiment registry's generators compile over and over:
-#: every theorem/extension sweep grids the size shapes of small ``n``
-#: under the blackboard and the standard clique port assignments.  A
-#: pooled experiment run pre-compiles these once in the parent and
-#: publishes them to shared memory so each worker attaches instead of
-#: recompiling its own copies (the ``run_sweep`` treatment, extended to
-#: ``execute_experiment`` fan-outs).
-SHARED_EXPERIMENT_N_MAX = 5
-
-
-def _publish_experiment_chains():
-    """Publish the registry's overlapping chains; a store or ``None``.
-
-    Best-effort exactly like the sweep publisher: no usable shared
-    memory degrades to ``None`` and workers compile their own chains
-    (through the memo) as before.
-    """
-    from ..chain import compile_chain
-    from ..chain.shm import SharedChainStore
-    from ..models.ports import adversarial_assignment, round_robin_assignment
-    from ..randomness.configuration import (
-        RandomnessConfiguration,
-        enumerate_size_shapes,
-    )
-
-    chains = []
-    store = SharedChainStore()
-    try:
-        for n in range(1, SHARED_EXPERIMENT_N_MAX + 1):
-            for shape in enumerate_size_shapes(n):
-                alpha = RandomnessConfiguration.from_group_sizes(shape)
-                chains.append(compile_chain(alpha))
-                if n >= 2:
-                    chains.append(
-                        compile_chain(alpha, adversarial_assignment(shape))
-                    )
-                    chains.append(
-                        compile_chain(alpha, round_robin_assignment(n))
-                    )
-        store.publish_group(chains)
-    except OSError:
-        store.close()
-        return None
-    if not len(store):
-        store.close()
-        return None
-    return store
-
-
 def iter_all_experiments(engine=None):
     """Yield every experiment result as it completes, in paper order.
 
@@ -141,8 +92,6 @@ def iter_all_experiments(engine=None):
     them in-process exactly as before.  Yielding lazily lets callers
     (like the ``experiments`` CLI command) stream output as each
     experiment finishes instead of waiting for the whole registry.
-    Pool engines that support shared chains get the registry's common
-    chain set published to shared memory for the run's duration.
     """
     if engine is None or getattr(engine, "name", "serial") == "serial":
         for generator in ALL_EXPERIMENTS:
@@ -156,27 +105,16 @@ def iter_all_experiments(engine=None):
     payloads = [
         {"index": i, **context} for i in range(len(ALL_EXPERIMENTS))
     ]
-    store = None
-    if getattr(engine, "supports_shared_chains", False):
-        store = _publish_experiment_chains()
-        if store is not None:
-            manifest = store.manifest
-            for payload in payloads:
-                payload["chain_shm"] = manifest
-    try:
-        for record in engine.map(execute_experiment, payloads):
-            # Fold the worker's traced spans/counters into this process
-            # before handing the live result on (the sweep orchestrator
-            # treatment, closing the experiment-path telemetry gap).
-            telemetry = record.pop("telemetry", None)
-            if telemetry is not None:
-                from ..obs import merge_telemetry
+    for record in engine.map(execute_experiment, payloads):
+        # Fold the worker's traced spans/counters into this process
+        # before handing the live result on (the sweep orchestrator
+        # treatment, closing the experiment-path telemetry gap).
+        telemetry = record.pop("telemetry", None)
+        if telemetry is not None:
+            from ..obs import merge_telemetry
 
-                merge_telemetry(telemetry)
-            yield record["result"]
-    finally:
-        if store is not None:
-            store.close()
+            merge_telemetry(telemetry)
+        yield record["result"]
 
 
 def run_all_experiments(engine=None) -> list[ExperimentResult]:

@@ -12,11 +12,7 @@ The package-level API:
   processes and runs (LRU ``max_bytes``/``max_entries`` caps optional);
 * :func:`run_queries` / :class:`QueryBatch` -- answer whole sets of
   ``(task, horizon, quantity)`` questions against one chain in shared
-  topologically-ordered passes (:mod:`repro.chain.batch`);
-* :class:`SharedChainStore` / :func:`configure_shared_chains` -- place
-  compiled arrays in ``multiprocessing.shared_memory`` so pool workers
-  attach zero-copy views instead of re-loading from disk
-  (:mod:`repro.chain.shm`).
+  topologically-ordered passes (:mod:`repro.chain.batch`).
 
 ``repro.core.markov`` keeps its historical API as a thin facade over
 this engine; see ``CHAIN.md`` for the design.
@@ -77,14 +73,6 @@ from .quotient import (
     quotient_mode,
     resolve_quotient,
 )
-from .shm import (
-    SharedChainStore,
-    attach_chain,
-    configure_shared_chains,
-    configure_shared_groups,
-    shared_chain,
-    shared_group,
-)
 from .interning import (
     LabelVector,
     StateTable,
@@ -114,9 +102,7 @@ __all__ = [
     "QueryBatch",
     "QueryPlan",
     "QuotientChain",
-    "SharedChainStore",
     "StateTable",
-    "attach_chain",
     "automorphism_count",
     "automorphism_generators",
     "back_port_tables",
@@ -129,8 +115,6 @@ __all__ = [
     "compile_chain",
     "configure_disk_cache",
     "configure_quotient",
-    "configure_shared_chains",
-    "configure_shared_groups",
     "disk_cache",
     "effective_chain_key",
     "evolution_strategy",
@@ -148,8 +132,6 @@ __all__ = [
     "run_group_queries",
     "run_queries",
     "set_distribution_cache_cap",
-    "shared_chain",
-    "shared_group",
     "transition_density",
     "validate_backend",
 ]

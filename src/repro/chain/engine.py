@@ -209,25 +209,19 @@ class CompiledChain:
         n: int,
         k: int,
         labels: tuple[LabelVector, ...],
-        out: "tuple[tuple[tuple[int, int], ...], ...] | None" = None,
-        *,
-        csr: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None,
+        out: tuple[tuple[tuple[int, int], ...], ...],
     ):
-        if (out is None) == (csr is None):
-            raise ValueError("need exactly one of out= or csr=")
         self.key = key
         self.n = n
         self.k = k
         self.denom = 2 ** (k - 1)
         self.labels = labels
         self.block_counts = tuple(block_count(v) for v in labels)
-        #: Per-state ``(dst, count)`` tuples; built lazily when the chain
-        #: arrives as shared-memory CSR arrays (the exact backend is the
-        #: only consumer, so a float-only worker never materializes it).
+        #: Per-state ``(dst, count)`` tuples.
         self._out = out
-        #: ``(indptr, dst, cnt)`` int64 arrays; for shared-memory chains
-        #: these are zero-copy views into the published segment.
-        self._csr = csr
+        #: ``(indptr, dst, cnt)`` int64 arrays, derived lazily from
+        #: ``_out`` by :meth:`csr`.
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._ids = {v: sid for sid, v in enumerate(labels)}
         self.start = self._ids[(0,) * n]
         self._coo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -255,7 +249,7 @@ class CompiledChain:
             "n": self.n,
             "k": self.k,
             "labels": self.labels,
-            "_out": self.out_table(),
+            "_out": self._out,
         }
 
     def __setstate__(self, state):
@@ -273,35 +267,22 @@ class CompiledChain:
 
     @property
     def num_transitions(self) -> int:
-        if self._out is not None:
-            return sum(len(edges) for edges in self._out)
-        return int(len(self._csr[1]))
+        return sum(len(edges) for edges in self._out)
 
     def state_id(self, labels: LabelVector) -> int | None:
         """Dense id of a label vector (``None`` if unreachable)."""
         return self._ids.get(labels)
 
     def out_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-state ``(dst, count)`` tuples (materialized from CSR if
-        the chain was attached from shared memory)."""
-        if self._out is None:
-            indptr, dst, cnt = self._csr
-            self._out = tuple(
-                tuple(
-                    (int(dst[e]), int(cnt[e]))
-                    for e in range(int(indptr[sid]), int(indptr[sid + 1]))
-                )
-                for sid in range(self.num_states)
-            )
+        """Per-state ``(dst, count)`` tuples."""
         return self._out
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Transitions as flat int64 CSR arrays ``(indptr, dst, cnt)``.
 
         State ``sid``'s edges are ``dst[indptr[sid]:indptr[sid+1]]`` with
-        integer counts ``cnt[...]`` out of :attr:`denom`.  This is the
-        layout the shared-memory store publishes; chains attached from a
-        segment return zero-copy views here.
+        integer counts ``cnt[...]`` out of :attr:`denom`, derived once
+        from the per-state ``(dst, count)`` table.
         """
         if self._csr is None:
             out = self._out
@@ -344,7 +325,7 @@ class CompiledChain:
 
     def out_edges(self, sid: int) -> tuple[tuple[int, int], ...]:
         """``(dst, count)`` pairs; weights are ``count / denom``."""
-        return self.out_table()[sid]
+        return self._out[sid]
 
     def exact_out_edges(self, sid: int) -> tuple[tuple[int, Fraction], ...]:
         """``(dst, weight)`` pairs with pre-built exact ``Fraction`` weights."""
@@ -353,7 +334,7 @@ class CompiledChain:
                 tuple(
                     (dst, Fraction(cnt, self.denom)) for dst, cnt in edges
                 )
-                for edges in self.out_table()
+                for edges in self._out
             )
         return self._exact_weights[sid]
 
@@ -656,9 +637,8 @@ def memo_size() -> int:
 def memoized_chain(key: ChainKey) -> "CompiledChain | None":
     """The memoized chain for ``key``, without compiling on a miss.
 
-    Lets callers (the sweep's shared-memory publisher) distinguish
-    warm chains -- free to publish -- from cold ones that would stall
-    the parent process if compiled eagerly.
+    Lets callers (the sweep's bin packer) read a warm chain's true state
+    count without paying for a cold compile.
     """
     return _MEMO.get(key)
 
@@ -704,8 +684,9 @@ def compile_chain(
     ``"auto"`` folds exactly when a nontrivial automorphism exists, and
     ``None`` (the default) defers to the process-wide mode set by
     :func:`~repro.chain.quotient.configure_quotient`.  Quotient
-    compilations carry a tagged key, so the memo, disk cache, and
-    shared-memory store keep the two backends separate automatically.
+    compilations carry a tagged key, so the memo and disk cache keep the
+    two backends separate automatically.  Lookup order is memo, then
+    disk cache, then compile.
     """
     if alpha.n > MAX_NODES:
         raise ValueError(
@@ -734,17 +715,6 @@ def compile_chain(
         if OBS.enabled:
             OBS.metrics.inc("chain.compile.hit.memo")
         return hit
-    from .shm import shared_chain
-
-    attached = shared_chain(key)
-    if attached is not None:
-        # Shared memory beats the disk cache: attaching is a zero-copy
-        # mapping of arrays another process already built, so pool
-        # workers skip the per-process pickle load entirely.
-        if OBS.enabled:
-            OBS.metrics.inc("chain.compile.hit.shm")
-        _MEMO[key] = attached
-        return attached
     from .cache import disk_cache
 
     store = disk_cache()

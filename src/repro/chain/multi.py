@@ -79,12 +79,10 @@ _GROUP_CACHE: "dict[tuple[int, ...], ChainGroup]" = {}
 def plan_chunks(chains: Sequence) -> "list[list]":
     """Greedy partition of an ordered chain list under the state budget.
 
-    The single chunking rule both sides of the shared-group handshake
-    use: :class:`MultiQueryPlan` to split its items into stacked passes,
-    and the sweep's publisher to predict those chunks and publish each
-    one's :class:`ChainGroup` arrays ahead of time.  Repeated chains
-    (the memo makes equal configurations the same object) count against
-    the budget once per chunk, mirroring the stacking dedup.
+    :class:`MultiQueryPlan` splits its items into stacked passes by this
+    rule.  Repeated chains (the memo makes equal configurations the same
+    object) count against the budget once per chunk, mirroring the
+    stacking dedup.
     """
     chunks: list[list] = []
     current: list = []
@@ -104,31 +102,9 @@ def plan_chunks(chains: Sequence) -> "list[list]":
     return chunks
 
 
-def _attach_shared_group(chains: Sequence) -> "ChainGroup | None":
-    """A published prebuilt group for exactly these chains, or ``None``."""
-    from .cache import key_digest
-    from .shm import shared_group, shared_group_manifest
-
-    if not shared_group_manifest():
-        return None
-    arrays = shared_group(key_digest(chain.key) for chain in chains)
-    if arrays is None:
-        return None
-    try:
-        return ChainGroup.from_arrays(chains, arrays)
-    except Exception:
-        # A malformed or mismatched segment must degrade to a local
-        # rebuild, never fail the query pass.
-        return None
-
-
 def _cached_group(chains: Sequence) -> "ChainGroup":
     key = tuple(id(chain) for chain in chains)
     group = _GROUP_CACHE.pop(key, None)
-    if group is None:
-        group = _attach_shared_group(chains)
-        if group is not None and OBS.enabled:
-            OBS.metrics.inc("chain.multi.group_attach")
     if group is None:
         group = ChainGroup(chains)
     _GROUP_CACHE[key] = group  # (re)insert as most recently used
@@ -189,48 +165,6 @@ class ChainGroup:
         )
         self._dense: "np.ndarray | None" = None
         self._steps = self._merged_level_steps(offsets)
-
-    @classmethod
-    def from_arrays(cls, chains: Sequence, arrays: dict) -> "ChainGroup":
-        """Rebuild a group from published index arrays (zero-copy).
-
-        ``arrays`` is the payload :func:`repro.chain.shm.shared_group`
-        returns; the member ``chains`` must be the same chains, in the
-        same order, the publisher stacked (validated structurally here
-        on top of the digest check the attach already did).
-        """
-        group = cls.__new__(cls)
-        group.chains = tuple(chains)
-        if not group.chains:
-            raise ValueError("a ChainGroup needs at least one chain")
-        group.offsets = arrays["offsets"]
-        group.num_states = int(arrays["num_states"])
-        group.starts = arrays["starts"]
-        expected = 0
-        for position, chain in enumerate(group.chains):
-            if int(group.offsets[position]) != expected:
-                raise ValueError("group arrays do not match member chains")
-            if int(group.starts[position]) != expected + chain.start:
-                raise ValueError("group arrays do not match member chains")
-            expected += chain.num_states
-        if expected != group.num_states:
-            raise ValueError("group arrays do not match member chains")
-        group._src = arrays["src"]
-        group._dst = arrays["dst"]
-        group._weight = arrays["weight"]
-        group._self_w = arrays["self_w"]
-        group.num_transitions = int(len(group._src))
-        group.density = transition_density(
-            group.num_states, group.num_transitions
-        )
-        group.evolution = evolution_strategy(
-            group.num_states, group.num_transitions
-        )
-        group._dense = None
-        group._steps = [tuple(step) for step in arrays["steps"]]
-        # Pin the shared-memory mapping for as long as the group lives.
-        group._shm = arrays.get("shm")
-        return group
 
     def __len__(self) -> int:
         return len(self.chains)
@@ -440,8 +374,7 @@ class MultiQueryPlan:
         the same object) are stacked once per chunk, so only *distinct*
         chains' states count against the budget -- mirroring the dedup
         :meth:`_execute_float_chunk` applies.  Delegates to
-        :func:`plan_chunks` (chunks are contiguous item runs), the rule
-        the sweep-side group publisher predicts with.
+        :func:`plan_chunks` (chunks are contiguous item runs).
         """
         chunks: list[list[int]] = []
         start = 0

@@ -34,10 +34,10 @@ For any ``g in G`` with source relabeling ``h``:
 
 A :class:`QuotientChain` is a plain :class:`~repro.chain.engine
 .CompiledChain` over orbit-representative label vectors (the lexicographic
-minimum of each orbit), so the batch, multi, shm, cache, and memo layers
-all operate on it unchanged; its key is the structural key plus a
-``"quotient"`` tag, so every digest (process memo, disk cache, shared
-memory, cross-run query memo) separates the two compilations for free.
+minimum of each orbit), so the batch, multi, cache, and memo layers all
+operate on it unchanged; its key is the structural key plus a
+``"quotient"`` tag, so every digest (process memo, disk cache, cross-run
+query memo) separates the two compilations for free.
 
 The group is never enumerated as ``n!`` permutations: blackboard
 configurations get adjacent-transposition generators (inside each source
@@ -155,7 +155,7 @@ def effective_chain_key(
 
     Computable without compiling anything (the automorphism check for
     ``"auto"`` needs only the structural tables), so memo-consulting
-    callers -- the runner's pre-compile fast path, the sweep publisher
+    callers -- the runner's query-memo digests, the sweep's bin packer
     -- always agree with what ``compile_chain`` will key its result
     under.
     """
@@ -420,9 +420,7 @@ class QuotientChain(CompiledChain):
     :class:`~repro.chain.engine.CompiledChain` -- the labels are the
     orbit-representative vectors, counts stay integers out of ``denom``
     -- so every downstream layer works unchanged.  Extra (advisory)
-    metadata: per-state orbit sizes and the folding group's order.  A
-    quotient chain attached from shared memory arrives as a plain
-    ``CompiledChain`` (the metadata is diagnostic only).
+    metadata: per-state orbit sizes and the folding group's order.
     """
 
     def __init__(
@@ -431,13 +429,12 @@ class QuotientChain(CompiledChain):
         n: int,
         k: int,
         labels,
-        out=None,
+        out,
         *,
-        csr=None,
         orbit_sizes=None,
         group_order: int = 1,
     ):
-        super().__init__(key, n, k, labels, out, csr=csr)
+        super().__init__(key, n, k, labels, out)
         #: Orbit cardinalities aligned with state ids (``None`` when the
         #: chain was rebuilt without them, e.g. from a legacy pickle).
         self.orbit_sizes = tuple(orbit_sizes) if orbit_sizes else None

@@ -34,13 +34,6 @@ class ExecutionEngine(abc.ABC):
     #: Engine name as spelled on the CLI (``--engine``).
     name: str = "abstract"
 
-    #: Whether this engine's workers run in separate processes that can
-    #: attach chains published to shared memory (``repro.chain.shm``).
-    #: ``run_sweep`` consults this to decide whether publishing a
-    #: :class:`~repro.chain.shm.SharedChainStore` is worthwhile; in-
-    #: process engines share the compile memo directly and never need one.
-    supports_shared_chains: bool = False
-
     @abc.abstractmethod
     def map(
         self, fn: Callable[[dict], dict], payloads: Iterable[dict]
@@ -78,8 +71,6 @@ class ProcessPoolEngine(ExecutionEngine):
         self,
         workers: int | None = None,
         chunksize: int | None = None,
-        *,
-        shared_chains: bool = True,
     ):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
@@ -87,9 +78,6 @@ class ProcessPoolEngine(ExecutionEngine):
             raise ValueError("chunksize must be >= 1")
         self.workers = workers or os.cpu_count() or 1
         self.chunksize = chunksize
-        #: ``shared_chains=False`` opts a pool out of shared-memory
-        #: chain distribution (workers fall back to the disk cache).
-        self.supports_shared_chains = shared_chains
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessPoolEngine(workers={self.workers})"
@@ -99,52 +87,22 @@ class ProcessPoolEngine(ExecutionEngine):
     ) -> Iterator[dict]:
         """Yield ``fn(payload)`` in payload order, computed on the pool.
 
-        Sized inputs (lists/tuples) go through ``Executor.map`` with
-        chunked dispatch.  Other iterables are *streamed*: payloads are
-        submitted in a bounded window of ``workers * 4`` outstanding
-        futures, so memory stays proportional to the window, not the
-        full payload stream (callers like the worst-case port sweep
-        generate far more payloads than fit in RAM).
+        The payloads are materialized into a list and dispatched through
+        ``Executor.map`` in chunks; every caller builds its payload list
+        up front anyway.
         """
-        if isinstance(payloads, (list, tuple)):
-            payloads = list(payloads)
-            if not payloads:
-                return iter(())
-            chunksize = self.chunksize or max(
-                1, len(payloads) // (self.workers * 4)
-            )
-
-            def generate() -> Iterator[dict]:
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                    self._active = pool
-                    try:
-                        yield from pool.map(
-                            fn, payloads, chunksize=chunksize
-                        )
-                    finally:
-                        self._active = None
-
-            return generate()
-        return self._map_streaming(fn, payloads)
-
-    def _map_streaming(
-        self, fn: Callable[[dict], dict], payloads: Iterable[dict]
-    ) -> Iterator[dict]:
-        """Order-preserving map over an unsized stream, bounded backlog."""
-        from collections import deque
+        payloads = list(payloads)
+        if not payloads:
+            return iter(())
+        chunksize = self.chunksize or max(
+            1, len(payloads) // (self.workers * 4)
+        )
 
         def generate() -> Iterator[dict]:
-            backlog = self.workers * 4
-            pending: deque = deque()
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
                 self._active = pool
                 try:
-                    for payload in payloads:
-                        pending.append(pool.submit(fn, payload))
-                        if len(pending) >= backlog:
-                            yield pending.popleft().result()
-                    while pending:
-                        yield pending.popleft().result()
+                    yield from pool.map(fn, payloads, chunksize=chunksize)
                 finally:
                     self._active = None
 

@@ -28,15 +28,6 @@ from .spec import SweepSpec, derive_seed, make_ports
 from .worker import execute_run, execute_run_group
 
 
-def _iter_job_payloads(payloads):
-    """Flat job payloads, whether ``payloads`` is grouped or not."""
-    for payload in payloads:
-        if "jobs" in payload:
-            yield from payload["jobs"]
-        else:
-            yield payload
-
-
 #: Bell numbers B(0)..B(10): the partition count of an n-set bounds a
 #: consistency chain's state count from above, so it is the stacked-
 #: state proxy for chains nobody has compiled yet.
@@ -166,136 +157,6 @@ def _bin_engine(engine):
     engine = copy.copy(engine)
     engine.chunksize = 1
     return engine
-
-
-def _publish_shared_chains(jobs, payloads, directory):
-    """Publish the sweep's deterministic chains to shared memory.
-
-    Every ``kind="exact"`` job with a non-random port assignment uses a
-    chain fully determined by its spec, so the parent can place each
-    distinct chain's arrays in shared memory once and let workers attach
-    by chain key instead of unpickling from disk.  To avoid stalling the
-    pool behind serial parent-side compilation, cold chains are only
-    compiled here when the sweep has *no* run directory (no disk cache
-    for workers to share through -- parent-compiling once still beats
-    every worker compiling its own copy); with a run directory, the
-    parent publishes what loads warm from the disk cache / memo and
-    leaves cold chains to the workers, which share them through the
-    cache exactly as before (and publish warm on the next resume).
-    Random-port and sampling jobs are always left to the workers (their
-    chains are one-shot / unneeded).  Returns the live
-    :class:`~repro.chain.shm.SharedChainStore` (the caller closes it
-    once the engine has drained) or ``None`` when there is nothing to
-    share or shared memory is unavailable on this platform.
-
-    Chains are keyed by their *effective* key -- structural key plus
-    the quotient tag the active quotient mode resolves to -- so workers
-    compiling under the same mode attach exactly what was published.
-    On top of the chains themselves, each grouped payload whose member
-    chains all published warm also gets its predicted
-    :class:`~repro.chain.multi.ChainGroup` stacks published as prebuilt
-    index arrays (:func:`~repro.chain.multi.plan_chunks` is the shared
-    chunking rule), so workers running grouped float passes attach
-    finished groups instead of rebuilding them.
-    """
-    from ..chain import (
-        compile_chain,
-        configure_disk_cache,
-        disk_cache,
-        effective_chain_key,
-        memoized_chain,
-    )
-    from ..chain.shm import SharedChainStore
-    from ..randomness.configuration import RandomnessConfiguration
-
-    shareable = []
-    seen = set()
-    for payload in _iter_job_payloads(payloads):
-        spec = jobs[payload["index"]]
-        if spec.kind != "exact" or spec.ports == "random":
-            continue
-        marker = (spec.sizes, spec.ports)
-        if marker not in seen:
-            seen.add(marker)
-            shareable.append(spec)
-    if not shareable:
-        return None
-    if directory is not None:
-        # Warm loads: the parent reads the run directory's disk cache so
-        # resumed sweeps publish without recompiling anything.
-        configure_disk_cache(str(directory.path / "chains"))
-    store = SharedChainStore()
-    try:
-        chains = []
-        warm_chains: dict[tuple, object] = {}
-        for spec in shareable:
-            alpha = RandomnessConfiguration.from_group_sizes(spec.sizes)
-            ports = make_ports(spec.ports, spec.sizes, 0)
-            key = effective_chain_key(alpha, ports)
-            chain = memoized_chain(key)
-            if chain is None and directory is not None:
-                warm = disk_cache()
-                chain = warm.load(key) if warm is not None else None
-            if chain is None:
-                if directory is not None:
-                    continue  # cold + disk-cached sweep: workers share it
-                chain = compile_chain(alpha, ports)
-            chains.append(chain)
-            warm_chains[(spec.sizes, spec.ports)] = chain
-        # One segment for the whole sweep: workers attach it once and
-        # read every chain at a byte offset.
-        store.publish_group(chains)
-        _publish_shared_groups(store, jobs, payloads, warm_chains)
-    except OSError:
-        # No (or full) /dev/shm: fall back to the disk-cache-only path.
-        store.close()
-        return None
-    if not len(store):
-        store.close()
-        return None
-    manifest = store.manifest
-    group_manifest = store.group_manifest
-    for payload in payloads:
-        payload["chain_shm"] = manifest
-        if group_manifest:
-            payload["chain_shm_groups"] = group_manifest
-    return store
-
-
-def _publish_shared_groups(store, jobs, payloads, warm_chains) -> None:
-    """Publish each grouped payload's predicted ChainGroup stacks.
-
-    A worker's grouped pass stacks the payload's *distinct* chains in
-    job order, chunked by :func:`~repro.chain.multi.plan_chunks`; with
-    every member chain published warm, the parent predicts those chunks
-    exactly and publishes each multi-chain chunk's built index arrays.
-    Payloads containing any cold (or non-deterministic) chain are
-    skipped -- the worker would stack a different chain list, and the
-    attach-side digest validation would reject the arrays anyway.
-    """
-    from ..chain import ChainGroup, plan_chunks
-
-    for payload in payloads:
-        members = payload.get("jobs")
-        if not members or len(members) < 2:
-            continue
-        distinct: list = []
-        seen_ids: set[int] = set()
-        predictable = True
-        for job in members:
-            spec = jobs[job["index"]]
-            chain = warm_chains.get((spec.sizes, spec.ports))
-            if spec.ports == "random" or chain is None:
-                predictable = False
-                break
-            if id(chain) not in seen_ids:
-                seen_ids.add(id(chain))
-                distinct.append(chain)
-        if not predictable:
-            continue
-        for chunk in plan_chunks(distinct):
-            if len(chunk) >= 2:
-                store.publish_group_arrays(ChainGroup(chunk))
 
 
 @dataclass
@@ -524,8 +385,8 @@ def run_sweep(
         # into pool workers, so they compile exactly what the parent would.
         payload.update(context)
     # The shape-grouping dispatcher: hand each worker one group payload
-    # (one shared-memory attach, one grouped query pass) per slice of
-    # the grid instead of one payload per grid point.
+    # (one grouped query pass) per slice of the grid instead of one
+    # payload per grid point.
     grouped = _group_job_payloads(jobs, payloads, engine)
     dispatch = payloads if grouped is None else grouped
     if grouped is not None:
@@ -542,14 +403,10 @@ def run_sweep(
             resumed=len(prior),
         )
     worker_fn = execute_run if grouped is None else execute_run_group
-    shm_store = None
     executed = 0
     fresh: list[dict] = []
     group_stats: list[dict] = []
     try:
-        if dispatch and getattr(engine, "supports_shared_chains", False):
-            with trace("sweep.publish"):
-                shm_store = _publish_shared_chains(jobs, dispatch, directory)
         if monitor is not None:
             monitor.start()
             from ..obs.live import monitored_map
@@ -595,19 +452,13 @@ def run_sweep(
             from ..obs.live import configure_heartbeat
 
             configure_heartbeat(None)
-        if shm_store is not None:
-            # Unlinking is safe while workers still hold mappings; only
-            # the names disappear, live views stay valid until exit.
-            shm_store.close()
         if directory is not None:
             # Serial engines execute jobs in THIS process, installing the
-            # sweep's disk cache process-wide -- and publishing shared
-            # chains configures it in the parent too (only ever with a
-            # run directory); detach it so later work does not keep
-            # writing into a finished run directory.  Without a run dir
-            # nothing here touched the cache, so a caller-installed one
-            # stays installed.  (Pool workers detach at their next
-            # cache-less payload.)
+            # sweep's disk cache process-wide; detach it so later work
+            # does not keep writing into a finished run directory.
+            # Without a run dir nothing here touched the cache, so a
+            # caller-installed one stays installed.  (Pool workers
+            # detach at their next cache-less payload.)
             from ..chain import configure_disk_cache
 
             configure_disk_cache(None)

@@ -21,7 +21,6 @@ from ..chain import (
     Query,
     compile_chain,
     configure_disk_cache,
-    configure_shared_chains,
     run_group_queries,
     run_queries,
 )
@@ -57,8 +56,8 @@ def chain_context_payload() -> dict:
 
     One choke point for the fields :func:`_apply_chain_context` mirrors
     in the worker (currently the quotient-compilation mode and the
-    tracing switch; ``chain_cache`` / ``chain_shm`` / ``chain_shm_groups`` / ``live``
-    are sweep-specific and attached by ``run_sweep``).  A payload producer
+    tracing switch; ``chain_cache`` / ``results_memo`` / ``live`` are
+    sweep-specific and attached by ``run_sweep``).  A payload producer
     that merges this dict can never silently reset a worker to defaults
     the parent has overridden.
     """
@@ -116,22 +115,18 @@ def _apply_chain_context(payload: dict) -> None:
     """Install the payload's chain context -- or uninstall it.
 
     Workers are separate processes: the process-wide compile memo does
-    not cross the pool boundary, but a run-directory disk cache does --
-    and a shared-memory manifest (``chain_shm``) lets the worker attach
-    chains the parent already compiled without even touching disk.  A
+    not cross the pool boundary, but a run-directory disk cache does.  A
     ``results_memo`` directory (the warehouse's cross-run query memo)
     lets the worker skip whole cells another run already answered.
     Everything is configured *unconditionally*: a payload without a
-    cache/manifest/memo field detaches whatever a previous job in this
+    cache/memo field detaches whatever a previous job in this
     (reused pool or in-process serial) worker installed, so one sweep's
     context never bleeds into the next job's compilations.
     """
-    from ..chain import configure_quotient, configure_shared_groups
+    from ..chain import configure_quotient
     from ..results.memo import configure_query_memo
 
     configure_disk_cache(payload.get("chain_cache"))
-    configure_shared_chains(payload.get("chain_shm"))
-    configure_shared_groups(payload.get("chain_shm_groups"))
     configure_quotient(payload.get("quotient", "off"))
     configure_query_memo(payload.get("results_memo"))
     configure_tracing(payload.get("obs", False))
@@ -241,13 +236,12 @@ def execute_run_group(payload: dict) -> dict:
     ``payload`` is ``{"jobs": [<execute_run payloads>...]}`` plus the
     usual chain-context fields (applied once for the whole group).  The
     sweep dispatcher packs contiguous chain families into these groups
-    so a worker pays one payload round trip, one shared-memory attach
-    pass, and one grouped query pass for a whole slice of the grid
-    instead of one of each per grid point.  The returned record carries
-    the member job records, each field-identical to what
-    :func:`execute_run` would have produced (``elapsed`` is the group's
-    wall clock split evenly -- per-job timing has no meaning inside a
-    shared pass).
+    so a worker pays one payload round trip and one grouped query pass
+    for a whole slice of the grid instead of one of each per grid point.
+    The returned record carries the member job records, each
+    field-identical to what :func:`execute_run` would have produced
+    (``elapsed`` is the group's wall clock split evenly -- per-job
+    timing has no meaning inside a shared pass).
 
     With a cross-run query memo configured, jobs whose cell is already
     answered never even compile their chain; only the misses enter the

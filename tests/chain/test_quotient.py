@@ -3,28 +3,22 @@
 import math
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.chain import (
-    ChainGroup,
     Query,
-    SharedChainStore,
     automorphism_count,
     automorphism_generators,
     chain_key,
     compile_chain,
     configure_quotient,
-    configure_shared_groups,
     effective_chain_key,
     is_chain_automorphism,
     is_quotient_key,
     quotient_key,
     quotient_mode,
     resolve_quotient,
-    run_group_queries,
     run_queries,
-    shared_group,
 )
 from repro.chain.cache import key_digest
 from repro.chain.quotient import QuotientChain, base_key
@@ -36,7 +30,6 @@ from repro.runner import spec as runner_spec
 def _library_defaults():
     yield
     configure_quotient("off")
-    configure_shared_groups(None)
 
 
 def _registry(n_max=5):
@@ -262,82 +255,3 @@ class TestModesAndKeys:
         assert clone.limit_solving_probability(
             task
         ) == quot.limit_solving_probability(task)
-
-
-class TestSharedGroupArrays:
-    def _chains(self):
-        chains = []
-        for shape in enumerate_size_shapes(4):
-            alpha = RandomnessConfiguration.from_group_sizes(shape)
-            chains.append(compile_chain(alpha, use_memo=False))
-        return chains
-
-    def test_attach_rebuilds_the_identical_group(self):
-        chains = self._chains()
-        group = ChainGroup(chains)
-        with SharedChainStore() as store:
-            name = store.publish_group_arrays(group)
-            assert name is not None
-            assert store.publish_group_arrays(group) is None  # idempotent
-            configure_shared_groups(store.group_manifest)
-            digests = tuple(key_digest(chain.key) for chain in chains)
-            payload = shared_group(digests)
-            assert payload is not None
-            rebuilt = ChainGroup.from_arrays(chains, payload)
-            assert rebuilt.num_states == group.num_states
-            assert rebuilt.num_transitions == group.num_transitions
-            assert tuple(rebuilt.offsets) == tuple(group.offsets)
-            assert tuple(rebuilt.starts) == tuple(group.starts)
-            assert np.array_equal(rebuilt._src, group._src)
-            assert np.array_equal(rebuilt._dst, group._dst)
-            assert np.array_equal(rebuilt._weight, group._weight)
-            assert np.array_equal(rebuilt._self_w, group._self_w)
-            assert len(rebuilt._steps) == len(group._steps)
-            for got, want in zip(rebuilt._steps, group._steps):
-                for column in range(4):
-                    assert np.array_equal(got[column], want[column])
-
-    def test_group_queries_match_through_the_attach_path(self):
-        chains = self._chains()
-        items = [
-            (chain, [
-                Query.limit(runner_spec.make_task("leader", chain.n)),
-                Query.series(runner_spec.make_task("leader", chain.n), 5),
-            ])
-            for chain in chains
-        ]
-        want = run_group_queries(items, backend="float")
-        with SharedChainStore() as store:
-            store.publish_group_arrays(ChainGroup(chains))
-            configure_shared_groups(store.group_manifest)
-            got = run_group_queries(items, backend="float")
-        # Same arrays, same stacked passes: bitwise-identical floats.
-        assert got == want
-
-    def test_wrong_membership_is_a_miss(self):
-        chains = self._chains()
-        with SharedChainStore() as store:
-            store.publish_group_arrays(ChainGroup(chains))
-            configure_shared_groups(store.group_manifest)
-            digests = tuple(key_digest(chain.key) for chain in chains)
-            assert shared_group(digests[::-1]) is None
-            assert shared_group(digests[:-1]) is None
-
-    def test_mismatched_chains_fail_structural_validation(self):
-        chains = self._chains()
-        with SharedChainStore() as store:
-            store.publish_group_arrays(ChainGroup(chains))
-            configure_shared_groups(store.group_manifest)
-            digests = tuple(key_digest(chain.key) for chain in chains)
-            payload = shared_group(digests)
-            assert payload is not None
-            with pytest.raises(ValueError):
-                ChainGroup.from_arrays(chains[::-1], payload)
-
-    def test_stale_manifest_degrades_to_a_miss(self):
-        chains = self._chains()
-        digests = tuple(key_digest(chain.key) for chain in chains)
-        from repro.chain.shm import group_token
-
-        configure_shared_groups({group_token(digests): "psm_gone_stale"})
-        assert shared_group(digests) is None

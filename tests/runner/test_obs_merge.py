@@ -45,7 +45,7 @@ def _engine_invariant(snapshot):
     ``runner.jobs`` counts executed jobs; the ``chain.compile.*`` family
     counts compile calls by outcome, and its *sum* equals the number of
     compile requests regardless of how jobs were binned into workers.
-    (Per-kind splits like shm-vs-memo hits, ``chain.cache.load.*``, and
+    (Per-kind splits like disk-vs-memo hits, ``chain.cache.load.*``, and
     ``runner.groups`` legitimately differ between serial and pooled
     runs, so they stay out of this slice.)
     """
@@ -147,7 +147,6 @@ class _InlineEngine:
     path (payload context, telemetry attach/fold) without pool cost."""
 
     name = "inline"
-    supports_shared_chains = False
 
     def map(self, fn, payloads):
         for payload in payloads:

@@ -71,3 +71,14 @@ class TestExperimentFanOut:
             results = run_all_experiments(engine=SerialEngine())
         assert len(results) == 1
         assert results[0].experiment_id == ALL_EXPERIMENTS[0]().experiment_id
+
+    def test_pooled_experiments_match_serial(self):
+        serial = run_all_experiments()
+        pooled = run_all_experiments(ProcessPoolEngine(workers=2))
+        assert [
+            (result.experiment_id, result.passed, result.rows)
+            for result in pooled
+        ] == [
+            (result.experiment_id, result.passed, result.rows)
+            for result in serial
+        ]
