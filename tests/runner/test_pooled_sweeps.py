@@ -98,6 +98,52 @@ class TestPooledSweeps:
             loaded = [json.loads(line) for line in lines.splitlines()]
             assert _strip_timing(loaded) == _strip_timing(serial.records)
 
+    def test_run_dirless_pool_matches_serial(self):
+        serial = run_sweep(_sweep(), engine=SerialEngine())
+        pooled = run_sweep(_sweep(), engine=ProcessPoolEngine(workers=2))
+        assert _strip_timing(serial.records) == _strip_timing(
+            pooled.records
+        )
+        assert serial.result().render() == pooled.result().render()
+
+    def test_cold_run_dir_sweep_leaves_compilation_to_workers(
+        self, tmp_path
+    ):
+        from repro.chain import ChainDiskCache, clear_memo, memo_size
+        from repro.obs import OBS, configure_tracing, reset_telemetry
+
+        clear_memo()
+        outcome = run_sweep(
+            _sweep(),
+            engine=ProcessPoolEngine(workers=2),
+            run_dir=tmp_path / "run",
+            warehouse=False,
+        )
+        assert outcome.executed == outcome.total
+        # No parent-side compilation: the workers compiled every chain
+        # and persisted it in the run directory's disk cache...
+        assert memo_size() == 0
+        assert len(ChainDiskCache(tmp_path / "run" / "chains")) > 0
+        # ...so a cache-warm re-run loads every chain and compiles none.
+        (tmp_path / "run" / "records.jsonl").unlink()
+        configure_tracing(True)
+        reset_telemetry()
+        try:
+            again = run_sweep(
+                _sweep(),
+                engine=ProcessPoolEngine(workers=2),
+                run_dir=tmp_path / "run",
+                warehouse=False,
+            )
+            counters = OBS.metrics.snapshot()["counters"]
+        finally:
+            configure_tracing(False)
+            reset_telemetry()
+        assert again.executed == again.total
+        assert counters.get("chain.compile.miss", 0) == 0
+        assert counters.get("chain.compile.hit.disk", 0) > 0
+        assert _strip_timing(again.records) == _strip_timing(outcome.records)
+
     def test_resumed_pooled_sweep_executes_nothing(self, tmp_path):
         first = run_sweep(
             _sweep(),
@@ -123,6 +169,28 @@ class TestProcessContext:
         installed = configure_disk_cache(tmp_path / "mine")
         run_sweep(_sweep(), engine=ProcessPoolEngine(workers=2))
         assert disk_cache() is installed
+
+    def test_pooled_experiment_payloads_carry_only_the_chain_context(
+        self,
+    ):
+        from repro.analysis import ALL_EXPERIMENTS, iter_all_experiments
+        from repro.runner.worker import chain_context_payload
+
+        captured = []
+
+        class SpyEngine:
+            name = "spy"
+
+            def map(self, fn, payloads):
+                captured.extend(payloads)
+                return iter(())
+
+        list(iter_all_experiments(engine=SpyEngine()))
+        assert [payload["index"] for payload in captured] == list(
+            range(len(ALL_EXPERIMENTS))
+        )
+        for payload in captured:
+            assert set(payload) == {"index", *chain_context_payload()}
 
     @pytest.mark.parametrize("mode", ["off", "auto", "on"])
     def test_quotient_mode_travels_in_every_pool_payload(self, mode):
