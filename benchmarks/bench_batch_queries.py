@@ -1,15 +1,15 @@
-"""Batched query layer vs the PR 2 scalar per-query path (ISSUE 3).
+"""The query front door vs the PR 2 scalar per-query path (ISSUE 3).
 
 The PR 2 engine answers one ``(task, horizon)`` question per call: under
 the float backend every ``solving_probability(task, t)`` evolves the
 state distribution from scratch (``t`` scatter-add rounds), so a sweep
 over ``Q`` tasks and ``H`` horizons pays ``Q * H`` evolutions; the exact
 backend shares its cached distributions but still runs one absorption
-sweep per limit call.  The batched query layer
-(:mod:`repro.chain.batch`) answers the whole sweep in shared passes --
-one distribution evolution to the deepest horizon (dense matrix-vector
-recurrences on small chains) plus one vectorized reverse-topological
-level sweep for all the limits at once.
+sweep per limit call.  The query front door
+(:func:`repro.chain.run_queries`) answers the whole sweep in shared
+passes -- one distribution evolution to the deepest horizon (dense
+matrix-vector recurrences on small chains) plus one vectorized
+reverse-topological level sweep for all the limits at once.
 
 This benchmark times the canonical multi-task, multi-horizon sweep both
 ways and asserts
@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.chain import Query, QueryPlan, compile_chain
+from repro.chain import Query, compile_chain, run_queries
 from repro.core import (
     k_leader_election,
     leader_and_deputy,
@@ -91,9 +91,9 @@ def scalar_sweep(backend: str) -> list:
 
 
 def batched_sweep(backend: str) -> list:
-    """The same sweep as one query batch."""
+    """The same sweep as one query-front-door call."""
     chain = compile_chain(RandomnessConfiguration.from_group_sizes(SHAPE))
-    return QueryPlan(chain, _queries()).execute(backend=backend)
+    return run_queries(chain, _queries(), backend=backend)
 
 
 def _float_scalar() -> list:
@@ -156,7 +156,7 @@ def bench_batch_scalar_float_baseline(benchmark):
 
 
 def bench_batch_batched_float(benchmark):
-    """Same sweep through one QueryPlan."""
+    """Same sweep through one run_queries call."""
     values = benchmark(_float_batched)
     benchmark.extra_info["queries"] = len(_queries())
     assert len(values) == len(_queries())
@@ -178,11 +178,11 @@ def main() -> int:
         f"{report['queries']} queries"
     )
     print(
-        f"  scalar float (per-query) : "
+        f"  scalar float (per-query)   : "
         f"{report['scalar_float_seconds'] * 1e3:8.2f} ms"
     )
     print(
-        f"  batched float (QueryPlan): "
+        f"  batched float (run_queries): "
         f"{report['batched_float_seconds'] * 1e3:8.2f} ms "
         f"({report['speedup_float']:.1f}x)"
     )

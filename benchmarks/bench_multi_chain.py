@@ -1,9 +1,10 @@
-"""Block-diagonal multi-chain groups vs the per-chain batched path (ISSUE 4).
+"""Block-diagonal multi-chain groups vs one query call per chain (ISSUE 4).
 
-The PR 3 batched query layer answers a whole set of ``(task, horizon)``
-questions against *one* chain in shared passes -- but a phase-diagram
-sweep still runs one such pass per grid point, so the sweep's wall clock
-is dominated by fixed per-chain numpy dispatch rather than arithmetic.
+``run_queries`` answers a whole set of ``(task, horizon)`` questions
+against *one* chain in shared passes -- but a phase-diagram sweep that
+calls it once per grid point runs one such pass per chain, so the
+sweep's wall clock is dominated by fixed per-chain numpy dispatch rather
+than arithmetic.
 The multi-chain group engine (:mod:`repro.chain.multi`) stacks the whole
 shape axis block-diagonally and answers every ``(chain, task, horizon,
 quantity)`` cell in single vectorized evolution and reverse-level
@@ -14,8 +15,8 @@ size shape of several totals, under the blackboard and both standard
 clique port assignments, with probability/series/limit/expected queries
 per task -- both ways and asserts
 
-* the grouped float path beats the per-chain batched float path by at
-  least the acceptance floor (3x; more in practice), and
+* the grouped float path beats one float ``run_queries`` call per
+  chain by at least the acceptance floor (3x; more in practice), and
 * the grouped exact results are byte-identical to the per-chain ones.
 
 A machine-readable report is written to ``BENCH_multi.json`` (override
@@ -32,7 +33,7 @@ import json
 import os
 import time
 
-from repro.chain import MultiQueryPlan, Query, QueryPlan, compile_chain
+from repro.chain import MultiQueryPlan, Query, compile_chain, run_queries
 from repro.core import k_leader_election, leader_election
 from repro.models import adversarial_assignment, round_robin_assignment
 from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
@@ -76,9 +77,9 @@ def _items() -> list[tuple]:
 
 
 def per_chain_sweep(items: list[tuple], backend: str) -> list[list]:
-    """The PR 3 pattern: one batched pass per chain of the axis."""
+    """The PR 3 pattern: one front-door call per chain of the axis."""
     return [
-        QueryPlan(chain, queries).execute(backend=backend)
+        run_queries(chain, queries, backend=backend)
         for chain, queries in items
     ]
 
@@ -155,7 +156,7 @@ def _write_report(report: dict) -> None:
 # pytest-benchmark entry points
 # ----------------------------------------------------------------------
 def bench_multi_per_chain_float_baseline(benchmark):
-    """Per-chain batched float passes over the shape axis (PR 3)."""
+    """One float ``run_queries`` call per chain of the shape axis."""
     items = _items()
     per_chain_sweep(items, "float")
     values = benchmark(lambda: per_chain_sweep(items, "float"))
@@ -189,7 +190,7 @@ def main() -> int:
         f"{report['chains']} chains, {report['queries']} query cells"
     )
     print(
-        f"  per-chain float (QueryBatch each) : "
+        f"  per-chain float (run_queries each): "
         f"{report['per_chain_float_seconds'] * 1e3:8.2f} ms"
     )
     print(

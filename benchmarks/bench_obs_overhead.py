@@ -6,9 +6,8 @@ per site.  This benchmark puts a number on that claim: it times the
 canonical multi-task, multi-horizon float sweep of
 ``bench_batch_queries`` through
 
-* a replica of ``run_queries`` exactly as it was before the
-  instrumentation landed (same memo scan, plan, execute, record -- no
-  OBS sites), and
+* a replica of the ``run_queries`` front door without its OBS sites
+  (same memo scan, one-item group plan, execute, record), and
 * the instrumented front door (``run_queries`` with tracing **off**),
 
 and asserts the instrumented-disabled path stays within the acceptance
@@ -30,13 +29,14 @@ import os
 import statistics
 import time
 
-from repro.chain import Query, compile_chain, run_queries
-from repro.chain.batch import (
-    QueryPlan,
-    memoized_answers,
-    record_answers,
+from repro.chain import (
+    MultiQueryPlan,
+    Query,
+    compile_chain,
+    run_queries,
     validate_backend,
 )
+from repro.chain.batch import memoized_answers, record_answers
 from repro.core import (
     k_leader_election,
     leader_and_deputy,
@@ -85,11 +85,11 @@ def _chain():
 
 
 def raw_sweep() -> list:
-    """``run_queries`` exactly as it was before instrumentation.
+    """The ``run_queries`` front door with no OBS sites.
 
-    Replicates the front door's pre-observability body (memo scan,
-    plan, execute, record) with no OBS sites, so the only difference
-    the paired timings see is what the instrumentation added.
+    Replicates its body (memo scan, a one-item ``MultiQueryPlan``,
+    record) without instrumentation, so the only difference the paired
+    timings see is what the instrumentation added.
     """
     chain = _chain()
     queries = _queries()
@@ -97,7 +97,9 @@ def raw_sweep() -> list:
     results, tokens, misses = memoized_answers(chain, queries, "float")
     if misses:
         subset = [queries[i] for i in misses]
-        answers = QueryPlan(chain, subset).execute(backend="float")
+        answers = MultiQueryPlan([(chain, subset)]).execute(
+            backend="float"
+        )[0]
         for i, value in zip(misses, answers):
             results[i] = value
         record_answers(tokens, misses, results)
@@ -180,7 +182,7 @@ def measure() -> dict:
 # pytest-benchmark entry points
 # ----------------------------------------------------------------------
 def bench_obs_raw_baseline(benchmark):
-    """The pre-instrumentation front-door replica (no OBS sites)."""
+    """The uninstrumented front-door replica (no OBS sites)."""
     configure_tracing(False)
     values = benchmark(raw_sweep)
     benchmark.extra_info["queries"] = len(_queries())

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.leader_election import leader_election
-from ..chain import CompiledChain, compile_chain
+from ..chain import CompiledChain, Query, compile_chain, run_queries
 from ..models.ports import adversarial_assignment
 from ..randomness.configuration import RandomnessConfiguration
 from .result import ExperimentResult
@@ -79,7 +79,7 @@ def convergence_rates(horizon: int = 20) -> ExperimentResult:
         alpha = RandomnessConfiguration.from_group_sizes(sizes)
         task = leader_election(alpha.n)
         chain = compile_chain(alpha)
-        series = chain.solving_probability_series(task, horizon)
+        series = run_queries(chain, [Query.series(task, horizon)])[0]
         fit = fitted_decay_rate(series, skip=horizon // 2)
         ratio = exact_tail_ratio(chain, task, horizon=horizon)
         assert ratio is not None
@@ -108,7 +108,7 @@ def convergence_rates(horizon: int = 20) -> ExperimentResult:
         alpha = RandomnessConfiguration.from_group_sizes(sizes)
         task = leader_election(alpha.n)
         chain = compile_chain(alpha, adversarial_assignment(sizes))
-        series = chain.solving_probability_series(task, horizon)
+        series = run_queries(chain, [Query.series(task, horizon)])[0]
         ratio = exact_tail_ratio(chain, task, horizon=horizon)
         if ratio is None:
             rows.append(("clique (adv)", sizes, "-", "exact 0 tail", "-", "ok"))

@@ -10,9 +10,12 @@ The package-level API:
   backend (``backend="exact" | "float"``);
 * :func:`configure_disk_cache` -- persist compilations across worker
   processes and runs (LRU ``max_bytes``/``max_entries`` caps optional);
-* :func:`run_queries` / :class:`QueryBatch` -- answer whole sets of
-  ``(task, horizon, quantity)`` questions against one chain in shared
-  topologically-ordered passes (:mod:`repro.chain.batch`).
+* :func:`run_queries` / :func:`run_group_queries` -- the one query
+  front door: answer whole sets of :class:`Query` objects against one
+  chain (a group of one) or many chains at once, memo first, then in
+  shared passes (:mod:`repro.chain.batch`, :mod:`repro.chain.multi`).
+  The scalar per-query methods on :class:`CompiledChain` are the
+  oracle the tests check the front door against.
 
 ``repro.core.markov`` keeps its historical API as a thin facade over
 this engine; see ``CHAIN.md`` for the design.
@@ -27,8 +30,6 @@ from .backends import (
 from .batch import (
     QUANTITIES,
     Query,
-    QueryBatch,
-    QueryPlan,
     run_queries,
 )
 from .cache import (
@@ -99,8 +100,6 @@ __all__ = [
     "QUANTITIES",
     "QUOTIENT_MODES",
     "Query",
-    "QueryBatch",
-    "QueryPlan",
     "QuotientChain",
     "StateTable",
     "automorphism_count",

@@ -61,10 +61,11 @@ def evolution_strategy(num_states: int, nnz: int) -> str:
     outlive the query), but below the cap the decision follows
     ``nnz / states^2`` -- dense when the structure is dense enough for
     the matvec's fused arithmetic to beat the scatter-add's indexing,
-    scatter otherwise.  :class:`~repro.chain.batch.QueryBatch` and
-    :class:`~repro.chain.multi.ChainGroup` expose the verdict in their
-    ``repr`` for debuggability.  Both strategies evolve the same
-    distribution, so the verdict only moves wall-clock, never results.
+    scatter otherwise.  The float executor of the query front door
+    (:class:`~repro.chain.multi.ChainGroup`, for groups of one chain as
+    for many) takes this verdict and exposes it in its ``repr``.  Both
+    strategies evolve the same distribution, so the verdict only moves
+    wall-clock, never results.
     """
     from .engine import DENSE_STATE_LIMIT
 
@@ -345,49 +346,6 @@ def expected_float(
     return [None if np.isinf(value) else float(value) for value in row]
 
 
-def masses_float_over_time(
-    chain: "CompiledChain",
-    masks: np.ndarray,
-    times: "Sequence[int]",
-) -> dict[int, np.ndarray]:
-    """Masked masses of the distribution at each requested time.
-
-    One evolution to ``max(times)`` shared by every ``(mask, t)`` pair:
-    ``masks`` is ``(Q, S)`` boolean and the result maps each requested
-    ``t`` to the ``(Q,)`` vector of per-mask masses.  Dense-enough
-    chains step with a dense matrix-vector product; sparse ones with the
-    same scatter-add :func:`distribution_float` uses (the verdict is
-    :func:`evolution_strategy`).
-    """
-    wanted = sorted(set(int(t) for t in times))
-    if wanted and wanted[0] < 0:
-        raise ValueError("need t >= 0")
-    mask_matrix = np.atleast_2d(np.asarray(masks, dtype=bool)).astype(
-        np.float64
-    )
-    dist = np.zeros(chain.num_states)
-    dist[chain.start] = 1.0
-    out: dict[int, np.ndarray] = {}
-    if wanted and wanted[0] == 0:
-        out[0] = mask_matrix @ dist
-    remaining = set(wanted)
-    dense = None
-    if evolution_strategy(chain.num_states, chain.num_transitions) == "dense":
-        dense = chain.dense_transition_matrix()
-    if dense is None:
-        src, dst, weight = chain.coo()
-    for t in range(1, (wanted[-1] if wanted else 0) + 1):
-        if dense is not None:
-            dist = dist @ dense
-        else:
-            nxt = np.zeros(chain.num_states)
-            np.add.at(nxt, dst, dist[src] * weight)
-            dist = nxt
-        if t in remaining:
-            out[t] = mask_matrix @ dist
-    return out
-
-
 __all__ = [
     "BACKENDS",
     "DENSE_ALWAYS_STATES",
@@ -402,7 +360,6 @@ __all__ = [
     "expected_float",
     "expected_float_matrix",
     "mass_exact",
-    "masses_float_over_time",
     "series_exact",
     "series_float",
     "step_exact",

@@ -1,30 +1,26 @@
-"""Batched query planning and execution over one compiled chain.
+"""Queries and the per-chain planner behind the one query front door.
 
-Every caller of the compiled engine used to ask one ``(task, horizon)``
-question at a time through the scalar methods on
-:class:`~repro.chain.engine.CompiledChain` -- a theorem sweep that wants
-four tasks at ten horizons paid for forty separate distribution
-evolutions under the float backend, and the exact backend re-ran its
-absorption sweep per call.  This module turns those call sites into
-*batches*: a set of :class:`Query` objects (``quantity``, ``task``,
-optional ``horizon``) against one chain, answered together:
+Every answer the paper asks for -- ``Pr[S(t) | alpha]``, its series,
+its limit, the expected solving time, and Definition 3.3's verdict --
+is a :class:`Query` (``quantity``, ``task``, optional ``horizon``).
+:func:`run_queries` answers a list of them against one chain; it is a
+group of one item through :func:`~repro.chain.multi.run_group_queries`,
+so both spellings share one memo scan, one float executor (the stacked
+passes of :class:`~repro.chain.multi.ChainGroup`) and one recording
+step.
 
-* **float** -- one distribution evolution to the batch's deepest horizon
-  (dense matrix-vector recurrence on small chains, shared scatter-adds
-  otherwise) answers every probability/series query; one vectorized
-  reverse-topological level sweep answers every limit (and one more
-  every expected-time) across all masks at once
-  (:func:`~repro.chain.backends.absorption_float_matrix`).
-* **exact** -- the chain's cached task-independent distributions are
-  shared across all probability/series queries, and each distinct task
-  mask pays for at most one absorption/expected sweep per batch.  The
-  exact kernels are the very ones the scalar path uses, so batched
-  exact results are byte-identical to scalar ones by construction.
+:class:`QueryPlan` is the per-chain planner the group plan builds for
+each item.  It groups queries per distinct solvability mask and records
+which kernels they need.  Its :meth:`~QueryPlan.execute` is the exact
+backend: the chain's cached task-independent distributions are shared
+across all probability/series queries, and each distinct mask pays for
+at most one absorption/expected sweep.  These are the very kernels the
+scalar :class:`~repro.chain.engine.CompiledChain` methods use, so exact
+answers are byte-identical to the scalar ones by construction; the
+scalar methods stay as the reference the tests compare against.
 
-:func:`run_queries` is the front door consumers use: it answers memo
-hits from the query memo and runs the misses as one plan.  The scalar
-per-query methods on :class:`~repro.chain.engine.CompiledChain` remain
-as the reference the tests compare batched answers against.
+:func:`memoized_answers` / :func:`record_answers` are the query-memo
+scan and write-back the front door wraps around every execution.
 """
 
 from __future__ import annotations
@@ -33,18 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from ..obs import OBS, trace
+from ..obs import OBS
 from .backends import (
     absorption_exact,
-    absorption_float_matrix,
     expected_exact,
-    expected_float_matrix,
     mass_exact,
-    masses_float_over_time,
     series_exact,
-    validate_backend,
 )
 
 #: What a query may ask for.  ``solvable`` (Definition 3.3) is always
@@ -105,17 +95,23 @@ class Query:
 
 
 class QueryPlan:
-    """A batch of queries against one chain, grouped for shared passes.
+    """One chain's queries, grouped for shared passes.
 
     Grouping happens per distinct *solvability mask* (two task objects
     with the same mask share every pass), and the plan records which
     kernels the batch needs: distribution masses at which times,
     absorption for which masks, expected times for which masks.
+    :class:`~repro.chain.multi.MultiQueryPlan` builds one plan per item
+    and reads these registries for its stacked float passes; the exact
+    backend runs :meth:`execute` directly.
     """
 
     def __init__(self, chain, queries: Iterable[Query]):
         self.chain = chain
         self.queries = tuple(queries)
+        if OBS.enabled:
+            OBS.metrics.inc("chain.batch.plans")
+            OBS.metrics.inc("chain.batch.queries", len(self.queries))
         self._masks: list[tuple[bool, ...]] = []
         slot_of: dict[tuple[bool, ...], int] = {}
         self._slots: list[int] = []
@@ -151,32 +147,8 @@ class QueryPlan:
     def __len__(self) -> int:
         return len(self.queries)
 
-    @property
-    def evolution(self) -> str:
-        """The adaptive dense-vs-scatter verdict for this chain's
-        distribution passes (see :func:`~repro.chain.backends.evolution_strategy`)."""
-        from .backends import evolution_strategy
-
-        return evolution_strategy(
-            self.chain.num_states, self.chain.num_transitions
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"QueryPlan(queries={len(self.queries)}, "
-            f"masks={len(self._masks)}, evolution={self.evolution})"
-        )
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def execute(self, *, backend: str = "exact") -> list:
-        """Answer every query, in query order."""
-        if validate_backend(backend) == "exact":
-            return self._execute_exact()
-        return self._execute_float()
-
-    def _execute_exact(self) -> list:
+    def execute(self) -> list:
+        """Answer every query exactly, in query order."""
         chain = self.chain
         absorption: dict[int, list[Fraction]] = {}
         expected: dict[int, list] = {}
@@ -205,81 +177,6 @@ class QueryPlan:
                 results.append(expected[slot][chain.start])
         return results
 
-    def _execute_float(self) -> list:
-        chain = self.chain
-        masses: dict[int, np.ndarray] = {}
-        mass_rows: dict[int, int] = {}
-        if self._mass_times:
-            # Only the mask rows probability/series queries actually
-            # read join the per-time mass products.
-            ordered = sorted(self._mass_slots)
-            mass_rows = {slot: row for row, slot in enumerate(ordered)}
-            masses = masses_float_over_time(
-                chain,
-                np.asarray(
-                    [self._masks[slot] for slot in ordered], dtype=bool
-                ),
-                self._mass_times,
-            )
-        absorption: "np.ndarray | None" = None
-        absorb_rows: dict[int, int] = {}
-        # ``solvable`` stays exact under every backend (the zero-one law
-        # is a statement about exact limits), so it does not join the
-        # float absorption batch.
-        float_absorb = sorted(self._limit_slots)
-        if float_absorb:
-            absorb_rows = {slot: row for row, slot in enumerate(float_absorb)}
-            absorption = absorption_float_matrix(
-                chain,
-                np.asarray(
-                    [self._masks[slot] for slot in float_absorb], dtype=bool
-                ),
-            )
-        expected: "np.ndarray | None" = None
-        expected_rows: dict[int, int] = {}
-        if self._expected_slots:
-            ordered = sorted(self._expected_slots)
-            expected_rows = {slot: row for row, slot in enumerate(ordered)}
-            expected = expected_float_matrix(
-                chain,
-                np.asarray(
-                    [self._masks[slot] for slot in ordered], dtype=bool
-                ),
-            )
-        exact_absorption: dict[int, list[Fraction]] = {}
-        results = []
-        for query, slot in zip(self.queries, self._slots):
-            if query.quantity == "probability":
-                results.append(
-                    float(masses[query.horizon][mass_rows[slot]])
-                )
-            elif query.quantity == "series":
-                row = mass_rows[slot]
-                results.append(
-                    [
-                        float(masses[t][row])
-                        for t in range(1, query.horizon + 1)
-                    ]
-                )
-            elif query.quantity == "limit":
-                results.append(
-                    float(absorption[absorb_rows[slot], chain.start])
-                )
-            elif query.quantity == "solvable":
-                if slot not in exact_absorption:
-                    exact_absorption[slot] = absorption_exact(
-                        chain, self._masks[slot]
-                    )
-                results.append(
-                    _assert_zero_one(
-                        chain, exact_absorption[slot][chain.start]
-                    )
-                )
-            else:  # expected
-                value = expected[expected_rows[slot], chain.start]
-                results.append(None if np.isinf(value) else float(value))
-        return results
-
 
 def _assert_zero_one(chain, limit: Fraction) -> bool:
     """Definition 3.3 verdict with the machine-checked zero-one law."""
@@ -288,58 +185,6 @@ def _assert_zero_one(chain, limit: Fraction) -> bool:
             f"zero-one law violated: limit {limit} for chain {chain.key!r}"
         )
     return limit == 1
-
-
-class QueryBatch:
-    """Builder: accumulate queries, run once, read results by handle.
-
-    ::
-
-        batch = QueryBatch(chain)
-        s = batch.series(task, t_max)
-        l = batch.limit(task)
-        results = batch.run()
-        series, limit = results[s], results[l]
-    """
-
-    def __init__(self, chain):
-        self.chain = chain
-        self._queries: list[Query] = []
-
-    def add(self, query: Query) -> int:
-        """Append a query; the returned handle indexes ``run()``'s list."""
-        self._queries.append(query)
-        return len(self._queries) - 1
-
-    def probability(self, task, t: int) -> int:
-        return self.add(Query.probability(task, t))
-
-    def series(self, task, t_max: int) -> int:
-        return self.add(Query.series(task, t_max))
-
-    def limit(self, task) -> int:
-        return self.add(Query.limit(task))
-
-    def expected_time(self, task) -> int:
-        return self.add(Query.expected_time(task))
-
-    def solvable(self, task) -> int:
-        return self.add(Query.solvable(task))
-
-    def __len__(self) -> int:
-        return len(self._queries)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        from .backends import evolution_strategy
-
-        return (
-            f"QueryBatch(queries={len(self._queries)}, "
-            f"evolution={evolution_strategy(self.chain.num_states, self.chain.num_transitions)})"
-        )
-
-    def run(self, *, backend: str = "exact") -> list:
-        """Execute through :func:`run_queries`, in handle order."""
-        return run_queries(self.chain, self._queries, backend=backend)
 
 
 def memoized_answers(chain, queries: Sequence[Query], backend: str):
@@ -399,45 +244,19 @@ def run_queries(
 ) -> list:
     """Answer ``queries`` against ``chain``, in order.
 
-    With a query memo configured
-    (:func:`repro.results.memo.configure_query_memo`) every memoizable
-    query is first looked up by content key, and only the misses pay
-    for a pass -- hits are byte-identical to recomputation under the
-    exact backend.  Misses run as one :class:`QueryPlan` (one shared
-    pass per needed kernel).
+    The one-chain spelling of
+    :func:`~repro.chain.multi.run_group_queries`: a group of one item,
+    with the same memo scan, execution and recording under every
+    backend.
     """
-    queries = list(queries)
-    if not queries:
-        return []
-    validate_backend(backend)
-    results, tokens, misses = memoized_answers(chain, queries, backend)
-    if misses:
-        subset = [queries[i] for i in misses]
-        plan = QueryPlan(chain, subset)
-        if OBS.enabled:
-            OBS.metrics.inc("chain.batch.plans")
-            OBS.metrics.inc("chain.batch.queries", len(subset))
-            OBS.metrics.observe("chain.batch.plan_size", len(subset))
-            OBS.metrics.observe("chain.batch.states", chain.num_states)
-            OBS.metrics.inc(f"chain.batch.evolution.{plan.evolution}")
-            with trace(
-                "chain.batch.execute",
-                queries=len(subset),
-                states=chain.num_states,
-            ):
-                answers = plan.execute(backend=backend)
-        else:
-            answers = plan.execute(backend=backend)
-        for i, value in zip(misses, answers):
-            results[i] = value
-        record_answers(tokens, misses, results)
-    return results
+    from .multi import run_group_queries
+
+    return run_group_queries([(chain, queries)], backend=backend)[0]
 
 
 __all__ = [
     "QUANTITIES",
     "Query",
-    "QueryBatch",
     "QueryPlan",
     "memoized_answers",
     "record_answers",

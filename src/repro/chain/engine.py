@@ -61,9 +61,9 @@ MAX_NODES = 10
 #: Structural memo key: (assignment, neighbour tables, back-port tables).
 ChainKey = tuple
 
-#: Chains at or below this many states keep a dense ``(S, S)`` float64
-#: transition matrix for the batched query path (2 MB at the limit);
-#: larger chains fall back to sparse scatter-adds.
+#: Float evolutions over at most this many (stacked) states may step a
+#: dense ``(S, S)`` float64 transition matrix (2 MB at the limit);
+#: larger ones always use sparse scatter-adds.
 DENSE_STATE_LIMIT = 512
 
 #: Default cap on cached exact distributions per chain (entries, i.e.
@@ -225,7 +225,6 @@ class CompiledChain:
         self._ids = {v: sid for sid, v in enumerate(labels)}
         self.start = self._ids[(0,) * n]
         self._coo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._dense: np.ndarray | None = None
         self._levels: tuple[tuple[int, int], ...] | None = None
         #: Masks for content-keyed tasks (CountTask and friends): chains
         #: are process-immortal via the memo, so identity keys would pin
@@ -393,23 +392,6 @@ class CompiledChain:
                 np.asarray(cnt, dtype=np.float64) / self.denom,
             )
         return self._coo
-
-    def dense_transition_matrix(self) -> "np.ndarray | None":
-        """Dense ``(S, S)`` float64 transition matrix, or ``None``.
-
-        Only chains with at most :data:`DENSE_STATE_LIMIT` states keep
-        one (chains are process-immortal via the memo, so the cached
-        matrix must stay small); the batched float path falls back to
-        sparse scatter-adds above the limit.
-        """
-        if self.num_states > DENSE_STATE_LIMIT:
-            return None
-        if self._dense is None:
-            src, dst, weight = self.coo()
-            dense = np.zeros((self.num_states, self.num_states))
-            dense[src, dst] = weight
-            self._dense = dense
-        return self._dense
 
     # ------------------------------------------------------------------
     # Task solvability bitmasks

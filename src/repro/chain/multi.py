@@ -1,36 +1,30 @@
-"""Block-diagonal multi-chain execution: one pass per sweep, not per chain.
+"""Block-diagonal multi-chain execution: the query front door's executor.
 
-The batched query layer (:mod:`repro.chain.batch`) collapsed *within*-
-chain dispatch -- one :class:`~repro.chain.batch.QueryPlan` answers a
-whole set of ``(task, horizon, quantity)`` questions against one chain
-in shared passes.  Sweeps still paid *across* chains: a 200-point phase
-diagram compiles 200 small chains and runs 200 small numpy passes, each
-dominated by fixed per-call dispatch rather than arithmetic.
+:func:`run_group_queries` answers a list of ``(chain, queries)`` items;
+:func:`~repro.chain.batch.run_queries` is the same call with one item.
+Each item gets a per-chain :class:`~repro.chain.batch.QueryPlan` (mask
+grouping and kernel registries); what this module adds is how the plans
+run:
 
-This module stacks whole families of chains into one numerical object:
-
-* :class:`ChainGroup` places ``N`` compiled chains block-diagonally --
-  concatenated state ids (chain ``c``'s states live at ``offsets[c] ..
-  offsets[c] + S_c``), concatenated COO transition arrays, every chain's
-  start state carrying unit mass -- so one evolution step advances every
-  chain at once (blocks never mix: all edges stay inside their chain).
-  Reverse level sweeps run over a **merged, end-aligned level
-  schedule**: group step ``j`` processes each chain's ``j``-th level
-  *from the end*, which preserves every chain's reverse-topological
-  order (cross edges only ever point at levels already processed) while
-  letting chains with different level structures share each pass.
-* :class:`MultiQueryPlan` / :func:`run_group_queries` answer an entire
-  sweep axis -- every ``(chain, task, horizon, quantity)`` cell -- in
-  single vectorized evolution and reverse-level passes under the float
-  backend.  Task masks are stacked per chain and padded to the widest
-  chain's row count, so the common sweep shape (same queries against
-  every chain) needs exactly as many sweep rows as one chain does.
-  The exact backend iterates chain by chain through the *same*
-  :class:`~repro.chain.batch.QueryPlan` objects the per-chain path
-  uses, so grouped exact results are byte-identical to per-chain
-  :class:`~repro.chain.batch.QueryBatch` results by construction.
-
-A singleton group degenerates to the per-chain plan.
+* **exact** -- plan by plan through :meth:`QueryPlan.execute
+  <repro.chain.batch.QueryPlan.execute>`, the exact kernels the scalar
+  :class:`~repro.chain.engine.CompiledChain` methods use, so exact
+  answers are byte-identical to the scalar ones.
+* **float** -- :class:`ChainGroup` places ``N`` compiled chains
+  block-diagonally -- concatenated state ids (chain ``c``'s states live
+  at ``offsets[c] .. offsets[c] + S_c``), concatenated COO transition
+  arrays, every chain's start state carrying unit mass -- so one
+  evolution step advances every chain at once (blocks never mix: all
+  edges stay inside their chain).  Reverse level sweeps run over a
+  **merged, end-aligned level schedule**: group step ``j`` processes
+  each chain's ``j``-th level *from the end*, which preserves every
+  chain's reverse-topological order (cross edges only ever point at
+  levels already processed) while letting chains with different level
+  structures share each pass.  Task masks are stacked per chain and
+  padded to the widest chain's row count, so the common sweep shape
+  (same queries against every chain) needs exactly as many sweep rows
+  as one chain does.  A group of one chain is the per-chain float
+  executor.
 
 The grouping key is deliberately coarse: the merged level schedule makes
 *any* chains structurally compatible, so chains are stacked greedily in
@@ -53,7 +47,6 @@ from .backends import (
     validate_backend,
 )
 from .batch import (
-    Query,
     QueryPlan,
     _assert_zero_one,
     memoized_answers,
@@ -337,10 +330,10 @@ class MultiQueryPlan:
     """A batch of per-chain query batches, answered in group passes.
 
     ``items`` is a sequence of ``(chain, queries)`` pairs;
-    :meth:`execute` returns one result list per item, each element-wise
-    identical to ``run_queries(chain, queries)`` on that item alone
-    (byte-identical under the exact backend, within float rounding --
-    different but equally valid summation orders -- under float).
+    :meth:`execute` returns one result list per item.  Exact answers
+    are byte-identical to the scalar methods whatever the grouping;
+    float answers depend on the grouping only through summation order
+    (within float rounding).
     """
 
     def __init__(self, items: Iterable[tuple]):
@@ -359,9 +352,9 @@ class MultiQueryPlan:
     def execute(self, *, backend: str = "exact") -> list[list]:
         """Answer every item's queries; one result list per item."""
         if validate_backend(backend) == "exact":
-            # Per chain, through the shared per-item plans: the same
-            # exact kernels, the same dedup, byte-identical results.
-            return [plan.execute(backend="exact") for plan in self.plans]
+            # Per chain, through the per-item plans: the scalar path's
+            # exact kernels, hence byte-identical results.
+            return [plan.execute() for plan in self.plans]
         return self._execute_float()
 
     # ------------------------------------------------------------------
@@ -500,8 +493,8 @@ def run_group_queries(
 
     ``items`` is a sequence of ``(chain, queries)`` pairs.  The float
     backend runs stacked block-diagonal passes over
-    :class:`ChainGroup`; the exact backend executes the per-chain plans
-    (byte-identical to per-chain :func:`~repro.chain.batch.run_queries`).
+    :class:`ChainGroup`; the exact backend executes the per-chain plans.
+    :func:`~repro.chain.batch.run_queries` is this call with one item.
 
     A configured cross-run query memo
     (:func:`repro.results.memo.configure_query_memo`) is consulted

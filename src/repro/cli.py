@@ -18,10 +18,10 @@ metrics         show/export collected telemetry; cross-run history (OBS.md)
 obs             cross-run analytics: diff two sweeps, per-tier attribution
 trace           prefix: run any command traced and print its span tree
 
-Chain queries run through the batched query layer (``repro.chain.batch``:
-one shared pass answers a whole set of (task, horizon) questions), and
-sweep-wide queries through the block-diagonal multi-chain group engine
-(``repro.chain.multi``: one stacked pass answers a whole shape axis).
+Chain queries run through one front door (``repro.chain.run_queries``
+for one chain, ``run_group_queries`` for a whole shape axis): shared
+passes answer every (task, horizon) question of a call, and under the
+float backend one stacked block-diagonal pass covers every chain.
 Chains themselves compile **quotiented**
 by the configuration's automorphism group when it has one
 (``repro.chain.quotient``: orbit states instead of raw partitions);
@@ -305,9 +305,10 @@ def cmd_solve(args) -> int:
 
     alpha, chain = _chain(args)
     task = _make_task(args.task, alpha.n)
-    limit = run_queries(
-        chain.compiled, [Query.limit(task)], backend=chain.backend
-    )[0]
+    limit, solvable = run_queries(
+        chain.compiled, [Query.limit(task), Query.solvable(task)],
+        backend=chain.backend,
+    )
     print(
         f"configuration: sizes {alpha.group_sizes} (n={alpha.n}, "
         f"k={alpha.k}, gcd={alpha.gcd})"
@@ -318,9 +319,7 @@ def cmd_solve(args) -> int:
     ))
     print(f"task: {task}")
     print(f"limit of Pr[S(t)]: {limit}")
-    # The exact backend yields a true 0/1 Fraction; the float backend can
-    # land within rounding error of 1.
-    solvable = limit == 1 if chain.backend == "exact" else limit > 1 - 1e-9
+    # Definition 3.3 is decided on the exact limit under every backend.
     print("eventually solvable:", "YES" if solvable else "NO")
     return 0
 

@@ -28,9 +28,10 @@ yields
 Since the compiled-engine refactor this module is a thin *facade* over
 :mod:`repro.chain`: the reachable state space is explored exactly once
 per ``(alpha, ports)`` across the whole process (hash-consed label
-vectors, sparse integer transition arrays), and every query here is a
-pass over the compiled chain.  ``backend="exact"`` (default) returns the
-same ``Fraction`` values the seed implementation produced;
+vectors, sparse integer transition arrays), and every probability
+query here is asked of the compiled chain through the query front door
+(:func:`repro.chain.run_queries`).  ``backend="exact"`` (default)
+returns the same ``Fraction`` values the seed implementation produced;
 ``backend="float"`` switches the probability queries to numpy
 ``float64`` for long horizons and large state spaces.
 """
@@ -43,12 +44,14 @@ from fractions import Fraction
 from ..chain import (
     MAX_NODES,
     CompiledChain,
+    Query,
     back_port_tables,
     blocks_from_labels,
     compile_chain,
     labels_from_blocks,
     neighbour_tables,
     refine_labels,
+    run_queries,
     validate_backend,
 )
 from ..randomness.configuration import RandomnessConfiguration
@@ -199,17 +202,13 @@ class ConsistencyChain:
         self, task: SymmetryBreakingTask, t: int
     ) -> "Fraction | float":
         """``Pr[S(t) | alpha]`` for a symmetric task (exact by default)."""
-        return self.compiled.solving_probability(
-            task, t, backend=self.backend
-        )
+        return self._ask(Query.probability(task, t))
 
     def solving_probability_series(
         self, task: SymmetryBreakingTask, t_max: int
     ) -> "list[Fraction] | list[float]":
         """``[Pr[S(1)], ..., Pr[S(t_max)]]`` sharing work across times."""
-        return self.compiled.solving_probability_series(
-            task, t_max, backend=self.backend
-        )
+        return self._ask(Query.series(task, t_max))
 
     # ------------------------------------------------------------------
     # Exact limits (eventual solvability)
@@ -231,9 +230,7 @@ class ConsistencyChain:
         probability of ever reaching a solving state; the compiled chain
         solves the first-step equations in one reverse-topological pass.
         """
-        return self.compiled.limit_solving_probability(
-            task, backend=self.backend
-        )
+        return self._ask(Query.limit(task))
 
     def to_networkx(self):
         """The reachable transition graph as a networkx DiGraph.
@@ -255,12 +252,11 @@ class ConsistencyChain:
 
     def eventually_solvable(self, task: SymmetryBreakingTask) -> bool:
         """Definition 3.3 decided exactly; asserts the zero-one law."""
-        limit = self.compiled.limit_solving_probability(task)
-        if limit not in (Fraction(0), Fraction(1)):
-            raise AssertionError(
-                f"zero-one law violated: limit {limit} for {self.alpha!r}"
-            )
-        return limit == 1
+        return self._ask(Query.solvable(task))
+
+    def _ask(self, query: Query):
+        """One query through the front door, under this chain's backend."""
+        return run_queries(self.compiled, [query], backend=self.backend)[0]
 
 
 __all__ = [

@@ -9,6 +9,9 @@ probability given a configuration ``alpha`` is the number of solving
 * :class:`~repro.core.markov.ConsistencyChain` -- exact via the partition
   Markov chain (polynomial in the number of reachable partitions rather
   than exponential in ``tk``); see :mod:`repro.core.markov`.
+  :func:`solving_probability_exact` / :func:`solving_probability_series`
+  ask the compiled chain through the query front door
+  (:func:`repro.chain.run_queries`).
 * :func:`solving_probability_sampled` -- Monte-Carlo estimate, for
   parameters where exactness is out of reach.
 
@@ -104,8 +107,8 @@ def solving_probability_exact(
 
     ``backend="exact"`` (default) returns a ``Fraction``;
     ``backend="float"`` the numpy ``float64`` value.  Routed through the
-    batched query layer (:mod:`repro.chain.batch`), which shares the
-    chain's cached distributions across calls and batches.
+    query front door (:func:`repro.chain.run_queries`), which shares the
+    chain's cached exact distributions across calls.
     """
     from ..chain import Query, compile_chain, run_queries
 
@@ -124,7 +127,7 @@ def solving_probability_series(
     *,
     backend: str = "exact",
 ) -> "list[Fraction] | list[float]":
-    """``Pr[S(t) | alpha]`` for ``t = 1..t_max`` (batched-query-based)."""
+    """``Pr[S(t) | alpha]`` for ``t = 1..t_max`` (one front-door query)."""
     from ..chain import Query, compile_chain, run_queries
 
     return run_queries(

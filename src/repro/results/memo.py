@@ -27,8 +27,9 @@ compacted ``memo.json``), safe under any number of concurrent sweep
 workers.  The process-wide instance is installed with
 :func:`configure_query_memo` -- the runner wires it through worker
 payloads exactly like the chain disk cache -- and consulted by
-:func:`repro.chain.run_queries` / :func:`repro.chain.run_group_queries`
-before any evolution pass.
+the query front door (:func:`repro.chain.run_group_queries`, and
+:func:`repro.chain.run_queries` as its one-item spelling) before any
+evolution pass.
 """
 
 from __future__ import annotations

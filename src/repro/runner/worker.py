@@ -45,7 +45,7 @@ def exact_limit_value(
     """The one exact chain evaluation every worker path shares.
 
     Per-job exact runs route their chain evaluation through this one
-    helper over the batched query layer, which keeps the evaluation
+    helper over the query front door, which keeps the evaluation
     semantics (and any future instrumentation) in one place.
     """
     return run_queries(chain, [Query.limit(task)])[0]

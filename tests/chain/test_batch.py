@@ -1,10 +1,10 @@
-"""Batched query layer: agreement with the scalar paths, plan hygiene.
+"""The query front door: agreement with the scalar paths, plan hygiene.
 
-The batched exact path must be *byte-identical* to the scalar one (it
-reuses the scalar kernels, and these tests pin that contract), and the
-batched float path must agree with the scalar float path -- and with
-exact -- to 1e-12, across a grid of configurations, port assignments,
-tasks, and horizons.
+The exact plan must be *byte-identical* to the scalar methods (it
+reuses the scalar kernels, and these tests pin that contract), and
+``run_queries`` under the float backend must agree with the scalar
+float path -- and with exact -- to 1e-12, across a grid of
+configurations, port assignments, tasks, and horizons.
 """
 
 from fractions import Fraction
@@ -13,15 +13,17 @@ import pytest
 
 from repro.chain import (
     Query,
-    QueryBatch,
-    QueryPlan,
     compile_chain,
+    run_group_queries,
     run_queries,
     set_distribution_cache_cap,
 )
+from repro.chain.batch import QueryPlan
 from repro.core import k_leader_election, leader_election, unique_ids
 from repro.models import adversarial_assignment, round_robin_assignment
+from repro.obs import OBS, configure_tracing, reset_telemetry
 from repro.randomness import RandomnessConfiguration
+from repro.results.memo import query_memo
 
 SHAPES = ((1, 1), (3,), (1, 2), (2, 2), (1, 1, 2), (1, 2, 2))
 PORT_MAKERS = (
@@ -92,9 +94,10 @@ class TestExactAgreement:
         alpha = RandomnessConfiguration.from_group_sizes(shape)
         chain = compile_chain(alpha, make_ports(shape))
         queries = _all_queries(_tasks(alpha.n), HORIZONS)
-        batched = QueryPlan(chain, queries).execute(backend="exact")
+        batched = QueryPlan(chain, queries).execute()
         scalar = _scalar_answers(chain, queries, "exact")
         assert batched == scalar
+        assert run_queries(chain, queries) == scalar
         # Byte-identical means identical types too: Fractions everywhere
         # a scalar query yields one (never silently degraded floats).
         for got, want in zip(batched, scalar):
@@ -110,7 +113,7 @@ class TestFloatAgreement:
         alpha = RandomnessConfiguration.from_group_sizes(shape)
         chain = compile_chain(alpha, make_ports(shape))
         queries = _all_queries(_tasks(alpha.n), HORIZONS)
-        batched = QueryPlan(chain, queries).execute(backend="float")
+        batched = run_queries(chain, queries, backend="float")
         scalar = _scalar_answers(chain, queries, "float")
         exact = _scalar_answers(chain, queries, "exact")
         for got, flt, ref in zip(batched, scalar, exact):
@@ -162,29 +165,44 @@ class TestPlan:
         alpha = RandomnessConfiguration.from_group_sizes((1, 2))
         chain = compile_chain(alpha)
         with pytest.raises(ValueError):
-            QueryPlan(chain, [Query.limit(leader_election(3))]).execute(
-                backend="decimal"
+            run_queries(
+                chain, [Query.limit(leader_election(3))], backend="decimal"
             )
 
 
-class TestQueryBatchBuilder:
-    def test_handles_index_results_in_order(self):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
-        chain = compile_chain(alpha)
-        task = leader_election(3)
-        batch = QueryBatch(chain)
-        h_series = batch.series(task, 4)
-        h_limit = batch.limit(task)
-        h_prob = batch.probability(task, 2)
-        h_expected = batch.expected_time(task)
-        h_solvable = batch.solvable(task)
-        assert len(batch) == 5
-        results = batch.run()
-        assert results[h_series] == chain.solving_probability_series(task, 4)
-        assert results[h_limit] == chain.limit_solving_probability(task)
-        assert results[h_prob] == chain.solving_probability(task, 2)
-        assert results[h_expected] == chain.expected_solving_time(task)
-        assert results[h_solvable] == chain.eventually_solvable(task)
+class TestPlanCounters:
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_memo_free_calls_count_each_plan_and_query_once(self, backend):
+        shape = (1, 2)
+        alpha = RandomnessConfiguration.from_group_sizes(shape)
+        chains = [
+            compile_chain(alpha),
+            compile_chain(alpha, adversarial_assignment(shape)),
+        ]
+        task = leader_election(alpha.n)
+        queries = [
+            Query.limit(task), Query.series(task, 3), Query.solvable(task)
+        ]
+        assert query_memo() is None
+        previous = configure_tracing(True)
+        reset_telemetry()
+        try:
+            for chain in chains:
+                run_queries(chain, queries, backend=backend)
+            per_chain = OBS.metrics.snapshot()["counters"]
+            reset_telemetry()
+            run_group_queries(
+                [(chain, queries) for chain in chains], backend=backend
+            )
+            grouped = OBS.metrics.snapshot()["counters"]
+        finally:
+            configure_tracing(previous)
+            reset_telemetry()
+        for counters in (per_chain, grouped):
+            assert counters["chain.batch.plans"] == len(chains)
+            assert counters["chain.batch.queries"] == (
+                len(chains) * len(queries)
+            )
 
 
 class TestZeroOneAssertion:
@@ -192,9 +210,10 @@ class TestZeroOneAssertion:
         alpha = RandomnessConfiguration.from_group_sizes((2, 2))
         chain = compile_chain(alpha)
         task = leader_election(4)
-        plan = QueryPlan(chain, [Query.solvable(task)])
-        assert plan.execute() == [False]
-        assert plan.execute(backend="float") == [False]
+        assert QueryPlan(chain, [Query.solvable(task)]).execute() == [False]
+        assert run_queries(
+            chain, [Query.solvable(task)], backend="float"
+        ) == [False]
         # Float 'solvable' verdicts are exact Fractions under the hood.
         assert isinstance(
             QueryPlan(chain, [Query.limit(task)]).execute()[0], Fraction

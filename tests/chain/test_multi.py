@@ -304,16 +304,3 @@ class TestAdaptiveEvolution:
         dense_nnz = int(states * states * DENSE_DENSITY_FLOOR) + 1
         assert evolution_strategy(states, dense_nnz) == "dense"
         assert evolution_strategy(states, states) == "scatter"
-
-    def test_plan_and_batch_reprs_expose_the_decision(self):
-        from repro.chain import QueryBatch, QueryPlan
-
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
-        chain = compile_chain(alpha)
-        task = leader_election(5)
-        plan = QueryPlan(chain, [Query.limit(task)])
-        assert plan.evolution in ("dense", "scatter")
-        assert plan.evolution in repr(plan)
-        batch = QueryBatch(chain)
-        batch.limit(task)
-        assert plan.evolution in repr(batch)

@@ -38,8 +38,8 @@ class TestEngineContract:
         assert list(ProcessPoolEngine(workers=2).map(execute_run, [])) == []
 
     def test_process_streams_generator_payloads_in_order(self):
-        # Unsized iterables take the bounded-window path: order must
-        # still hold and every payload must be consumed.
+        # A generator of payloads is consumed in full, and the records
+        # come back in payload order.
         engine = ProcessPoolEngine(workers=2)
         payloads = (
             {"spec": {"sizes": [1, 1]}, "master_seed": 0, "index": i}

@@ -45,6 +45,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "eventually solvable: NO" in out
 
+    @pytest.mark.parametrize(
+        "sizes,verdict", [("1,2", "YES"), ("2,2", "NO")]
+    )
+    def test_solve_float_backend_gives_the_exact_verdict(
+        self, capsys, sizes, verdict
+    ):
+        for backend in ("exact", "float"):
+            assert main(["solve", sizes, "--backend", backend]) == 0
+            out = capsys.readouterr().out
+            assert f"eventually solvable: {verdict}" in out
+
     def test_series(self, capsys):
         assert main(["series", "1,1", "--t-max", "3"]) == 0
         out = capsys.readouterr().out
