@@ -294,30 +294,6 @@ class ChainDiskCache:
         self.evict()
         return path
 
-    def publish_gauges(self, registry=None) -> dict[str, int]:
-        """Publish the sidecar load counts as metric gauges.
-
-        Gauges are ``chain.cache.loads.<digest prefix>`` (first 12 hex
-        chars, matching the ``repro chains list`` display) plus a
-        ``chain.cache.entries`` entry count.  One gauge per *cached
-        entry* -- never-loaded chains publish 0 -- backed by the same
-        exact append-log counts :meth:`load_stats` serves, so ``repro
-        metrics show --chains`` and ``repro chains list`` agree
-        row-for-row.  Called
-        explicitly (not guarded by ``OBS.enabled``) -- publishing is the
-        caller's opt-in.  Returns the published ``{digest: count}`` map.
-        """
-        if registry is None:
-            registry = OBS.metrics
-        stats = self.load_stats()
-        published = {}
-        for entry in self.entries():
-            published[entry.digest] = stats.get(entry.digest, 0)
-        for digest, count in sorted(published.items()):
-            registry.gauge(f"chain.cache.loads.{digest[:12]}", count)
-        registry.gauge("chain.cache.entries", len(published))
-        return published
-
     def __len__(self) -> int:
         return len(list(self.root.glob("*.chain.pkl")))
 

@@ -14,9 +14,8 @@ estimate        Monte-Carlo Pr[S(t)] estimate (mergeable memoized substreams)
 sweep           expand and execute a sweep (parallel, resumable)
 chains          list/inspect/prune a chain disk cache
 results         query/export/stats/compact/ingest/vacuum a results warehouse
-metrics         show/export collected telemetry; cross-run history (OBS.md)
-obs             cross-run analytics: diff two sweeps, per-tier attribution
-trace           prefix: run any command traced and print its span tree
+obs             read telemetry back: explain a profile, history/diff/tiers
+                across sweeps, tail/top a live run (OBS.md)
 
 Chain queries run through one front door (``repro.chain.run_queries``
 for one chain, ``run_group_queries`` for a whole shape axis): shared
@@ -85,18 +84,17 @@ See ``STORE.md`` for the on-disk layout and the memo key scheme.
 
 Observability
 -------------
-``repro trace <command ...>`` runs any command with span tracing on and
-prints a span tree (calls, total, self time) when it finishes;
-``--trace`` is the flag spelling of the same thing.  ``--profile-out
-FILE`` on ``sweep``/``phase-diagram``/``report`` writes the full JSON
-profile (spans, metrics, aggregates; validate it with ``python -m
-repro.obs.schema FILE``).  ``repro metrics show`` prints the collected
-counters/gauges/histograms (histograms with p50/p90/p99 summaries);
-sweeps with a warehouse persist the same rows into a ``telemetry``
-table served by ``repro results query --table telemetry``.  Across
-runs, ``repro metrics history`` trends those rows, ``repro obs
-diff``/``tiers`` compare sweeps and attribute wall-clock.  See ``OBS.md`` for the instrumentation map and "From
-telemetry to decisions".
+Every command accepts ``--profile-out FILE``: it turns span tracing on
+and writes the JSON profile (spans, metrics, aggregates; validate it
+with ``python -m repro.obs.schema FILE``) when the command finishes.
+Sweeps with a warehouse also persist the folded telemetry into a
+``telemetry`` table served by ``repro results query --table
+telemetry``.  ``repro obs`` is the one reader: ``obs explain FILE``
+prints a profile's span tree (calls, total, self time), ``obs
+history``/``diff``/``tiers`` trend, compare and attribute the sweeps a
+warehouse holds, and ``obs tail``/``top`` watch a live run.  See
+``OBS.md`` for the instrumentation map and "From telemetry to
+decisions".
 """
 
 from __future__ import annotations
@@ -211,19 +209,6 @@ def _warehouse_from(args):
     if getattr(args, "no_warehouse", False):
         return False
     return getattr(args, "warehouse", None)
-
-
-def _add_profile_arg(p) -> None:
-    p.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="FILE",
-        help=(
-            "write a JSON telemetry profile (spans, metrics, aggregates) "
-            "here when the command finishes; implies tracing.  Validate "
-            "with `python -m repro.obs.schema FILE`"
-        ),
-    )
 
 
 def _add_quotient_arg(p) -> None:
@@ -787,120 +772,6 @@ def cmd_results(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
-    """Show or export collected telemetry (counters, gauges, spans).
-
-    ``--chains DIR`` first publishes that chain cache's exact sidecar
-    load counts as gauges (the same counts ``repro chains list``
-    displays, so the two commands always agree); ``--warehouse DIR``
-    folds in the rows sweeps persisted to the warehouse's ``telemetry``
-    table.  The ``history`` action instead reads the warehouse's
-    telemetry rows *across* sweeps -- one line per (metric, stamp) --
-    for trend reading (see OBS.md, "From telemetry to decisions").
-    Histogram lines in ``show`` carry p50/p90/p99 estimates derived
-    from the 64-bucket log2 bins.
-    """
-    import json
-    import pathlib
-
-    from .obs import OBS, histogram_percentiles, telemetry_rows
-
-    if args.action == "history":
-        from .obs.analyze import metrics_history
-
-        if not args.warehouse:
-            raise SystemExit("metrics history: needs --warehouse DIR")
-        rows = metrics_history(
-            _results_store(args.warehouse),
-            kind=args.kind,
-            name=args.name,
-            master_seed=args.master_seed,
-        )
-        if not rows:
-            print("no persisted telemetry matches (run traced sweeps "
-                  "with a warehouse first)")
-            return 0
-        print(
-            format_table(
-                ("name", "kind", "stamp", "master_seed", "value", "count"),
-                [
-                    (
-                        r["name"], r["kind"], f"{r['stamp']:.6f}",
-                        r["master_seed"], f"{r['value']:.6g}", r["count"],
-                    )
-                    for r in rows
-                ],
-            )
-        )
-        return 0
-    if args.chains:
-        from .chain import ChainDiskCache
-
-        root = pathlib.Path(args.chains)
-        # Accept a run directory transparently, like `repro chains`.
-        if (root / "chains").is_dir():
-            root = root / "chains"
-        if not root.is_dir():
-            raise SystemExit(f"metrics: no chain cache at {args.chains}")
-        ChainDiskCache(root).publish_gauges(OBS.metrics)
-    rows = telemetry_rows()
-    if args.warehouse:
-        store = _results_store(args.warehouse)
-        if "telemetry" in store.tables():
-            for row in store.table("telemetry").to_rows():
-                rows.append(
-                    {
-                        "kind": str(row["kind"]),
-                        "name": str(row["name"]),
-                        "value": float(row["value"]),
-                        "count": int(row["count"]),
-                    }
-                )
-            rows.sort(key=lambda r: (r["kind"], r["name"]))
-    if args.action == "export":
-        document = json.dumps(rows, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(document + "\n")
-            print(f"wrote {len(rows)} telemetry rows to {args.output}")
-        else:
-            print(document)
-        return 0
-    if not rows:
-        print("no telemetry collected (tracing off and nothing persisted)")
-        return 0
-
-    def detail(row) -> str:
-        # Percentile summaries for live histograms: the registry still
-        # holds the buckets (persisted rows carry totals only -- see
-        # OBS.md on the merge-law caveat).
-        if row["kind"] != "hist":
-            return ""
-        hist = OBS.metrics.histogram(row["name"])
-        if hist is None:
-            return ""
-        pct = histogram_percentiles(hist)
-        if not pct:
-            return ""
-        return " ".join(
-            f"{key}={pct[key]:.3g}" for key in ("p50", "p90", "p99")
-        )
-
-    print(
-        format_table(
-            ("kind", "name", "value", "count", "detail"),
-            [
-                (
-                    r["kind"], r["name"], f"{r['value']:.6g}",
-                    r["count"], detail(r),
-                )
-                for r in rows
-            ],
-        )
-    )
-    return 0
-
-
 def _obs_tail(args) -> int:
     """Stream a live run's progress events (``repro obs tail RUN_DIR``)."""
     import pathlib
@@ -908,7 +779,7 @@ def _obs_tail(args) -> int:
 
     from .obs.live import PROGRESS_NAME, format_progress_event, read_progress
 
-    path = pathlib.Path(args.directory)
+    path = pathlib.Path(args.path)
     if path.is_dir():
         path = path / PROGRESS_NAME
     if not args.follow and not path.exists():
@@ -931,7 +802,7 @@ def _obs_top(args) -> int:
 
     from .obs.live import HEARTBEAT_DIR, worker_status
 
-    directory = pathlib.Path(args.directory)
+    directory = pathlib.Path(args.path)
     if (directory / HEARTBEAT_DIR).is_dir():
         directory = directory / HEARTBEAT_DIR
     rows = worker_status(directory)
@@ -969,29 +840,84 @@ def _format_bytes(count: int) -> str:
     return f"{value:.1f}GiB"  # pragma: no cover - loop always returns
 
 
-def cmd_obs(args) -> int:
-    """Cross-run telemetry analytics and live-run inspection.
+def _obs_explain(args) -> int:
+    """Print a profile's span tree (``repro obs explain PROFILE``)."""
+    import json
 
-    ``repro obs diff DIR`` compares the two most recent traced sweeps
-    persisted in the warehouse tier by tier (pick explicit sweeps with
-    ``--stamps A B`` from ``repro metrics history``); ``repro obs
-    tiers DIR`` renders one sweep's wall-clock attribution by span
-    self-time.  ``repro obs tail RUN_DIR`` replays (or with
-    ``--follow`` streams) a live sweep's progress events; ``repro obs
-    top RUN_DIR`` shows per-worker heartbeat state.
+    from .obs import Span, render_span_tree
+
+    try:
+        with open(args.path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"obs explain: cannot read {args.path}: {exc}")
+    print(
+        render_span_tree(
+            [Span.from_dict(span) for span in document["spans"]]
+        )
+    )
+    return 0
+
+
+def _obs_history(store, args) -> int:
+    """Trend persisted telemetry across sweeps (``repro obs history``)."""
+    from .obs.analyze import metrics_history
+
+    rows = metrics_history(
+        store, kind=args.kind, name=args.name, master_seed=args.master_seed
+    )
+    if not rows:
+        print("no persisted telemetry matches (run sweeps with "
+              "--profile-out and a warehouse first)")
+        return 0
+    print(
+        format_table(
+            ("name", "kind", "stamp", "master_seed", "value", "count"),
+            [
+                (
+                    r["name"], r["kind"], f"{r['stamp']:.6f}",
+                    r["master_seed"], f"{r['value']:.6g}", r["count"],
+                )
+                for r in rows
+            ],
+        )
+    )
+    return 0
+
+
+def cmd_obs(args) -> int:
+    """Read telemetry back: the one command group for it.
+
+    ``repro obs explain PROFILE`` prints the span tree (calls, total,
+    self time) of a ``--profile-out`` document.  Over the warehouse's
+    persisted ``telemetry`` table, ``repro obs history DIR`` trends
+    every metric across sweeps (one line per metric and stamp), ``repro
+    obs diff DIR`` compares two sweeps tier by tier (the two most
+    recent, or ``--a A --b B`` by stamp), and ``repro obs tiers DIR``
+    attributes one sweep's wall-clock by span self-time.  ``repro obs
+    tail RUN_DIR`` replays (or with ``--follow`` streams) a live
+    sweep's progress events; ``repro obs top RUN_DIR`` shows per-worker
+    heartbeat state.
     """
+    if args.action == "explain":
+        return _obs_explain(args)
     if args.action == "tail":
         return _obs_tail(args)
     if args.action == "top":
         return _obs_top(args)
     from .obs.analyze import diff_sweeps, tier_attribution
 
-    store = _results_store(args.directory)
+    store = _results_store(args.path)
+    if args.action == "history":
+        return _obs_history(store, args)
     if args.action == "tiers":
-        rows = tier_attribution(store, stamp=args.stamp)
+        try:
+            rows = tier_attribution(store, stamp=args.stamp)
+        except ValueError as exc:
+            raise SystemExit(f"obs tiers: {exc}")
         if not rows:
-            print("no span telemetry persisted (run a traced sweep "
-                  "with a warehouse first)")
+            print("no span telemetry persisted (run a sweep with "
+                  "--profile-out and a warehouse first)")
             return 0
         print(
             format_table(
@@ -1006,11 +932,8 @@ def cmd_obs(args) -> int:
             )
         )
         return 0
-    stamp_a, stamp_b = args.a, args.b
-    if args.stamps is not None:
-        stamp_a, stamp_b = args.stamps
     try:
-        rows = diff_sweeps(store, stamp_a=stamp_a, stamp_b=stamp_b)
+        rows = diff_sweeps(store, stamp_a=args.a, stamp_b=args.b)
     except ValueError as exc:
         raise SystemExit(f"obs diff: {exc}")
     print(
@@ -1138,7 +1061,7 @@ def cmd_run(args) -> int:
         "master_seed": args.master_seed,
         "index": 0,
         # Carry the parent's chain context (including the tracing
-        # flag) exactly as sweep payloads do, so `repro trace run`
+        # flag) exactly as sweep payloads do, so `run --profile-out`
         # stays traced through the worker's context application.
         **chain_context_payload(),
     }
@@ -1350,7 +1273,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p)
     _add_quotient_arg(p)
     _add_warehouse_args(p)
-    _add_profile_arg(p)
     _add_progress_args(p)
     p.set_defaults(func=cmd_phase_diagram)
 
@@ -1483,7 +1405,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p)
     _add_quotient_arg(p)
     _add_warehouse_args(p)
-    _add_profile_arg(p)
     _add_progress_args(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -1601,56 +1522,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p)
     _add_quotient_arg(p)
     _add_warehouse_args(p)
-    _add_profile_arg(p)
     _add_progress_args(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
         "obs",
         help=(
-            "telemetry analytics (diff sweeps, tier attribution) and "
-            "live-run inspection (tail progress, worker top)"
+            "read telemetry back: explain a profile, history/diff/tiers "
+            "across sweeps, tail/top a live run"
         ),
     )
-    p.add_argument("action", choices=("diff", "tiers", "tail", "top"))
     p.add_argument(
-        "directory",
+        "action", choices=("explain", "history", "diff", "tiers", "tail", "top")
+    )
+    p.add_argument(
+        "path",
         help=(
-            "diff/tiers: warehouse directory (or a run directory "
-            "containing warehouse/); tail/top: a live run directory"
+            "explain: a --profile-out JSON file; history/diff/tiers: "
+            "warehouse directory (or a run directory containing "
+            "warehouse/); tail/top: a live run directory"
         ),
     )
-    p.add_argument(
-        "--a", type=float, default=None, metavar="STAMP",
-        help="diff: baseline sweep stamp (default: second-most-recent)",
-    )
-    p.add_argument(
-        "--b", type=float, default=None, metavar="STAMP",
-        help="diff: comparison sweep stamp (default: most recent)",
-    )
-    p.add_argument(
-        "--stamps", type=float, nargs=2, default=None,
-        metavar=("A", "B"),
-        help="diff: the two sweep stamps to compare (same as --a A --b B)",
-    )
-    p.add_argument(
-        "--stamp", type=float, default=None,
-        help="tiers: sweep stamp to attribute (default: most recent)",
-    )
-    p.add_argument(
-        "--follow", action="store_true",
-        help="tail: keep polling until the run's end event arrives",
-    )
-    p.add_argument(
-        "--poll", type=float, default=1.0,
-        help="tail --follow: poll interval in seconds (default 1)",
-    )
-    p.set_defaults(func=cmd_obs)
-
-    p = sub.add_parser(
-        "metrics", help="show/export collected telemetry; cross-run history"
-    )
-    p.add_argument("action", choices=("show", "export", "history"))
     p.add_argument(
         "--kind",
         choices=("counter", "gauge", "hist", "span", "span.self"),
@@ -1669,47 +1561,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="history: only sweeps run under this master seed",
     )
     p.add_argument(
-        "--chains",
-        default=None,
-        metavar="DIR",
-        help=(
-            "publish this chain cache's load-count gauges first "
-            "(cache directory or a run directory containing chains/)"
-        ),
+        "--a", type=float, default=None, metavar="STAMP",
+        help="diff: baseline sweep stamp (default: second-most-recent)",
     )
     p.add_argument(
-        "--warehouse",
-        default=None,
-        metavar="DIR",
-        help=(
-            "fold in this warehouse's persisted telemetry table "
-            "(warehouse directory or a run directory containing "
-            "warehouse/)"
-        ),
+        "--b", type=float, default=None, metavar="STAMP",
+        help="diff: comparison sweep stamp (default: most recent)",
     )
     p.add_argument(
-        "-o", "--output", default=None,
-        help="export: write JSON here instead of stdout",
+        "--stamp", type=float, default=None,
+        help="tiers: sweep stamp to attribute (default: most recent)",
     )
-    p.set_defaults(func=cmd_metrics)
+    p.add_argument(
+        "--follow", action="store_true",
+        help="tail: keep polling until the run's end event arrives",
+    )
+    p.add_argument(
+        "--poll", type=float, default=1.0,
+        help="tail --follow: poll interval in seconds (default 1)",
+    )
+    p.set_defaults(func=cmd_obs)
 
+    # The one switch that turns telemetry on, on every command.
+    for p in sub.choices.values():
+        p.add_argument(
+            "--profile-out",
+            default=None,
+            metavar="FILE",
+            help=(
+                "trace this command and write its JSON telemetry profile "
+                "(spans, metrics, aggregates) here when it finishes; "
+                "read it back with `repro obs explain FILE`"
+            ),
+        )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # `repro trace <command ...>` and a bare `--trace` anywhere are
-    # handled before argparse so every subcommand gets them for free.
-    traced = False
-    if argv and argv[0] == "trace":
-        argv = argv[1:]
-        traced = True
-        if not argv:
-            print("usage: repro trace <command> [args ...]", file=sys.stderr)
-            return 2
-    if "--trace" in argv:
-        argv = [token for token in argv if token != "--trace"]
-        traced = True
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "quotient"):
@@ -1722,8 +1611,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "auto" if args.quotient is None
             else "on" if args.quotient else "off"
         )
-    profile_out = getattr(args, "profile_out", None)
-    if traced or profile_out:
+    if args.profile_out:
         from .obs import configure_tracing
 
         configure_tracing(True)
@@ -1734,21 +1622,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             status = args.func(args)
     else:
         status = args.func(args)
-    if profile_out:
+    if args.profile_out:
         import json
 
         from .obs import build_profile
 
         document = build_profile(command=args.command, argv=tuple(argv))
-        with open(profile_out, "w", encoding="utf-8") as handle:
+        with open(args.profile_out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"wrote profile to {profile_out}")
-    if traced:
-        from .obs import render_span_tree
-
-        print()
-        print(render_span_tree())
+        print(f"wrote profile to {args.profile_out}")
     return status
 
 

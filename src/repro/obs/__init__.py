@@ -30,9 +30,9 @@ and branch::
 so a disabled process pays one predictable branch per site (asserted
 at <= 2% on the batch-query benchmark by
 ``benchmarks/bench_obs_overhead.py``).  Enable with
-:func:`configure_tracing`, the ``REPRO_TRACE`` environment variable, or
-the CLI (``repro trace <command ...>``, ``--trace``,
-``--profile-out``).
+:func:`configure_tracing` in code, or ``--profile-out FILE`` on any CLI
+command; ``repro obs`` reads the telemetry back (``obs explain FILE``
+prints the span tree).
 
 Telemetry never enters job records: workers attach their drained
 snapshot *next to* the record payload, the sweep orchestrator pops and
@@ -100,8 +100,8 @@ OBS = Observability(TRACER, MetricsRegistry())
 
 def _count_dropped_spans(count: int) -> None:
     """Ring-eviction hook: a full span ring evicting ``count`` finished
-    roots increments ``obs.spans.dropped``, so ``repro metrics show``
-    flags truncated profiles instead of leaving them silent."""
+    roots increments ``obs.spans.dropped``, so a ``--profile-out``
+    document flags its own truncation instead of leaving it silent."""
     OBS.metrics.inc("obs.spans.dropped", count)
 
 
@@ -132,9 +132,7 @@ def configure_tracing(enabled: bool = True) -> bool:
 
     Returns the previous state.  The runner mirrors this flag through
     worker payloads (like the quotient mode), so pool
-    workers always match the parent.  Off is the default; the
-    ``REPRO_TRACE`` environment variable (any non-empty value except
-    ``0``) enables it at import time.
+    workers always match the parent.  Off is the default.
     """
     previous = OBS.enabled
     OBS.enabled = bool(enabled)
@@ -151,10 +149,6 @@ def reset_telemetry() -> None:
     """Drop all collected spans and metrics (tests, fresh profiles)."""
     OBS.tracer.reset()
     OBS.metrics.reset()
-
-
-if os.environ.get("REPRO_TRACE", "0") not in ("", "0"):
-    configure_tracing(True)
 
 
 __all__ = [

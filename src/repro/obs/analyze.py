@@ -1,15 +1,16 @@
 """Cross-run analytics over the warehouse ``telemetry`` table.
 
-A traced sweep persists its folded telemetry (counters, gauges,
-histogram totals, span aggregates) as rows stamped with the append
-time and the sweep's ``master_seed`` (see ``runner/sweep.py`` and
+A traced sweep (``--profile-out`` on the CLI) with a warehouse
+persists its folded telemetry (counters, gauges, histogram totals,
+span aggregates) as rows stamped with the append time and the sweep's
+``master_seed`` (see ``runner/sweep.py`` and
 :data:`repro.results.store.TELEMETRY_COLUMNS`).  One sweep's rows are
 a profile; *several* sweeps' rows are a history, and this module is
 the API that reads it back:
 
 * :func:`metrics_history` -- the long view: every persisted telemetry
   row across stamps, filterable by kind/name/master_seed, ordered for
-  trend reading (``repro metrics history``);
+  trend reading (``repro obs history``);
 * :func:`diff_sweeps` -- two sweeps compared tier by tier: per metric
   name, both values, the delta, and the ratio (``repro obs diff``);
 * :func:`tier_attribution` -- where one sweep's wall-clock went: span
@@ -105,6 +106,25 @@ def _stamp_values(store, stamp: float) -> dict:
     }
 
 
+def _known_stamps(store, *explicit) -> tuple:
+    """The persisted stamps (oldest first) and their display list.
+
+    Raises :class:`ValueError` naming every available stamp when an
+    explicit (non-``None``) stamp matches no persisted sweep.  Stamps
+    round-trip bit-identically through the warehouse, so equality is
+    the right test.
+    """
+    stamps = [stamp for stamp, _ in sweep_stamps(store)]
+    available = ", ".join(f"{stamp!r}" for stamp in stamps) or "none"
+    for stamp in explicit:
+        if stamp is not None and float(stamp) not in stamps:
+            raise ValueError(
+                f"no persisted sweep has stamp {stamp!r}; "
+                f"available stamps: {available}"
+            )
+    return stamps, available
+
+
 def diff_sweeps(
     store,
     stamp_a: "float | None" = None,
@@ -114,24 +134,16 @@ def diff_sweeps(
 
     Defaults to the two most recent stamps (older as side ``a``); any
     two persisted sweeps can be compared by passing their stamps
-    explicitly (``repro obs diff --stamps A B``).  Explicit stamps must
-    match a persisted sweep exactly (stamps round-trip bit-identically
-    through the warehouse, so equality is the right test); an unknown
-    stamp raises a :class:`ValueError` that lists every available
-    stamp.  One output row per metric name present in either sweep:
+    explicitly (``repro obs diff --a A --b B``).  An explicit stamp
+    that matches no persisted sweep raises a :class:`ValueError` that
+    lists every available stamp.  One output row per metric name
+    present in either sweep:
     ``{kind, name, a, b, delta, ratio}`` with absent sides reported as
     ``0.0`` and ``ratio`` of ``b/a`` (``None`` when ``a`` is zero).
     Rows are ordered by kind (:data:`TELEMETRY_KINDS`) then name, so
     all counters diff together, then gauges, then span timings.
     """
-    stamps = [stamp for stamp, _ in sweep_stamps(store)]
-    available = ", ".join(f"{stamp!r}" for stamp in stamps) or "none"
-    for explicit in (stamp_a, stamp_b):
-        if explicit is not None and float(explicit) not in stamps:
-            raise ValueError(
-                f"no persisted sweep has stamp {explicit!r}; "
-                f"available stamps: {available}"
-            )
+    stamps, available = _known_stamps(store, stamp_a, stamp_b)
     if stamp_b is None:
         if len(stamps) < 2 and stamp_a is None:
             raise ValueError(
@@ -178,13 +190,15 @@ def tier_attribution(store, stamp: "float | None" = None) -> list:
     children -- the exclusive cost of that tier) for ``stamp``
     (default: the most recent sweep) and returns ``{name, seconds,
     calls, share}`` rows sorted by descending seconds, ``share``
-    normalized over the sweep's total self-time.
+    normalized over the sweep's total self-time.  An explicit stamp
+    that matches no persisted sweep raises a :class:`ValueError` that
+    lists every available stamp.
     """
+    stamps, _ = _known_stamps(store, stamp)
     if stamp is None:
-        stamps = sweep_stamps(store)
         if not stamps:
             return []
-        stamp = stamps[-1][0]
+        stamp = stamps[-1]
     values = _stamp_values(store, stamp)
     selves = {
         name: (value, count)

@@ -13,11 +13,12 @@ In a serial engine the "worker" *is* the parent process, so each
 drain-and-merge round trip nets to the unchanged registry: the same
 engine-invariant totals come out of a serial run and a pool run.
 
-:func:`span_aggregates` / :func:`render_span_tree` serve the ``repro
-trace`` CLI; :func:`telemetry_rows` flattens the live registry and span
-aggregates into the warehouse's ``telemetry`` table rows; and
 :func:`build_profile` assembles the ``--profile-out`` JSON document
-(validated by the checked-in ``profile.schema.json``).
+(validated by the checked-in ``profile.schema.json``);
+:func:`span_aggregates` / :func:`render_span_tree` summarize its span
+forest (``repro obs explain FILE`` prints the tree); and
+:func:`telemetry_rows` flattens the live registry and span aggregates
+into the warehouse's ``telemetry`` table rows.
 """
 
 from __future__ import annotations

@@ -61,24 +61,4 @@ def sample() -> dict:
     }
 
 
-def publish_gauges(metrics, source: "str | None" = None) -> dict:
-    """Sample and publish the reading as gauges on ``metrics``.
-
-    With ``source`` (e.g. a worker name) the gauges are labeled
-    per-source (``process.rss_peak[w123]``), so a monitor folding many
-    workers' readings keeps each worker's state separately -- see the
-    labeled-gauge law in :mod:`repro.obs.metrics`.  Returns the sample
-    it published.
-    """
-    reading = sample()
-    metrics.gauge("process.rss_peak", reading["rss_peak"], source=source)
-    metrics.gauge(
-        "process.cpu_seconds", reading["cpu_seconds"], source=source
-    )
-    metrics.gauge(
-        "process.gc_collections", reading["gc_collections"], source=source
-    )
-    return reading
-
-
-__all__ = ["RSS_SCALE", "publish_gauges", "sample"]
+__all__ = ["RSS_SCALE", "sample"]

@@ -13,9 +13,8 @@ the ``elapsed`` record field, which must not depend on whether tracing
 is on), it just builds no span objects.  Hot paths with their own
 ``if OBS.enabled:`` guard pay a single attribute load and branch.
 
-Enable with :func:`repro.obs.configure_tracing`, the ``REPRO_TRACE``
-environment variable, or the CLI's ``repro trace <command ...>`` /
-``--trace`` surface.  Durations come from ``time.perf_counter`` --
+Enable with :func:`repro.obs.configure_tracing`, or ``--profile-out
+FILE`` on any CLI command.  Durations come from ``time.perf_counter`` --
 monotonic, never the freezable wall clock of :mod:`repro.obs.clock`.
 """
 

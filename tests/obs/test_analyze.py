@@ -161,3 +161,11 @@ class TestTierAttribution:
 
     def test_empty_store_attributes_nothing(self, tmp_path):
         assert tier_attribution(ResultsStore(tmp_path / "empty")) == []
+
+    def test_unknown_stamp_error_lists_available_stamps(self, store):
+        with pytest.raises(ValueError) as err:
+            tier_attribution(store, stamp=123.0)
+        message = str(err.value)
+        assert "123.0" in message
+        assert "available stamps" in message
+        assert "100.0" in message and "200.0" in message

@@ -1,11 +1,16 @@
-"""CLI observability round-trips: trace, metrics, profiles, stamps."""
+"""CLI observability round-trips: --profile-out, obs explain/history/
+diff/tiers, chain cache read-back, stamps, and the retired spellings."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.chain import clear_memo
-from repro.cli import main
+from repro.chain import ChainDiskCache, clear_memo
+from repro.cli import build_parser, main
 from repro.obs import clock
 from repro.obs.schema import validate_profile
 from repro.results import ResultsStore
@@ -20,31 +25,44 @@ def _table_rows(text):
     return [line.split() for line in lines[1:]]  # drop the header
 
 
-class TestTraceCommand:
-    def test_trace_prefix_prints_span_tree(self, capsys):
-        assert main(["trace", "run", "2,3", "--model", "clique"]) == 0
+def _traced_sweep(*argv):
+    """``main(["sweep", *argv, "--profile-out", <tmp>])``; returns status.
+
+    The profile goes to a throwaway file next to the run: these callers
+    want the tracing and the persisted telemetry, not the document.
+    """
+    run_dir = argv[argv.index("--run-dir") + 1]
+    profile = f"{run_dir}.profile.json"
+    return main(["sweep", *argv, "--profile-out", profile])
+
+
+class TestExplain:
+    def test_explain_prints_the_profiles_span_tree(self, tmp_path, capsys):
+        profile = tmp_path / "run.json"
+        assert main(
+            ["run", "2,3", "--model", "clique",
+             "--profile-out", str(profile)]
+        ) == 0
         out = capsys.readouterr().out
-        record_line, _, tree = out.partition("\n\n")
-        record = json.loads(record_line)
+        record_text, _, tail = out.partition("wrote profile to")
+        record = json.loads(record_text)
         # Telemetry rides the return path, never the record itself.
         assert "_telemetry" not in record
         assert "telemetry" not in record
-        assert "repro.run" in tree
-        assert "runner.job" in tree
+        assert str(profile) in tail
+
+        assert main(["obs", "explain", str(profile)]) == 0
+        tree = capsys.readouterr().out
         assert tree.splitlines()[0].split() == [
             "span", "calls", "total", "self",
         ]
+        assert "repro.run" in tree
+        assert "runner.job" in tree
+        assert "job.compile" in tree or "job.evolve" in tree
 
-    def test_trace_flag_works_anywhere(self, capsys):
-        assert main(["run", "2,3", "--trace"]) == 0
-        out = capsys.readouterr().out
-        assert "repro.run" in out
-        assert "job.compile" in out or "job.evolve" in out
-
-    def test_bare_trace_is_a_usage_error(self, capsys):
-        assert main(["trace"]) == 2
-        err = capsys.readouterr().err
-        assert "usage: repro trace" in err
+    def test_explain_of_a_missing_profile_is_an_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="obs explain"):
+            main(["obs", "explain", str(tmp_path / "nope.json")])
 
     def test_untraced_run_prints_no_tree(self, capsys):
         assert main(["run", "2,3"]) == 0
@@ -54,18 +72,20 @@ class TestTraceCommand:
         assert "repro.run" not in out
 
 
-class TestMetricsCommand:
-    def test_show_without_telemetry_says_so(self, capsys):
-        assert main(["metrics", "show"]) == 0
-        out = capsys.readouterr().out
-        assert "no telemetry collected" in out
-
-    def test_chain_gauges_agree_with_chains_list(self, tmp_path, capsys):
+class TestChainCacheReadBack:
+    def test_chains_list_loads_agree_with_load_stats(self, tmp_path, capsys):
         run = tmp_path / "run"
-        # A warm process-wide compile memo would serve every chain
-        # without ever writing the run directory's disk cache.
-        clear_memo()
-        assert main(["sweep", "--n", "4", "--run-dir", str(run)]) == 0
+        # A warm process-wide compile memo (or the warehouse's query
+        # memo, or resumed records) would serve every job without
+        # touching the run directory's disk cache; the re-run with all
+        # three out of the way loads the first sweep's chains from disk.
+        for _ in range(2):
+            clear_memo()
+            (run / "records.jsonl").unlink(missing_ok=True)
+            assert main(
+                ["sweep", "--n", "4", "--run-dir", str(run),
+                 "--no-warehouse"]
+            ) == 0
         capsys.readouterr()
 
         assert main(["chains", "list", str(run)]) == 0
@@ -76,34 +96,14 @@ class TestMetricsCommand:
             parts[0]: int(parts[2])
             for parts in _table_rows(listing)[:-1]
         }
-        assert listed  # the sweep cached at least one chain
-
-        assert main(["metrics", "show", "--chains", str(run)]) == 0
-        shown = capsys.readouterr().out
-        gauged = {}
-        for parts in _table_rows(shown):
-            if parts[0] == "gauge" and parts[1].startswith(
-                "chain.cache.loads."
-            ):
-                digest = parts[1].removeprefix("chain.cache.loads.")
-                gauged[digest] = int(float(parts[2]))
-        assert gauged == listed
-
-    def test_export_writes_json_rows(self, tmp_path, capsys):
-        run = tmp_path / "run"
-        clear_memo()
-        assert main(["sweep", "--n", "4", "--run-dir", str(run)]) == 0
-        capsys.readouterr()
-        out_path = tmp_path / "metrics.json"
-        assert main(
-            ["metrics", "export", "--chains", str(run),
-             "-o", str(out_path)]
-        ) == 0
-        rows = json.loads(out_path.read_text())
-        assert all(
-            set(row) == {"kind", "name", "value", "count"} for row in rows
-        )
-        assert any(row["name"] == "chain.cache.entries" for row in rows)
+        cache = ChainDiskCache(run / "chains")
+        stats = cache.load_stats()
+        expected = {
+            entry.digest[:12]: stats.get(entry.digest, 0)
+            for entry in cache.entries()
+        }
+        assert listed == expected
+        assert any(listed.values())  # the second sweep loaded from disk
 
 
 class TestProfileOut:
@@ -138,6 +138,35 @@ class TestProfileOut:
         queried = capsys.readouterr().out
         assert "runner.jobs" in queried
 
+    def test_solve_profile_validates(self, tmp_path, capsys):
+        profile_path = tmp_path / "solve.json"
+        assert main(
+            ["solve", "1,2", "--profile-out", str(profile_path)]
+        ) == 0
+        capsys.readouterr()
+        document = json.loads(profile_path.read_text())
+        assert validate_profile(document) == []
+        assert document["meta"]["command"] == "solve"
+        assert "repro.solve" in document["aggregates"]
+
+    def test_results_export_writes_telemetry_json_rows(
+        self, tmp_path, capsys
+    ):
+        run = tmp_path / "run"
+        clear_memo()
+        assert _traced_sweep("--n", "4", "--run-dir", str(run)) == 0
+        capsys.readouterr()
+        out_path = tmp_path / "telemetry.json"
+        assert main(
+            ["results", "export", str(run), "--table", "telemetry",
+             "--format", "json", "-o", str(out_path)]
+        ) == 0
+        rows = json.loads(out_path.read_text())
+        assert all(
+            {"kind", "name", "value", "count"} <= set(row) for row in rows
+        )
+        assert any(row["name"] == "runner.jobs" for row in rows)
+
     def test_untraced_sweep_persists_no_telemetry(self, tmp_path, capsys):
         run = tmp_path / "run"
         assert main(["sweep", "--n", "4", "--run-dir", str(run)]) == 0
@@ -151,7 +180,8 @@ class TestFrozenStamps:
         run = tmp_path / "run"
         with clock.frozen(1234.5):
             assert main(
-                ["trace", "sweep", "--n", "4", "--run-dir", str(run)]
+                ["sweep", "--n", "4", "--run-dir", str(run),
+                 "--profile-out", str(tmp_path / "p.json")]
             ) == 0
         capsys.readouterr()
         rows = ResultsStore(run / "warehouse").table("telemetry").to_rows()
@@ -173,20 +203,19 @@ class TestCrossRunAnalyticsCLI:
         warehouse = tmp_path / "warehouse"
         clear_memo()
         with clock.frozen(100.0):
-            assert main(
-                ["trace", "sweep", "--n", "4",
-                 "--run-dir", str(tmp_path / "first"),
-                 "--warehouse", str(warehouse)]
+            assert _traced_sweep(
+                "--n", "4", "--run-dir", str(tmp_path / "first"),
+                "--warehouse", str(warehouse),
             ) == 0
         # A fresh registry between sweeps: each persisted profile is one
         # sweep's telemetry, not the process's running total.
         reset_telemetry()
         clear_memo()
         with clock.frozen(200.0):
-            assert main(
-                ["trace", "sweep", "--n", "4", "--master-seed", "7",
-                 "--run-dir", str(tmp_path / "second"),
-                 "--warehouse", str(warehouse)]
+            assert _traced_sweep(
+                "--n", "4", "--master-seed", "7",
+                "--run-dir", str(tmp_path / "second"),
+                "--warehouse", str(warehouse),
             ) == 0
         reset_telemetry()
         capsys.readouterr()
@@ -197,10 +226,8 @@ class TestCrossRunAnalyticsCLI:
 
         assert sweep_stamps(ResultsStore(run)) == [(100.0, 0), (200.0, 7)]
 
-    def test_metrics_history_trends_across_sweeps(self, run, capsys):
-        assert main(
-            ["metrics", "history", "--warehouse", str(run)]
-        ) == 0
+    def test_obs_history_trends_across_sweeps(self, run, capsys):
+        assert main(["obs", "history", str(run)]) == 0
         out = capsys.readouterr().out
         jobs = [
             line for line in out.splitlines()
@@ -209,9 +236,9 @@ class TestCrossRunAnalyticsCLI:
         assert len(jobs) == 2  # one line per sweep, trend-ordered
         assert "100.000000" in jobs[0] and "200.000000" in jobs[1]
 
-    def test_metrics_history_filters_by_master_seed(self, run, capsys):
+    def test_obs_history_filters_by_master_seed(self, run, capsys):
         assert main(
-            ["metrics", "history", "--warehouse", str(run),
+            ["obs", "history", str(run),
              "--master-seed", "7", "--kind", "counter"]
         ) == 0
         out = capsys.readouterr().out
@@ -219,12 +246,15 @@ class TestCrossRunAnalyticsCLI:
         assert rows
         assert all(parts[2] == "200.000000" for parts in rows)
 
-    def test_metrics_show_folds_persisted_telemetry(self, run, capsys):
+    def test_results_query_serves_persisted_telemetry(self, run, capsys):
         # The live registry is empty (reset after the sweeps); the rows
-        # shown all come from the warehouse fold.
-        assert main(["metrics", "show", "--warehouse", str(run)]) == 0
+        # shown all come from the warehouse.
+        assert main(
+            ["results", "query", str(run), "--table", "telemetry",
+             "--where", "name=runner.jobs"]
+        ) == 0
         out = capsys.readouterr().out
-        assert "runner.jobs" in out
+        assert out.count("runner.jobs") == 2  # one row per sweep
 
     def test_obs_diff_compares_the_two_sweeps(self, run, capsys):
         assert main(["obs", "diff", str(run)]) == 0
@@ -241,9 +271,7 @@ class TestCrossRunAnalyticsCLI:
     def test_obs_diff_needs_two_sweeps(self, tmp_path, capsys):
         run = tmp_path / "one"
         with clock.frozen(50.0):
-            assert main(
-                ["trace", "sweep", "--n", "4", "--run-dir", str(run)]
-            ) == 0
+            assert _traced_sweep("--n", "4", "--run-dir", str(run)) == 0
         capsys.readouterr()
         with pytest.raises(SystemExit):
             main(["obs", "diff", str(run)])
@@ -253,6 +281,13 @@ class TestCrossRunAnalyticsCLI:
         out = capsys.readouterr().out
         assert "sweep.execute" in out
         assert "%" in out
+        assert main(["obs", "tiers", str(run), "--stamp", "100.0"]) == 0
+        assert "sweep.execute" in capsys.readouterr().out
+
+    def test_obs_tiers_unknown_stamp_names_the_available_ones(self, run):
+        with pytest.raises(SystemExit, match="obs tiers: .*available "
+                           r"stamps: 100\.0, 200\.0"):
+            main(["obs", "tiers", str(run), "--stamp", "123.0"])
 
 
 class TestLiveCLI:
@@ -346,29 +381,28 @@ class TestLiveCLI:
 
 
 class TestObsDiffStamps:
-    def test_stamps_flag_selects_both_sides(self, tmp_path, capsys):
+    def test_a_and_b_select_both_sides(self, tmp_path, capsys):
         clear_memo()
         warehouse = tmp_path / "warehouse"
         from repro.obs import reset_telemetry
 
         with clock.frozen(100.0):
-            assert main(
-                ["trace", "sweep", "--n", "4",
-                 "--run-dir", str(tmp_path / "first"),
-                 "--warehouse", str(warehouse)]
+            assert _traced_sweep(
+                "--n", "4", "--run-dir", str(tmp_path / "first"),
+                "--warehouse", str(warehouse),
             ) == 0
         reset_telemetry()
         clear_memo()
         with clock.frozen(200.0):
-            assert main(
-                ["trace", "sweep", "--n", "4", "--master-seed", "7",
-                 "--run-dir", str(tmp_path / "second"),
-                 "--warehouse", str(warehouse)]
+            assert _traced_sweep(
+                "--n", "4", "--master-seed", "7",
+                "--run-dir", str(tmp_path / "second"),
+                "--warehouse", str(warehouse),
             ) == 0
         reset_telemetry()
         capsys.readouterr()
         assert main(
-            ["obs", "diff", str(warehouse), "--stamps", "100.0", "200.0"]
+            ["obs", "diff", str(warehouse), "--a", "100.0", "--b", "200.0"]
         ) == 0
         out = capsys.readouterr().out
         assert "runner.jobs" in out
@@ -377,5 +411,55 @@ class TestObsDiffStamps:
         with pytest.raises(SystemExit, match="available stamps"):
             main(
                 ["obs", "diff", str(warehouse),
-                 "--stamps", "123.0", "200.0"]
+                 "--a", "123.0", "--b", "200.0"]
             )
+
+
+class TestOneTelemetrySpelling:
+    """``--profile-out`` is the only switch and ``repro obs`` the only
+    reader; the retired spellings are argparse errors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "run", "2,3"],
+            ["run", "2,3", "--trace"],
+            ["metrics", "show"],
+            ["obs", "diff", "DIR", "--stamps", "1", "2"],
+        ],
+        ids=["trace-prefix", "trace-flag", "metrics", "obs-diff-stamps"],
+    )
+    def test_retired_spellings_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_every_subcommand_accepts_profile_out(self):
+        parser = build_parser()
+        sub = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert sub.choices
+        missing = [
+            name for name, subparser in sub.choices.items()
+            if not any(
+                "--profile-out" in action.option_strings
+                for action in subparser._actions
+            )
+        ]
+        assert missing == []
+
+    def test_repro_trace_environment_variable_is_ignored(self):
+        import repro
+
+        # Import the same source tree this test runs against.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, REPRO_TRACE="1", PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.obs import OBS; print(OBS.enabled)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"

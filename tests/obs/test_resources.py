@@ -1,7 +1,6 @@
 """Resource gauges: the stdlib-only RSS/CPU/GC sampler."""
 
-from repro.obs import OBS, configure_tracing
-from repro.obs.resources import publish_gauges, sample
+from repro.obs.resources import sample
 
 
 class TestSample:
@@ -32,21 +31,3 @@ class TestSample:
 
         json.dumps(sample())
 
-
-class TestPublishGauges:
-    def test_publishes_process_gauges(self):
-        configure_tracing(True)
-        reading = publish_gauges(OBS.metrics)
-        assert OBS.metrics.gauge_value("process.rss_peak") == float(
-            reading["rss_peak"]
-        )
-        assert OBS.metrics.gauge_value("process.cpu_seconds") > 0.0
-
-    def test_source_label_keeps_workers_apart(self):
-        configure_tracing(True)
-        publish_gauges(OBS.metrics, source="worker-1")
-        publish_gauges(OBS.metrics, source="worker-2")
-        labeled = OBS.metrics.labeled_gauges("process.rss_peak")
-        assert set(labeled) == {"worker-1", "worker-2"}
-        # Unlabeled slot untouched by labeled publishes.
-        assert OBS.metrics.gauge_value("process.rss_peak") is None

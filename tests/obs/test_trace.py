@@ -189,7 +189,7 @@ class TestRingEviction:
     def test_process_tracer_counts_dropped_spans(self):
         # The facade wires the process tracer's eviction hook to the
         # obs.spans.dropped counter, so a truncated profile is visible
-        # in `repro metrics show` instead of silent.
+        # in its own metrics instead of silent.
         from repro.obs.trace import DEFAULT_RING_CAPACITY
 
         configure_tracing(True)

@@ -3,7 +3,7 @@
 The cross-run analytics tier (`repro.obs.analyze`) assumes the
 warehouse keeps telemetry from *different* traced sweeps apart: rows
 carry their sweep's clock stamp and master seed, and both must survive
-segment writes and compaction so `metrics history --master-seed` and
+segment writes and compaction so `obs history --master-seed` and
 `obs diff` read clean per-sweep slices.  Warehouses written by older
 releases may also hold a ``models`` table (fitted cost models) that no
 code writes any more; the store reads every schema from its segment
