@@ -39,20 +39,25 @@ operate on it unchanged; its key is the structural key plus a
 ``"quotient"`` tag, so every digest (process memo, disk cache, cross-run
 query memo) separates the two compilations for free.
 
-The group is never enumerated as ``n!`` permutations: blackboard
-configurations get adjacent-transposition generators (inside each source
-group, and between consecutive equal-size groups) and fold by closing
-orbits under them; port structures are propagated from the image of
-node 0 (a port-preserving automorphism of a connected structure is
-determined by one image), giving at most ``n`` elements, and fold over
-that explicit list without any closure walk.  Disconnected or otherwise
-undetermined structures degrade to the trivial group -- the quotient is
-simply not taken.
+No orbit is ever walked and the group is never enumerated as ``n!``
+permutations.  Blackboard states keep every source group inside one
+block, so the group acts on them only by swapping sources of equal
+size: :class:`BlackboardFold` reads the orbit off the multiset of block
+profiles and builds the lexicographic-minimum representative and the
+orbit size in closed form; the group's adjacent-transposition
+generators (:func:`automorphism_generators`) only decide the ``"auto"``
+mode.  Port structures are propagated from the image of node 0 (a
+port-preserving automorphism of a connected structure is determined by
+one image), giving at most ``n`` elements, and :class:`OrbitIndex` folds
+over that explicit list.  Disconnected or otherwise undetermined
+structures degrade to the trivial group -- the quotient is simply not
+taken.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from ..randomness.configuration import RandomnessConfiguration
 from .engine import ChainKey, CompiledChain, explore
@@ -364,25 +369,19 @@ def _apply_permutation(labels: LabelVector, g) -> LabelVector:
 
 
 class OrbitIndex:
-    """Lazy full-state to orbit-representative map.
+    """Lazy full-state to orbit-representative map over an explicit group.
 
-    The representative is the lexicographic minimum of the orbit, and
-    every member found is cached, so each orbit is computed once per
-    compilation.  With ``closed=True`` the permutations are the whole
-    group (identity included; the port case, at most ``n`` elements):
-    an orbit is the set of a vector's images, ``O(|G| * n)`` per
-    orbit, with no walk.  Otherwise they only generate the group (the
-    blackboard case) and each orbit is closed by a walk that applies
-    every generator to every member: ``O(|orbit| * |generators| * n)``
-    per orbit, so ``O(full states * |generators| * n)`` over a
-    compilation, with ``|generators| < n``.
+    ``group`` lists every element (identity included) -- the port case,
+    at most ``n`` elements.  An orbit is the set of a vector's images,
+    its representative the lexicographic minimum, found in
+    ``O(|G| * n)`` with no walk; every image is cached, so each orbit is
+    computed once per compilation.
     """
 
-    __slots__ = ("generators", "closed", "_reps", "orbit_sizes")
+    __slots__ = ("group", "_reps", "orbit_sizes")
 
-    def __init__(self, generators, *, closed: bool = False):
-        self.generators = tuple(generators)
-        self.closed = closed
+    def __init__(self, group):
+        self.group = tuple(group)
         self._reps: dict[LabelVector, LabelVector] = {}
         #: Representative label vector -> orbit cardinality.
         self.orbit_sizes: dict[LabelVector, int] = {}
@@ -391,23 +390,149 @@ class OrbitIndex:
         rep = self._reps.get(labels)
         if rep is not None:
             return rep
-        if self.closed:
-            orbit = {_apply_permutation(labels, g) for g in self.generators}
-        else:
-            orbit = {labels}
-            frontier = [labels]
-            while frontier:
-                current = frontier.pop()
-                for g in self.generators:
-                    image = _apply_permutation(current, g)
-                    if image not in orbit:
-                        orbit.add(image)
-                        frontier.append(image)
+        orbit = {_apply_permutation(labels, g) for g in self.group}
         rep = min(orbit)
         for member in orbit:
             self._reps[member] = rep
         self.orbit_sizes[rep] = len(orbit)
         return rep
+
+
+class BlackboardFold:
+    """Closed-form orbit representatives of blackboard states.
+
+    Every node of one source draws the same bit (Eq. 1), so every
+    reachable state keeps each source group inside one block: a state is
+    a partition of the ``k`` sources, and the group acts on it only by
+    swapping sources of equal size.  Two states share an orbit exactly
+    when they have the same multiset of block *profiles* (a block's
+    profile counts its sources of each size), which is computed in
+    ``O(n)`` per new vector -- no orbit is ever walked.
+
+    A label vector is determined by the labels of the *slots* (the
+    sources, in order of their first node), and comparing two vectors
+    of one orbit node by node compares their slot labels in slot order.
+    So the lexicographic minimum is found per invariant by
+    :meth:`_minimum`, and its orbit size is ``prod_c N_c! / (prod_B
+    prod_c n_{B,c}! * prod_profiles mult!)`` -- the order of the source
+    group over the order of the state's stabilizer.
+    """
+
+    __slots__ = (
+        "_followers",
+        "_slots",
+        "_slot_of",
+        "_classes",
+        "_numerator",
+        "_reps",
+        "_by_invariant",
+        "orbit_sizes",
+    )
+
+    def __init__(self, assignment):
+        first: dict[int, int] = {}
+        sizes: dict[int, int] = {}
+        for node, source in enumerate(assignment):
+            first.setdefault(source, node)
+            sizes[source] = sizes.get(source, 0) + 1
+        order = {size: c for c, size in enumerate(sorted(set(sizes.values())))}
+        anchor = [first[source] for source in assignment]
+        #: ``(node, its source's first node)`` for every other node.
+        self._followers = tuple(
+            (node, a) for node, a in enumerate(anchor) if node != a
+        )
+        slots = sorted(first.values())
+        slot_index = {node: j for j, node in enumerate(slots)}
+        self._slot_of = tuple(slot_index[a] for a in anchor)
+        #: ``(first node, size class)`` per slot.
+        self._slots = tuple(
+            (node, order[sizes[assignment[node]]]) for node in slots
+        )
+        self._classes = len(order)
+        per_class = Counter(sizes.values())
+        self._numerator = math.prod(map(math.factorial, per_class.values()))
+        self._reps: dict[LabelVector, LabelVector] = {}
+        self._by_invariant: dict[tuple, tuple[LabelVector, int]] = {}
+        #: Representative label vector -> orbit cardinality.
+        self.orbit_sizes: dict[LabelVector, int] = {}
+
+    def representative(self, labels: LabelVector) -> LabelVector:
+        rep = self._reps.get(labels)
+        if rep is not None:
+            return rep
+        if any(labels[node] != labels[a] for node, a in self._followers):
+            raise ValueError(
+                f"blackboard state {labels} splits a source group"
+            )
+        profiles = [[0] * self._classes for _ in range(max(labels) + 1)]
+        for node, c in self._slots:
+            profiles[labels[node]][c] += 1
+        invariant = tuple(sorted(map(tuple, profiles)))
+        found = self._by_invariant.get(invariant)
+        if found is None:
+            found = self._by_invariant[invariant] = (
+                self._minimum(invariant),
+                self._orbit_size(invariant),
+            )
+        rep, size = found
+        self._reps[labels] = rep
+        self.orbit_sizes[rep] = size
+        return rep
+
+    def _minimum(self, invariant) -> LabelVector:
+        """The lexicographic-minimum label vector with this invariant.
+
+        Slot by slot, a slot takes the smallest label already given to a
+        block that still has a source of its size class; failing that,
+        a fresh label, whose block may get any unlabeled profile with
+        such a source.  Candidates (remaining counts of the labeled
+        blocks, unlabeled profiles) all share the prefix, so a fresh
+        label loses to any existing one and only distinct profiles
+        branch.
+        """
+        candidates = {((), invariant)}
+        slot_labels = []
+        for _, c in self._slots:
+            best = None
+            kept: set = set()
+            for opened, unopened in candidates:
+                label = next(
+                    (b for b, remaining in enumerate(opened) if remaining[c]),
+                    len(opened),
+                )
+                if best is not None and label > best:
+                    continue
+                if best is None or label < best:
+                    best, kept = label, set()
+                if label < len(opened):
+                    kept.add((_take(opened, label, c), unopened))
+                    continue
+                for profile in set(unopened):
+                    if profile[c]:
+                        rest = list(unopened)
+                        rest.remove(profile)
+                        kept.add(
+                            (_take((*opened, profile), label, c), tuple(rest))
+                        )
+            slot_labels.append(best)
+            candidates = kept
+        return tuple(slot_labels[j] for j in self._slot_of)
+
+    def _orbit_size(self, invariant) -> int:
+        denominator = 1
+        for profile in invariant:
+            for count in profile:
+                denominator *= math.factorial(count)
+        for profile in set(invariant):
+            denominator *= math.factorial(invariant.count(profile))
+        return self._numerator // denominator
+
+
+def _take(opened, label, c):
+    """``opened`` with one class-``c`` source used up in block ``label``."""
+    remaining = list(opened[label])
+    remaining[c] -= 1
+    return (*opened[:label], tuple(remaining), *opened[label + 1 :])
 
 
 # ----------------------------------------------------------------------
@@ -496,16 +621,15 @@ def compile_quotient(
     -- so only representatives are ever expanded (``orbits * 2^(k-1)``
     refinements instead of ``states * 2^(k-1)``) and the transition
     counts lump whole orbits.  Port structures fold over their explicit
-    automorphism list; blackboard configurations close orbits under
-    their generators.
+    automorphism list (:class:`OrbitIndex`); blackboard configurations
+    fold in closed form (:class:`BlackboardFold`).
     """
     key = quotient_key(key)
-    generators = automorphism_generators(key)
     if base_key(key)[1] is None:
-        orbits = OrbitIndex(generators)
+        orbits = BlackboardFold(alpha.assignment)
     else:
         orbits = OrbitIndex(
-            (tuple(range(alpha.n)), *generators), closed=True
+            (tuple(range(alpha.n)), *automorphism_generators(key))
         )
     labels, out = explore(key, alpha.k, orbits.representative)
     return QuotientChain(
@@ -520,6 +644,7 @@ def compile_quotient(
 
 
 __all__ = [
+    "BlackboardFold",
     "OrbitIndex",
     "QUOTIENT_MODES",
     "QUOTIENT_TAG",

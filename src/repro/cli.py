@@ -498,7 +498,7 @@ def cmd_chains(args) -> int:
     import pathlib
     import pickle
 
-    from .chain import ChainDiskCache
+    from .chain import ChainDiskCache, QuotientChain
 
     root = pathlib.Path(args.directory)
     # Accept a run directory transparently: sweeps persist their chains
@@ -544,8 +544,13 @@ def cmd_chains(args) -> int:
                 model = "blackboard" if chain.key[1] is None else (
                     "classical" if chain.key[2] is not None else "clique"
                 )
+                states = (
+                    f"orbits={chain.num_states} full_states={chain.full_states}"
+                    if isinstance(chain, QuotientChain)
+                    else f"states={chain.num_states}"
+                )
                 detail = (
-                    f"n={chain.n} k={chain.k} states={chain.num_states} "
+                    f"n={chain.n} k={chain.k} {states} "
                     f"transitions={chain.num_transitions} {model}"
                 )
             except Exception as exc:

@@ -7,9 +7,10 @@ by first appearance, and -- for quotient chains -- folds the result to
 the lexicographic minimum of its orbit by walking the closure of an
 all-pairs generator set (or, for the fully symmetric ``(1^n)``
 shapes, by the closed form of an ``S_n`` orbit).  It shares no
-refinement or folding code with :mod:`repro.chain`, so identical ``labels``, ``out_table()``,
-``orbit_sizes`` and ``group_order`` pin the signature-once loop and the
-explicit-group fold to the semantics of Eqs. 1/2.
+refinement or folding code with :mod:`repro.chain`, so identical
+``labels``, ``out_table()``, ``orbit_sizes`` and ``group_order`` pin the
+signature-once loop, the explicit-group port fold and the closed-form
+blackboard fold to the semantics of Eqs. 1/2.
 """
 
 import itertools
@@ -166,8 +167,8 @@ def _reference_compile(key, k, fold=None):
     return tuple(order), out, orbit_sizes
 
 
-def _assert_matches_reference(alpha, key):
-    for quotient in (False, True):
+def _assert_matches_reference(alpha, key, *, full=True):
+    for quotient in (False, True) if full else (True,):
         compiled_key = quotient_key(key) if quotient else key
         chain = _build_chain(compiled_key, alpha)
         labels, out, orbit_sizes = _reference_compile(
@@ -222,7 +223,38 @@ def test_disconnected_structure_matches_reference():
         _assert_matches_reference(alpha, (alpha.assignment, neigh, back))
 
 
-@pytest.mark.parametrize("shape", [(1,) * 8, (1,) * 9])
+@pytest.mark.parametrize("n", [8, 9])
+def test_large_blackboard_shapes_match_reference(n):
+    """The closed-form blackboard fold against the closure walk on every
+    n = 8, 9 shape whose walk stays cheap: all but ``(1^n)``, which the
+    symmetric closed form below covers.  Quotient side only: the full
+    reference loop at n = 9 costs seconds and shares nothing with the
+    fold."""
+    for shape in enumerate_size_shapes(n):
+        if shape == (1,) * n:
+            continue
+        alpha = RandomnessConfiguration.from_group_sizes(shape)
+        _assert_matches_reference(alpha, chain_key(alpha), full=False)
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        (0, 1, 0),
+        (1, 0, 0, 2, 2, 1),
+        (0, 1, 2, 0, 1, 2, 3),
+        (2, 2, 0, 1, 1, 0, 3, 3),
+        (0, 1, 1, 2, 2, 2, 0, 0, 3),
+    ],
+)
+def test_interleaved_assignments_match_reference(assignment):
+    """Source groups that are neither sorted by size nor contiguous pin
+    the first-node slot order of the blackboard fold."""
+    alpha = RandomnessConfiguration(assignment)
+    _assert_matches_reference(alpha, chain_key(alpha))
+
+
+@pytest.mark.parametrize("shape", [(1,) * 8, (1,) * 9, (1,) * 10])
 def test_large_blackboard_quotients_match_reference(shape):
     alpha = RandomnessConfiguration.from_group_sizes(shape)
     key = chain_key(alpha)

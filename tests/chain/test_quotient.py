@@ -21,8 +21,12 @@ from repro.chain import (
     run_queries,
 )
 from repro.chain.cache import key_digest
-from repro.chain.quotient import QuotientChain, base_key
-from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
+from repro.chain.quotient import BlackboardFold, QuotientChain, base_key
+from repro.randomness import (
+    RandomnessConfiguration,
+    bell_number,
+    enumerate_size_shapes,
+)
 from repro.runner import spec as runner_spec
 
 
@@ -111,6 +115,49 @@ class TestExactEquivalence:
         quot = compile_chain(alpha, use_memo=False, quotient=True)
         assert automorphism_count(chain_key(alpha)) == 2
         assert quot.num_states == full.num_states
+
+
+class TestBlackboardFoldPremises:
+    """The closed-form blackboard fold rests on one fact: every state
+    keeps each source group inside one block, so a state is a partition
+    of the ``k`` sources."""
+
+    def test_full_chain_states_keep_source_groups_whole(self):
+        for n in range(1, 8):
+            for shape in enumerate_size_shapes(n):
+                alpha = RandomnessConfiguration.from_group_sizes(shape)
+                full = compile_chain(alpha, use_memo=False, quotient=False)
+                a = alpha.assignment
+                for labels in full.labels:
+                    blocks = {}
+                    for node, label in enumerate(labels):
+                        assert blocks.setdefault(a[node], label) == label, (
+                            shape,
+                            labels,
+                        )
+
+    def test_orbit_sizes_count_source_partitions(self):
+        """The reachable states are exactly the partitions of the
+        sources, and the group is the closed-form one."""
+        for n in range(1, 11):
+            for shape in enumerate_size_shapes(n):
+                alpha = RandomnessConfiguration.from_group_sizes(shape)
+                quot = compile_chain(alpha, use_memo=False, quotient=True)
+                assert sum(quot.orbit_sizes) == bell_number(alpha.k), shape
+                assert quot.group_order == automorphism_count(
+                    chain_key(alpha)
+                ), shape
+                if shape == (1,) * 10:
+                    assert quot.full_states == 115_975
+
+    def test_split_source_group_is_rejected(self):
+        fold = BlackboardFold((0, 0))
+        assert fold.representative((0, 0)) == (0, 0)
+        with pytest.raises(ValueError, match="splits a source group"):
+            fold.representative((0, 1))
+        interleaved = BlackboardFold((0, 1, 0))
+        with pytest.raises(ValueError, match="splits a source group"):
+            interleaved.representative((0, 0, 1))
 
 
 def _closure(n, generators):

@@ -56,6 +56,24 @@ class TestCommands:
             out = capsys.readouterr().out
             assert f"eventually solvable: {verdict}" in out
 
+    def test_chains_inspect_marks_quotient_chains(self, tmp_path, capsys):
+        """A quotient chain shows its orbit count next to the full
+        chain's state count, never as a bare ``states=``."""
+        run = tmp_path / "run"
+        argv = ["sweep", "--n", "5", "--models", "blackboard"]
+        assert main(argv + ["--run-dir", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["chains", "inspect", str(run)]) == 0
+        rows = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if "blackboard" in line
+        ]
+        assert rows
+        assert all(" states=" not in row for row in rows)
+        # (1^5): 52 source partitions fold to the 7 partitions of 5.
+        assert any("k=5 orbits=7 full_states=52 " in row for row in rows)
+
     def test_series(self, capsys):
         assert main(["series", "1,1", "--t-max", "3"]) == 0
         out = capsys.readouterr().out
