@@ -33,10 +33,10 @@ import time
 
 import numpy as np
 
+from repro.context import ExecutionContext, use_context
 from repro.core import leader_election
 from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration
-from repro.results.memo import configure_query_memo
 from repro.sampling import block_indicators, sample_cell, scalar_block_indicators
 
 #: The timed cells: one blackboard, one clique, both at a horizon where
@@ -86,8 +86,8 @@ def _warm_merge_timings() -> dict:
     a fresh increment vs recomputing all 20k samples."""
     alpha, task, ports = _cell((1, 2, 2), None)
     with tempfile.TemporaryDirectory() as root:
-        configure_query_memo(os.path.join(root, "memo"))
-        try:
+        memo = ExecutionContext(results_memo=os.path.join(root, "memo"))
+        with use_context(memo):
             cold_seconds, cold = _best_of(
                 lambda: sample_cell(
                     alpha, task, 6, ports, stream_seed=3, samples=10000
@@ -100,8 +100,6 @@ def _warm_merge_timings() -> dict:
                 ),
                 rounds=1,
             )
-        finally:
-            configure_query_memo(None)
     fresh_seconds, fresh = _best_of(
         lambda: sample_cell(
             alpha, task, 6, ports, stream_seed=3, samples=20000,

@@ -97,13 +97,13 @@ def iter_all_experiments(engine=None):
         for generator in ALL_EXPERIMENTS:
             yield generator()
         return
-    from ..runner.worker import chain_context_payload, execute_experiment
+    from ..runner.worker import execute_experiment, payload_context
 
-    # The parent's chain context (e.g. the quotient mode) travels with
-    # every pool payload, so workers compile exactly what the parent would.
-    context = chain_context_payload()
+    # The caller's context (e.g. the quotient mode) travels with every
+    # pool payload, so workers compile exactly what this process would.
+    context = payload_context()
     payloads = [
-        {"index": i, **context} for i in range(len(ALL_EXPERIMENTS))
+        {"index": i, "context": context} for i in range(len(ALL_EXPERIMENTS))
     ]
     for record in engine.map(execute_experiment, payloads):
         # Fold the worker's traced spans/counters into this process

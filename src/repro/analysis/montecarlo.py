@@ -146,11 +146,11 @@ def parallel_estimate(
     if not 1 <= batches <= samples:
         raise ValueError("need 1 <= batches <= samples")
     from ..runner.engines import SerialEngine
-    from ..runner.worker import chain_context_payload, execute_sample_batch
+    from ..runner.worker import execute_sample_batch, payload_context
 
     engine = engine or SerialEngine()
     base, extra = divmod(samples, batches)
-    context = chain_context_payload()
+    context = payload_context()
     bounds = [0]
     for index in range(batches):
         bounds.append(bounds[-1] + base + (1 if index < extra else 0))
@@ -163,7 +163,7 @@ def parallel_estimate(
             "start": bounds[index],
             "stop": bounds[index + 1],
             "seed": seed,
-            **context,
+            "context": context,
         }
         for index in range(batches)
     ]

@@ -8,8 +8,9 @@ The package-level API:
   and every query of the seed :class:`~repro.core.markov.ConsistencyChain`
   under both an exact ``Fraction`` backend and a numpy ``float64``
   backend (``backend="exact" | "float"``);
-* :func:`configure_disk_cache` -- persist compilations across worker
-  processes and runs (LRU ``max_bytes``/``max_entries`` caps optional);
+* :class:`ChainDiskCache` / :func:`disk_cache` -- persist compilations
+  across worker processes and runs, in the ``chain_cache`` directory
+  the current :class:`~repro.context.ExecutionContext` names;
 * :func:`run_queries` / :func:`run_group_queries` -- the one query
   front door: answer whole sets of :class:`Query` objects against one
   chain (a group of one) or many chains at once, memo first, then in
@@ -35,7 +36,6 @@ from .batch import (
 from .cache import (
     CacheEntry,
     ChainDiskCache,
-    configure_disk_cache,
     disk_cache,
 )
 from .engine import (
@@ -66,12 +66,10 @@ from .quotient import (
     QuotientChain,
     automorphism_count,
     automorphism_generators,
-    configure_quotient,
     effective_chain_key,
     is_chain_automorphism,
     is_quotient_key,
     quotient_key,
-    quotient_mode,
     resolve_quotient,
 )
 from .interning import (
@@ -112,8 +110,6 @@ __all__ = [
     "chain_key",
     "clear_memo",
     "compile_chain",
-    "configure_disk_cache",
-    "configure_quotient",
     "disk_cache",
     "effective_chain_key",
     "evolution_strategy",
@@ -125,7 +121,6 @@ __all__ = [
     "neighbour_tables",
     "plan_chunks",
     "quotient_key",
-    "quotient_mode",
     "refine_labels",
     "resolve_quotient",
     "run_group_queries",

@@ -9,9 +9,10 @@ repr, so the cache is safe to share between concurrent workers -- at
 worst two workers compile the same chain once each and one write wins
 (writes go through an atomic rename).
 
-The cache is opt-in: :func:`configure_disk_cache` installs a directory
-process-wide (the runner does this for sweeps given a ``--run-dir``),
-and ``configure_disk_cache(None)`` turns it back off.
+The cache is opt-in: ``compile_chain`` uses it while the current
+:class:`~repro.context.ExecutionContext` names a ``chain_cache``
+directory (the runner names ``<run_dir>/chains`` for sweeps given a
+``--run-dir``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pathlib
 import pickle
 import tempfile
 
+from ..context import current_context
 from ..obs import OBS
 from ..results.log import AppendLog
 from .engine import ChainKey, CompiledChain
@@ -298,32 +300,20 @@ class ChainDiskCache:
         return len(list(self.root.glob("*.chain.pkl")))
 
 
-#: The process-wide cache used by ``compile_chain`` (None = disabled).
+#: The cache built in this process for the last directory a context
+#: named; pool workers reuse it across a sweep's payloads.
 _DISK_CACHE: ChainDiskCache | None = None
 
 
-def configure_disk_cache(
-    root: "str | os.PathLike[str] | None",
-    *,
-    max_bytes: "int | None" = None,
-    max_entries: "int | None" = None,
-) -> ChainDiskCache | None:
-    """Install (or, with ``None``, remove) the process-wide disk cache.
-
-    ``max_bytes``/``max_entries`` turn on LRU eviction for the installed
-    cache (see :class:`ChainDiskCache`).
-    """
-    global _DISK_CACHE
-    _DISK_CACHE = (
-        None
-        if root is None
-        else ChainDiskCache(root, max_bytes=max_bytes, max_entries=max_entries)
-    )
-    return _DISK_CACHE
-
-
 def disk_cache() -> ChainDiskCache | None:
-    """The currently configured cache, if any."""
+    """The cache ``compile_chain`` uses: the current context's
+    ``chain_cache`` directory, or ``None`` when it names none."""
+    global _DISK_CACHE
+    root = current_context().chain_cache
+    if root is None:
+        return None
+    if _DISK_CACHE is None or _DISK_CACHE.root != pathlib.Path(root):
+        _DISK_CACHE = ChainDiskCache(root)
     return _DISK_CACHE
 
 
@@ -332,7 +322,6 @@ __all__ = [
     "ChainDiskCache",
     "STATS_FILE",
     "STATS_LOG",
-    "configure_disk_cache",
     "disk_cache",
     "key_digest",
 ]

@@ -657,15 +657,16 @@ def compile_chain(
     ``ports=None`` selects the blackboard model; a
     :class:`~repro.models.ports.PortAssignment` or
     :class:`~repro.models.graph.GraphTopology` selects message passing.
-    With a disk cache configured (:func:`repro.chain.cache.configure_disk_cache`)
-    compilations persist across worker processes and runs.
+    While the current :class:`~repro.context.ExecutionContext` names a
+    ``chain_cache`` directory (:func:`repro.chain.cache.disk_cache`),
+    compilations persist there across worker processes and runs.
 
     ``quotient`` selects the symmetry-quotient backend
     (:mod:`repro.chain.quotient`): ``True``/``"on"`` folds states into
     automorphism orbits, ``False``/``"off"`` compiles the full chain,
     ``"auto"`` folds exactly when a nontrivial automorphism exists, and
-    ``None`` (the default) defers to the process-wide mode set by
-    :func:`~repro.chain.quotient.configure_quotient`.  Quotient
+    ``None`` (the default) defers to the current context's ``quotient``
+    mode.  Quotient
     compilations carry a tagged key, so the memo and disk cache keep the
     two backends separate automatically.  Lookup order is memo, then
     disk cache, then compile.

@@ -496,9 +496,9 @@ def run_group_queries(
     :class:`ChainGroup`; the exact backend executes the per-chain plans.
     :func:`~repro.chain.batch.run_queries` is this call with one item.
 
-    A configured cross-run query memo
-    (:func:`repro.results.memo.configure_query_memo`) is consulted
-    first: fully-memoized items never enter the group pass at all, and
+    The current context's cross-run query memo
+    (:func:`repro.results.memo.query_memo`) is consulted first:
+    fully-memoized items never enter the group pass at all, and
     partially-memoized items contribute only their missing queries --
     so overlapping or repeated sweeps re-answer only genuinely new
     cells, with exact hits byte-identical to recomputation.

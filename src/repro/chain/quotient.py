@@ -59,6 +59,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from ..context import QUOTIENT_MODES, current_context
 from ..randomness.configuration import RandomnessConfiguration
 from .engine import ChainKey, CompiledChain, explore
 from .interning import LabelVector, canonical_labels
@@ -66,14 +67,9 @@ from .interning import LabelVector, canonical_labels
 #: The key tag distinguishing a quotient compilation from the full one.
 QUOTIENT_TAG = "quotient"
 
-#: Valid process-wide quotient modes (see :func:`configure_quotient`).
-QUOTIENT_MODES = ("off", "auto", "on")
-
-_MODE = "off"
-
 
 # ----------------------------------------------------------------------
-# Keys and the process-wide mode
+# Keys and mode resolution
 # ----------------------------------------------------------------------
 def is_quotient_key(key: ChainKey) -> bool:
     """Whether ``key`` names a quotient compilation."""
@@ -92,48 +88,17 @@ def base_key(key: ChainKey) -> ChainKey:
     return key[:3] if is_quotient_key(key) else key
 
 
-def configure_quotient(mode) -> str:
-    """Set the process-wide quotient mode; returns the previous mode.
-
-    ``"off"`` (the library default) always compiles the full chain;
-    ``"on"`` always compiles the quotient (even when the automorphism
-    group is trivial and the quotient is isomorphic to the full chain);
-    ``"auto"`` (the CLI default) takes the quotient exactly when a
-    nontrivial automorphism exists.  Booleans map to ``"on"``/``"off"``
-    and ``None`` to ``"off"`` so worker payloads round-trip cleanly.
-    """
-    global _MODE
-    if mode is None:
-        mode = "off"
-    elif mode is True:
-        mode = "on"
-    elif mode is False:
-        mode = "off"
-    if mode not in QUOTIENT_MODES:
-        raise ValueError(
-            f"unknown quotient mode {mode!r}; expected one of "
-            f"{QUOTIENT_MODES}"
-        )
-    previous = _MODE
-    _MODE = mode
-    return previous
-
-
-def quotient_mode() -> str:
-    """The currently configured process-wide quotient mode."""
-    return _MODE
-
-
 def resolve_quotient(key: ChainKey, quotient=None) -> bool:
     """Decide whether ``key`` should compile as a quotient chain.
 
-    ``quotient`` overrides the process mode per call: ``True``/``"on"``
+    ``quotient`` overrides the context's mode per call: ``True``/``"on"``
     forces the quotient, ``False``/``"off"`` the full chain, ``"auto"``
     takes it when a nontrivial automorphism exists, and ``None`` (the
-    default) defers to :func:`configure_quotient`.
+    default) defers to the current context's mode
+    (:class:`~repro.context.ExecutionContext`).
     """
     if quotient is None:
-        mode = _MODE
+        mode = current_context().quotient
     elif quotient is True:
         mode = "on"
     elif quotient is False:
@@ -653,11 +618,9 @@ __all__ = [
     "automorphism_generators",
     "base_key",
     "compile_quotient",
-    "configure_quotient",
     "effective_chain_key",
     "is_chain_automorphism",
     "is_quotient_key",
     "quotient_key",
-    "quotient_mode",
     "resolve_quotient",
 ]

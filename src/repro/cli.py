@@ -101,9 +101,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .chain import BACKENDS
+from .context import current_context, use_context
 from .core import ConsistencyChain
 from .core.tasks import SymmetryBreakingTask
 from .models import PortAssignment
@@ -1046,7 +1048,7 @@ def cmd_run(args) -> int:
     import json
 
     from .runner import RunSpec, execute_run
-    from .runner.worker import chain_context_payload
+    from .runner.worker import payload_context
 
     try:
         spec = RunSpec(
@@ -1061,15 +1063,7 @@ def cmd_run(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"run: {exc}")
-    payload = {
-        "spec": spec.to_dict(),
-        "master_seed": args.master_seed,
-        "index": 0,
-        # Carry the parent's chain context (including the tracing
-        # flag) exactly as sweep payloads do, so `run --profile-out`
-        # stays traced through the worker's context application.
-        **chain_context_payload(),
-    }
+    changes = {}
     warehouse = _warehouse_from(args)
     if warehouse:
         # Same memo/merge semantics as sweeps: exact cells are served
@@ -1077,7 +1071,13 @@ def cmd_run(args) -> int:
         # larger --samples budget computes only the increment.
         from .results.store import ResultsStore
 
-        payload["results_memo"] = str(ResultsStore(warehouse).memo_dir)
+        changes["results_memo"] = str(ResultsStore(warehouse).memo_dir)
+    payload = {
+        "spec": spec.to_dict(),
+        "master_seed": args.master_seed,
+        "index": 0,
+        "context": payload_context(**changes),
+    }
     if args.progress:
         # One job, no run directory: the lightweight stderr form only.
         print(f"progress: 0/1 {spec.job_key}", file=sys.stderr)
@@ -1111,19 +1111,21 @@ def cmd_estimate(args) -> int:
         adaptive_estimate,
         estimate_solving_probability,
     )
-    from .results.memo import configure_query_memo
 
     alpha = RandomnessConfiguration.from_group_sizes(args.sizes)
     task = _make_task(args.task, alpha.n)
     ports = None
     if args.model == "clique":
         ports = _make_ports(args.ports, args.sizes, args.seed)
+    context = current_context()
     warehouse = _warehouse_from(args)
     if warehouse:
         from .results.store import ResultsStore
 
-        configure_query_memo(str(ResultsStore(warehouse).memo_dir))
-    try:
+        context = replace(
+            context, results_memo=ResultsStore(warehouse).memo_dir
+        )
+    with use_context(context):
         if args.target_width is not None:
             estimate = adaptive_estimate(
                 alpha,
@@ -1148,9 +1150,6 @@ def cmd_estimate(args) -> int:
                 seed=args.seed,
                 method=args.method,
             )
-    finally:
-        if warehouse:
-            configure_query_memo(None)
     print(
         json.dumps(
             {
@@ -1606,27 +1605,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "quotient"):
-        from .chain import configure_quotient
+    from .obs import OBS, configure_tracing, trace
 
+    if args.profile_out:
+        configure_tracing(True)
+    changes = {"trace": OBS.enabled}
+    if hasattr(args, "quotient"):
         # Tri-state: the flag absent means "auto" (quotient whenever
-        # the configuration's automorphism group is nontrivial); the
-        # sweep payloads forward the resolved mode into pool workers.
-        configure_quotient(
+        # the configuration's automorphism group is nontrivial).
+        changes["quotient"] = (
             "auto" if args.quotient is None
             else "on" if args.quotient else "off"
         )
-    if args.profile_out:
-        from .obs import configure_tracing
-
-        configure_tracing(True)
-    from .obs import OBS, trace
-
-    if OBS.enabled:
-        with trace(f"repro.{args.command}"):
+    with use_context(replace(current_context(), **changes)):
+        if OBS.enabled:
+            with trace(f"repro.{args.command}"):
+                status = args.func(args)
+        else:
             status = args.func(args)
-    else:
-        status = args.func(args)
     if args.profile_out:
         import json
 

@@ -38,8 +38,9 @@ Telemetry never enters job records: workers attach their drained
 snapshot *next to* the record payload, the sweep orchestrator pops and
 folds it before records are persisted, and record bytes are identical
 with tracing on or off.  This package imports nothing from the rest of
-``repro`` at module level, so any tier can instrument itself without
-import cycles.  See ``OBS.md`` for the instrumentation map.
+``repro`` at module level but the stdlib-only :mod:`repro.context`, so
+any tier can instrument itself without import cycles.  See ``OBS.md``
+for the instrumentation map.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .live import (
     HeartbeatEmitter,
     LiveConfig,
     SweepMonitor,
-    configure_heartbeat,
     monitored_map,
 )
 from .metrics import (
@@ -117,7 +117,8 @@ def _reset_in_forked_child() -> None:
     spans would nest under that ghost copy of the parent's open span
     (never reaching the ring, so never shipped home) and a drain would
     re-report parent-side counters.  The enabled flag is deliberately
-    inherited; worker payloads re-sync it anyway.
+    inherited; each job then sets it from its payload's context
+    (``ExecutionContext.trace``) for as long as the job runs.
     """
     OBS.tracer.reset()
     OBS.metrics.reset()
@@ -130,8 +131,8 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
 def configure_tracing(enabled: bool = True) -> bool:
     """Turn span tracing and metric collection on or off, process-wide.
 
-    Returns the previous state.  The runner mirrors this flag through
-    worker payloads (like the quotient mode), so pool
+    Returns the previous state.  Job payloads carry this flag in their
+    :class:`~repro.context.ExecutionContext` (``trace``), so pool
     workers always match the parent.  Off is the default.
     """
     previous = OBS.enabled
@@ -165,7 +166,6 @@ __all__ = [
     "bin_edges",
     "bin_index",
     "build_profile",
-    "configure_heartbeat",
     "configure_tracing",
     "drain_telemetry",
     "histogram_percentiles",

@@ -41,8 +41,9 @@ no-op against the end-of-run fold), and nothing here writes into
 off.
 
 Like every ``repro.obs`` module this one imports nothing from the rest
-of ``repro`` at module level (the :class:`~repro.results.log.AppendLog`
-import is deferred), so any tier can use it without cycles.
+of ``repro`` at module level but the stdlib-only :mod:`repro.context`
+(the :class:`~repro.results.log.AppendLog` import is deferred), so any
+tier can use it without cycles.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from ..context import current_context
 from . import resources
 from .clock import now as _wall_now
 
@@ -210,64 +212,44 @@ class HeartbeatEmitter:
 
 
 class _LiveFacade:
-    """Process-wide slot for the active emitter (``None`` = off).
+    """The heartbeat emitter of the current context (``None`` = off).
 
-    Mirrors the ``OBS`` facade contract: hot sites pay one attribute
-    load and branch (``if LIVE.emitter is not None:``) when live
-    telemetry is off.
+    ``LIVE.emitter`` reads the current
+    :class:`~repro.context.ExecutionContext`'s ``heartbeat`` field.  The
+    emitter built for a directory is kept while contexts keep naming
+    it, so its seq/job counters span a whole sweep, not one payload; a
+    forked child (new pid) builds its own.
     """
 
-    __slots__ = ("emitter",)
+    __slots__ = ("_emitter",)
 
     def __init__(self) -> None:
-        self.emitter: "HeartbeatEmitter | None" = None
+        self._emitter: "HeartbeatEmitter | None" = None
+
+    @property
+    def emitter(self) -> "HeartbeatEmitter | None":
+        heartbeat = current_context().heartbeat
+        if heartbeat is None:
+            return None
+        directory, interval = heartbeat
+        emitter = self._emitter
+        if (
+            emitter is None
+            or emitter.directory != directory
+            or emitter.pid != os.getpid()
+        ):
+            emitter = self._emitter = HeartbeatEmitter(
+                directory, interval=interval
+            )
+        emitter.interval = interval
+        return emitter
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LIVE(emitter={self.emitter and self.emitter.worker})"
+        return f"LIVE(heartbeat={current_context().heartbeat})"
 
 
-#: The process-wide live-telemetry facade the worker functions check.
+#: The live-telemetry facade the worker functions check.
 LIVE = _LiveFacade()
-
-
-def configure_heartbeat(payload: "dict | None") -> None:
-    """Install (or uninstall) the heartbeat emitter from a job payload.
-
-    ``payload`` is the sweep's ``"live"`` context field:
-    ``{"dir": <heartbeat directory>, "interval": seconds}``.  Workers
-    apply it unconditionally per payload (like every other context
-    field), so a live sweep's emitter never bleeds into the next
-    sweep's jobs.  An emitter already pointed at the same directory is
-    kept -- its seq/job counters must span the whole sweep, not one
-    payload.
-    """
-    if not payload:
-        LIVE.emitter = None
-        return
-    directory = str(payload.get("dir", ""))
-    if not directory:
-        LIVE.emitter = None
-        return
-    emitter = LIVE.emitter
-    if (
-        emitter is not None
-        and emitter.directory == directory
-        and emitter.pid == os.getpid()
-    ):
-        emitter.interval = float(payload.get("interval", emitter.interval))
-        return
-    LIVE.emitter = HeartbeatEmitter(
-        directory, interval=float(payload.get("interval", 1.0))
-    )
-
-
-def _drop_emitter_in_forked_child() -> None:
-    """A forked child must not inherit the parent's emitter identity."""
-    LIVE.emitter = None
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
-    os.register_at_fork(after_in_child=_drop_emitter_in_forked_child)
 
 
 # ----------------------------------------------------------------------
@@ -683,7 +665,6 @@ __all__ = [
     "PROGRESS_NAME",
     "SweepMonitor",
     "append_progress",
-    "configure_heartbeat",
     "format_progress_event",
     "monitored_map",
     "read_heartbeats",

@@ -26,7 +26,6 @@ See ``STORE.md`` for the on-disk schema and the memo key derivation.
 from .log import AppendLog
 from .memo import (
     QueryMemo,
-    configure_query_memo,
     decode_value,
     encode_value,
     query_memo,
@@ -51,7 +50,6 @@ __all__ = [
     "SegmentInfo",
     "Table",
     "col",
-    "configure_query_memo",
     "decode_value",
     "encode_value",
     "flatten_record",

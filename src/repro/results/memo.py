@@ -24,9 +24,10 @@ hits match cold ones byte for byte.
 
 Persistence is an :class:`~repro.results.log.AppendLog` (``memo.log`` +
 compacted ``memo.json``), safe under any number of concurrent sweep
-workers.  The process-wide instance is installed with
-:func:`configure_query_memo` -- the runner wires it through worker
-payloads exactly like the chain disk cache -- and consulted by
+workers.  :func:`query_memo` returns the memo of the current
+:class:`~repro.context.ExecutionContext`'s ``results_memo`` directory
+-- the runner names the warehouse's memo in every worker payload's
+context, next to the chain disk cache -- and it is consulted by
 the query front door (:func:`repro.chain.run_group_queries`, and
 :func:`repro.chain.run_queries` as its one-item spelling) before any
 evolution pass.
@@ -40,6 +41,7 @@ import os
 import pathlib
 from fractions import Fraction
 
+from ..context import current_context
 from ..obs import OBS
 from .log import AppendLog
 
@@ -225,41 +227,38 @@ class QueryMemo:
 
 
 # ----------------------------------------------------------------------
-# The process-wide memo (wired through sweep worker payloads)
+# The memo the current context names
 # ----------------------------------------------------------------------
+#: The memo built in this process for the last directory a context
+#: named, and the context it was last refreshed under.
 _MEMO: "QueryMemo | None" = None
-
-
-def configure_query_memo(
-    root: "str | os.PathLike[str] | None",
-) -> "QueryMemo | None":
-    """Install (or, with ``None``, remove) the process-wide query memo.
-
-    Re-configuring the same directory keeps the loaded instance and
-    merely refreshes it from the shared log, so per-job payload
-    application in pool workers costs one ``stat`` -- not a reload.
-    """
-    global _MEMO
-    if root is None:
-        _MEMO = None
-        return None
-    root = pathlib.Path(root)
-    if _MEMO is not None and _MEMO.root == root:
-        _MEMO.refresh()
-        return _MEMO
-    _MEMO = QueryMemo(root)
-    return _MEMO
+_MEMO_CONTEXT = None
 
 
 def query_memo() -> "QueryMemo | None":
-    """The currently configured memo, if any."""
+    """The memo of the current context's ``results_memo`` directory.
+
+    ``None`` when the context names none.  The instance is kept per
+    process and refreshed from the shared log once per entered context
+    (one ``stat`` when nothing changed), so a pool worker picks up what
+    other workers appended before each payload without reloading.
+    """
+    global _MEMO, _MEMO_CONTEXT
+    context = current_context()
+    root = context.results_memo
+    if root is None:
+        return None
+    if _MEMO is None or _MEMO.root != pathlib.Path(root):
+        _MEMO = QueryMemo(root)
+    elif _MEMO_CONTEXT is not context:
+        _MEMO.refresh()
+    _MEMO_CONTEXT = context
     return _MEMO
 
 
 __all__ = [
     "MISS",
     "QueryMemo",
-    "configure_query_memo",
     "decode_value",
     "encode_value",
     "query_memo",

@@ -25,7 +25,7 @@ from ..obs import OBS, merge_telemetry, trace
 from .engines import ExecutionEngine, SerialEngine
 from .persistence import RunDirectory
 from .spec import SweepSpec, derive_seed, make_ports
-from .worker import execute_run, execute_run_group
+from .worker import execute_run, execute_run_group, payload_context
 
 
 #: Bell numbers B(0)..B(10): the partition count of an n-set bounds a
@@ -129,17 +129,8 @@ def _group_job_payloads(jobs, payloads, engine):
         current_weight += weight
     if current:
         groups.append(current)
-    context_keys = ("chain_cache", "quotient", "results_memo", "obs", "live")
     return [
-        {
-            "jobs": group,
-            **{
-                key: group[0][key]
-                for key in context_keys
-                if key in group[0]
-            },
-        }
-        for group in groups
+        {"jobs": group, "context": group[0]["context"]} for group in groups
     ]
 
 
@@ -307,21 +298,20 @@ def run_sweep(
     prior: list[dict] = []
     if warehouse is None and run_dir is not None:
         warehouse = pathlib.Path(run_dir) / "warehouse"
+    # What this sweep adds to the caller's context.
+    changes: dict = {}
     store = None
     if warehouse:
         from ..results.store import ResultsStore
 
         store = ResultsStore(warehouse)
-        for payload in payloads:
-            payload["results_memo"] = str(store.memo_dir)
+        changes["results_memo"] = str(store.memo_dir)
     if run_dir is not None:
         directory = RunDirectory(run_dir)
         # Persist compiled chains next to the records: every worker (and
         # every resumed run) then compiles each (alpha, ports) chain at
         # most once, sweep-wide.
-        chain_cache = str(directory.path / "chains")
-        for payload in payloads:
-            payload["chain_cache"] = chain_cache
+        changes["chain_cache"] = str(directory.path / "chains")
         directory.write_manifest(
             {
                 "sweep": sweep.to_dict(),
@@ -360,9 +350,6 @@ def run_sweep(
         payloads = [
             p for p in payloads if jobs[p["index"]].job_key not in done
         ]
-    from .worker import chain_context_payload
-
-    context = chain_context_payload()
     config = None
     if live and directory is not None:
         from ..obs.live import LiveConfig
@@ -370,20 +357,12 @@ def run_sweep(
         config = LiveConfig.from_payload(
             live if isinstance(live, (dict, LiveConfig)) else None
         )
-        context = {
-            **context,
-            # The heartbeat side channel is sweep-specific context,
-            # like chain_cache: workers append to their own log under
-            # the run directory, far from the record return path.
-            "live": {
-                "dir": str(directory.heartbeat_dir),
-                "interval": config.interval,
-            },
-        }
+        # Workers append heartbeats to their own log under the run
+        # directory, far from the record return path.
+        changes["heartbeat"] = (str(directory.heartbeat_dir), config.interval)
+    context = payload_context(**changes)
     for payload in payloads:
-        # Propagate the parent's chain context (e.g. the quotient mode)
-        # into pool workers, so they compile exactly what the parent would.
-        payload.update(context)
+        payload["context"] = context
     # The shape-grouping dispatcher: hand each worker one group payload
     # (one grouped query pass) per slice of the grid instead of one
     # payload per grid point.
@@ -445,29 +424,9 @@ def run_sweep(
     finally:
         if monitor is not None:
             # Flush the final progress event (``event: "end"``) and stop
-            # the monitor thread, then detach any in-process heartbeat
-            # emitter a serial engine installed -- same detach contract
-            # as the disk cache below.
+            # the monitor thread.
             monitor.stop()
-            from ..obs.live import configure_heartbeat
-
-            configure_heartbeat(None)
-        if directory is not None:
-            # Serial engines execute jobs in THIS process, installing the
-            # sweep's disk cache process-wide; detach it so later work
-            # does not keep writing into a finished run directory.
-            # Without a run dir nothing here touched the cache, so a
-            # caller-installed one stays installed.  (Pool workers
-            # detach at their next cache-less payload.)
-            from ..chain import configure_disk_cache
-
-            configure_disk_cache(None)
         if store is not None:
-            # Same deal for the query memo a serial engine installed
-            # in-process.
-            from ..results.memo import configure_query_memo
-
-            configure_query_memo(None)
             # Land what this invocation produced: the fresh job records
             # (watermarked -- only the new JSONL bytes are read) and the
             # grouped-dispatch diagnostics.

@@ -14,21 +14,22 @@ module-level imports in either direction would be circular.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import replace
 from fractions import Fraction
 
 from ..chain import (
     CompiledChain,
     Query,
     compile_chain,
-    configure_disk_cache,
     run_group_queries,
     run_queries,
 )
+from ..context import ExecutionContext, current_context, use_context
 from ..core.tasks import SymmetryBreakingTask
 from ..obs import (
     LIVE,
     OBS,
-    configure_heartbeat,
     configure_tracing,
     drain_telemetry,
     trace,
@@ -51,22 +52,37 @@ def exact_limit_value(
     return run_queries(chain, [Query.limit(task)])[0]
 
 
-def chain_context_payload() -> dict:
-    """The parent-side chain-context fields every pool payload carries.
+def payload_context(**changes) -> ExecutionContext:
+    """The context a job payload carries: the caller's, with ``changes``.
 
-    One choke point for the fields :func:`_apply_chain_context` mirrors
-    in the worker (currently the quotient-compilation mode and the
-    tracing switch; ``chain_cache`` / ``results_memo`` / ``live`` are
-    sweep-specific and attached by ``run_sweep``).  A payload producer
-    that merges this dict can never silently reset a worker to defaults
-    the parent has overridden.
+    ``trace`` is set from this process's tracing switch, so a pool
+    worker traces exactly when its parent does.
     """
-    from ..chain import quotient_mode
+    return replace(current_context(), trace=tracing_enabled(), **changes)
 
-    return {
-        "quotient": quotient_mode(),
-        "obs": tracing_enabled(),
-    }
+
+def _runs_in_payload_context(execute):
+    """Run ``execute(payload)`` inside the context the payload carries.
+
+    A payload's ``"context"`` is the caller's
+    :class:`~repro.context.ExecutionContext` (a payload without one runs
+    under the library defaults), so a job sees the same context in this
+    process or in a pool worker.  The tracing switch follows the
+    context's ``trace`` flag for the job.  Both are restored when the
+    job returns or raises: nothing a job enters outlives it.
+    """
+
+    @functools.wraps(execute)
+    def run(payload: dict):
+        context = payload.get("context") or ExecutionContext()
+        tracing = configure_tracing(context.trace)
+        try:
+            with use_context(context):
+                return execute(payload)
+        finally:
+            configure_tracing(tracing)
+
+    return run
 
 
 #: Structural chain digests by deterministic job family: the digest is
@@ -80,7 +96,7 @@ def _memoized_exact_limit(spec: RunSpec, alpha, ports) -> "Fraction | None":
     """The job's exact limit straight from the cross-run memo, or ``None``.
 
     The memo key needs only the chain's *effective* key -- the
-    structural key plus the quotient tag the configured quotient mode
+    structural key plus the quotient tag the context's quotient mode
     would compile under, computable from ``(alpha, ports)`` without
     compiling -- so a warm cell skips chain compilation entirely, not
     just the evolution pass.  The token is the very one
@@ -88,7 +104,7 @@ def _memoized_exact_limit(spec: RunSpec, alpha, ports) -> "Fraction | None":
     keys the chain by the same effective key), so worker-level hits and
     query-level recording always agree.
     """
-    from ..chain import effective_chain_key, quotient_mode
+    from ..chain import effective_chain_key
     from ..chain.cache import key_digest
     from ..results.memo import MISS, query_memo, query_token
 
@@ -100,7 +116,7 @@ def _memoized_exact_limit(spec: RunSpec, alpha, ports) -> "Fraction | None":
     else:
         # Pool workers outlive sweeps: the quotient mode is part of the
         # family key so a mode flip never serves a stale digest.
-        family = (spec.sizes, spec.ports, quotient_mode())
+        family = (spec.sizes, spec.ports, current_context().quotient)
         digest = _FAMILY_DIGESTS.get(family)
         if digest is None:
             digest = key_digest(effective_chain_key(alpha, ports))
@@ -109,32 +125,6 @@ def _memoized_exact_limit(spec: RunSpec, alpha, ports) -> "Fraction | None":
     token = query_token(digest, "limit", task, None, "exact")
     hit = memo.lookup(token)
     return None if hit is MISS else hit
-
-
-def _apply_chain_context(payload: dict) -> None:
-    """Install the payload's chain context -- or uninstall it.
-
-    Workers are separate processes: the process-wide compile memo does
-    not cross the pool boundary, but a run-directory disk cache does.  A
-    ``results_memo`` directory (the warehouse's cross-run query memo)
-    lets the worker skip whole cells another run already answered.
-    Everything is configured *unconditionally*: a payload without a
-    cache/memo field detaches whatever a previous job in this
-    (reused pool or in-process serial) worker installed, so one sweep's
-    context never bleeds into the next job's compilations.
-    """
-    from ..chain import configure_quotient
-    from ..results.memo import configure_query_memo
-
-    configure_disk_cache(payload.get("chain_cache"))
-    configure_quotient(payload.get("quotient", "off"))
-    configure_query_memo(payload.get("results_memo"))
-    configure_tracing(payload.get("obs", False))
-    # The live-sweep heartbeat side channel (repro.obs.live): installed
-    # per payload like everything above, so a live sweep's emitter never
-    # outlives its payloads.  Heartbeats go to their own append logs,
-    # never near the record return path.
-    configure_heartbeat(payload.get("live"))
 
 
 def _exact_value(limit: Fraction) -> dict:
@@ -161,15 +151,15 @@ def _job_record(payload: dict, spec: RunSpec, seed: int, alpha,
     }
 
 
+@_runs_in_payload_context
 def execute_run(payload: dict) -> dict:
     """Execute one :class:`~repro.runner.spec.RunSpec` job.
 
     ``payload`` is ``{"spec": <RunSpec dict>, "master_seed": int,
-    "index": int}`` plus an optional ``"chain_cache"`` directory; the
+    "index": int}`` plus an optional ``"context"``; the
     result record echoes the spec, its key and index (aggregation
     order), the derived seed, and the job's value fields.
     """
-    _apply_chain_context(payload)
     spec = RunSpec.from_dict(payload["spec"])
     master_seed = int(payload.get("master_seed", 0))
     seed = derive_seed(master_seed, spec.job_key)
@@ -230,11 +220,12 @@ def execute_run(payload: dict) -> dict:
     return record
 
 
+@_runs_in_payload_context
 def execute_run_group(payload: dict) -> dict:
     """Execute a whole group of exact jobs in one multi-chain pass.
 
     ``payload`` is ``{"jobs": [<execute_run payloads>...]}`` plus the
-    usual chain-context fields (applied once for the whole group).  The
+    ``"context"`` the whole group runs in.  The
     sweep dispatcher packs contiguous chain families into these groups
     so a worker pays one payload round trip and one grouped query pass
     for a whole slice of the grid instead of one of each per grid point.
@@ -254,7 +245,6 @@ def execute_run_group(payload: dict) -> dict:
     """
     from ..chain import evolution_strategy, transition_density
 
-    _apply_chain_context(payload)
     if LIVE.emitter is not None:
         LIVE.emitter.job_started("group:prepare", count=len(payload["jobs"]))
     with trace("runner.group", jobs=len(payload["jobs"])) as timer:
@@ -332,6 +322,7 @@ def execute_run_group(payload: dict) -> dict:
     return result
 
 
+@_runs_in_payload_context
 def execute_experiment(payload: dict) -> dict:
     """Run one registered experiment generator by registry index.
 
@@ -343,7 +334,6 @@ def execute_experiment(payload: dict) -> dict:
     """
     from ..analysis import ALL_EXPERIMENTS
 
-    _apply_chain_context(payload)
     index = int(payload["index"])
     with trace("runner.experiment", index=index) as timer:
         result = ALL_EXPERIMENTS[index]()
@@ -361,6 +351,7 @@ def execute_experiment(payload: dict) -> dict:
     return record
 
 
+@_runs_in_payload_context
 def execute_sample_batch(payload: dict) -> dict:
     """Monte-Carlo-sample one substream range for the parallel estimator.
 
@@ -371,7 +362,6 @@ def execute_sample_batch(payload: dict) -> dict:
     law), so any partition of the budget across any engine reassembles
     the same estimate.
     """
-    _apply_chain_context(payload)
     start = int(payload["start"])
     stop = int(payload["stop"])
     estimate = sample_range(
@@ -390,10 +380,10 @@ def execute_sample_batch(payload: dict) -> dict:
 
 
 __all__ = [
-    "chain_context_payload",
     "exact_limit_value",
     "execute_experiment",
     "execute_run",
     "execute_run_group",
     "execute_sample_batch",
+    "payload_context",
 ]

@@ -14,7 +14,8 @@ from repro.analysis import (
     symmetry_census,
     worst_case_port_search,
 )
-from repro.chain import compile_chain, configure_quotient
+from repro.chain import compile_chain
+from repro.context import ExecutionContext, use_context
 from repro.core import ConsistencyChain, leader_election
 from repro.models import PortAssignment, adversarial_assignment
 from repro.randomness import RandomnessConfiguration
@@ -190,11 +191,8 @@ class TestPortOrbitTable:
         tables = []
         for mode in ("on", "off"):
             port_orbit_table.cache_clear()
-            previous = configure_quotient(mode)
-            try:
+            with use_context(ExecutionContext(quotient=mode)):
                 tables.append(port_orbit_table((2, 2)))
-            finally:
-                configure_quotient(previous)
         port_orbit_table.cache_clear()
         assert tables[0] == tables[1]
         assert len(tables[0]) == 177

@@ -9,9 +9,9 @@ from repro.chain import (
     chain_key,
     clear_memo,
     compile_chain,
-    configure_disk_cache,
     disk_cache,
 )
+from repro.context import ExecutionContext, use_context
 from repro.core import leader_election
 from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration
@@ -20,12 +20,11 @@ from repro.runner import SerialEngine, SweepSpec, run_sweep
 
 @pytest.fixture
 def cache_dir(tmp_path):
-    """A configured cache that is always detached again afterwards."""
+    """A cache the test runs under, and only the test."""
     root = tmp_path / "chains"
-    configure_disk_cache(root)
-    clear_memo()
-    yield root
-    configure_disk_cache(None)
+    with use_context(ExecutionContext(chain_cache=root)):
+        clear_memo()
+        yield root
     clear_memo()
 
 
@@ -88,14 +87,14 @@ class TestLRUEviction:
         """Compile one chain per shape through a capless cache."""
         import time
 
-        configure_disk_cache(root)
-        for shape in shapes:
-            clear_memo()
-            compile_chain(RandomnessConfiguration.from_group_sizes(shape))
-            # mtimes are the LRU clock; space the stores out so eviction
-            # order is deterministic even on coarse filesystems.
-            time.sleep(0.01)
-        configure_disk_cache(None)
+        with use_context(ExecutionContext(chain_cache=root)):
+            for shape in shapes:
+                clear_memo()
+                compile_chain(RandomnessConfiguration.from_group_sizes(shape))
+                # mtimes are the LRU clock; space the stores out so
+                # eviction order is deterministic even on coarse
+                # filesystems.
+                time.sleep(0.01)
         clear_memo()
 
     def test_entries_are_listed_lru_first(self, tmp_path):
@@ -119,13 +118,11 @@ class TestLRUEviction:
 
     def test_max_bytes_cap_applies_on_store(self, tmp_path):
         root = tmp_path / "chains"
-        configure_disk_cache(root, max_bytes=1)  # nothing fits
-        clear_memo()
-        compile_chain(RandomnessConfiguration.from_group_sizes((1, 2)))
-        compile_chain(RandomnessConfiguration.from_group_sizes((2, 2)))
+        cache = ChainDiskCache(root, max_bytes=1)  # nothing fits
+        for shape in ((1, 2), (2, 2)):
+            alpha = RandomnessConfiguration.from_group_sizes(shape)
+            cache.store(compile_chain(alpha, use_memo=False))
         assert ChainDiskCache(root).entries() == []
-        configure_disk_cache(None)
-        clear_memo()
 
     def test_load_refreshes_recency(self, tmp_path):
         import time
@@ -189,11 +186,10 @@ class TestLoadStats:
         return chain_key(RandomnessConfiguration.from_group_sizes(shape))
 
     def _fill(self, root, shapes):
-        configure_disk_cache(root)
-        for shape in shapes:
-            clear_memo()
-            compile_chain(RandomnessConfiguration.from_group_sizes(shape))
-        configure_disk_cache(None)
+        with use_context(ExecutionContext(chain_cache=root)):
+            for shape in shapes:
+                clear_memo()
+                compile_chain(RandomnessConfiguration.from_group_sizes(shape))
         clear_memo()
 
     def test_loads_are_counted_in_the_sidecar(self, tmp_path):
@@ -264,7 +260,6 @@ class TestLoadStats:
 
 class TestRunnerPlumbing:
     def test_sweep_with_run_dir_persists_chains(self, tmp_path):
-        configure_disk_cache(None)
         clear_memo()
         sweep = SweepSpec.for_total_size(3, models=("blackboard", "clique"))
         run_dir = tmp_path / "run"
@@ -276,28 +271,27 @@ class TestRunnerPlumbing:
         resumed = run_sweep(sweep, engine=SerialEngine(), run_dir=run_dir)
         assert resumed.executed == 0
         assert resumed.resumed == resumed.total
-        configure_disk_cache(None)
         clear_memo()
 
     def test_sweep_without_run_dir_leaves_cache_unconfigured(self):
-        configure_disk_cache(None)
         sweep = SweepSpec.for_total_size(2, models=("blackboard",))
         run_sweep(sweep, engine=SerialEngine())
         assert disk_cache() is None
 
     def test_run_dir_sweep_detaches_its_cache_afterwards(self, tmp_path):
-        # A run-dir sweep on the serial engine installs its cache in
-        # THIS process; run_sweep must detach it on the way out so later
-        # work never writes into a finished run directory.
+        # A run-dir sweep on the serial engine runs its jobs in THIS
+        # process under its cache; later work must never write into a
+        # finished run directory.
         clear_memo()
         sweep = SweepSpec.for_total_size(2, models=("blackboard",))
         run_sweep(sweep, engine=SerialEngine(), run_dir=tmp_path / "run")
         assert disk_cache() is None
         clear_memo()
 
-    def test_cacheless_payload_detaches_a_previous_jobs_cache(self, tmp_path):
-        # Reused pool workers see payloads back to back; one without a
-        # chain_cache must detach whatever the previous job installed.
+    def test_a_payloads_cache_lasts_only_for_its_job(self, tmp_path):
+        # Reused pool workers see payloads back to back: a job's cache
+        # ends with the job, and a payload naming no context runs under
+        # the library defaults, whatever the caller entered.
         from repro.runner.worker import execute_run
 
         clear_memo()
@@ -308,11 +302,24 @@ class TestRunnerPlumbing:
         }
         execute_run({
             "spec": spec, "master_seed": 0, "index": 0,
-            "chain_cache": str(tmp_path / "chains"),
+            "context": ExecutionContext(chain_cache=tmp_path / "chains"),
         })
-        assert disk_cache() is not None
-        execute_run({"spec": spec, "master_seed": 0, "index": 0})
+        assert len(ChainDiskCache(tmp_path / "chains")) == 1
         assert disk_cache() is None
+        clear_memo()
+        with use_context(ExecutionContext(chain_cache=tmp_path / "mine")):
+            execute_run({"spec": spec, "master_seed": 0, "index": 0})
+            assert len(disk_cache()) == 0
+        clear_memo()
+
+    def test_serial_sweep_without_run_dir_uses_the_callers_cache(
+        self, tmp_path
+    ):
+        clear_memo()
+        sweep = SweepSpec.for_total_size(3, models=("blackboard",))
+        with use_context(ExecutionContext(chain_cache=tmp_path / "mine")):
+            run_sweep(sweep, engine=SerialEngine())
+            assert len(disk_cache()) == len(sweep.shapes)
         clear_memo()
 
     def test_store_survives_a_vanished_cache_directory(self, tmp_path):
@@ -321,13 +328,13 @@ class TestRunnerPlumbing:
         import shutil
 
         clear_memo()
-        store = configure_disk_cache(tmp_path / "gone")
-        shutil.rmtree(tmp_path / "gone")
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
-        chain = compile_chain(alpha)  # recreates the directory, no crash
-        assert chain.num_states >= 1
-        assert store.load(chain.key) is not None
-        configure_disk_cache(None)
+        with use_context(ExecutionContext(chain_cache=tmp_path / "gone")):
+            store = disk_cache()
+            shutil.rmtree(tmp_path / "gone")
+            alpha = RandomnessConfiguration.from_group_sizes((1, 2))
+            chain = compile_chain(alpha)  # recreates the directory
+            assert chain.num_states >= 1
+            assert store.load(chain.key) is not None
         clear_memo()
 
 

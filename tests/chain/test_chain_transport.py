@@ -20,11 +20,11 @@ from repro.chain import (
     chain_key,
     clear_memo,
     compile_chain,
-    configure_disk_cache,
     disk_cache,
     run_group_queries,
 )
 from repro.chain import engine as engine_module
+from repro.context import ExecutionContext, use_context
 from repro.core import leader_election
 from repro.models import adversarial_assignment, round_robin_assignment
 from repro.models.graph import GraphTopology
@@ -33,19 +33,13 @@ from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
 from repro.runner import spec as runner_spec
 
 
-@pytest.fixture(autouse=True)
-def _clean_state():
-    yield
-    configure_disk_cache(None)
-    clear_memo()
-
-
 @pytest.fixture
 def cache_dir(tmp_path):
     root = tmp_path / "chains"
-    configure_disk_cache(root)
+    with use_context(ExecutionContext(chain_cache=root)):
+        clear_memo()
+        yield root
     clear_memo()
-    return root
 
 
 #: One blackboard chain and three message-passing chains (adversarial
@@ -210,7 +204,7 @@ class TestLookupOrder:
     def test_without_a_disk_cache_a_cleared_memo_recompiles(
         self, monkeypatch
     ):
-        configure_disk_cache(None)
+        assert disk_cache() is None
         chain = _compile("blackboard")
         clear_memo()
         built = []

@@ -11,29 +11,22 @@ from repro.chain import (
     automorphism_generators,
     chain_key,
     compile_chain,
-    configure_quotient,
     effective_chain_key,
     is_chain_automorphism,
     is_quotient_key,
     quotient_key,
-    quotient_mode,
     resolve_quotient,
     run_queries,
 )
 from repro.chain.cache import key_digest
 from repro.chain.quotient import BlackboardFold, QuotientChain, base_key
+from repro.context import ExecutionContext, current_context, use_context
 from repro.randomness import (
     RandomnessConfiguration,
     bell_number,
     enumerate_size_shapes,
 )
 from repro.runner import spec as runner_spec
-
-
-@pytest.fixture(autouse=True)
-def _library_defaults():
-    yield
-    configure_quotient("off")
 
 
 def _registry(n_max=5):
@@ -239,15 +232,16 @@ class TestGroupStructure:
 
 
 class TestModesAndKeys:
-    def test_configure_round_trips_and_validates(self):
-        assert quotient_mode() == "off"
-        assert configure_quotient("auto") == "off"
-        assert configure_quotient(True) == "auto"
-        assert quotient_mode() == "on"
-        assert configure_quotient(None) == "on"
-        assert quotient_mode() == "off"
+    def test_context_mode_is_scoped_and_validated(self):
+        assert current_context().quotient == "off"
+        with use_context(ExecutionContext(quotient="on")):
+            assert current_context().quotient == "on"
+            with use_context(ExecutionContext(quotient="auto")):
+                assert current_context().quotient == "auto"
+            assert current_context().quotient == "on"
+        assert current_context().quotient == "off"
         with pytest.raises(ValueError):
-            configure_quotient("sometimes")
+            ExecutionContext(quotient="sometimes")
 
     def test_resolve_quotient_auto_needs_symmetry(self):
         symmetric = chain_key(
@@ -259,9 +253,9 @@ class TestModesAndKeys:
         assert resolve_quotient(symmetric, "auto")
         assert not resolve_quotient(trivial, "auto")
         assert resolve_quotient(trivial, "on")
-        configure_quotient("auto")
-        assert resolve_quotient(symmetric)
-        assert not resolve_quotient(trivial)
+        with use_context(ExecutionContext(quotient="auto")):
+            assert resolve_quotient(symmetric)
+            assert not resolve_quotient(trivial)
         with pytest.raises(ValueError):
             resolve_quotient(symmetric, "maybe")
 
@@ -275,11 +269,10 @@ class TestModesAndKeys:
 
     def test_effective_chain_key_matches_compile_chain(self):
         alpha = RandomnessConfiguration.from_group_sizes((1, 1, 2))
-        configure_quotient("auto")
-        key = effective_chain_key(alpha)
-        assert is_quotient_key(key)
-        assert compile_chain(alpha, use_memo=False).key == key
-        configure_quotient("off")
+        with use_context(ExecutionContext(quotient="auto")):
+            key = effective_chain_key(alpha)
+            assert is_quotient_key(key)
+            assert compile_chain(alpha, use_memo=False).key == key
         assert effective_chain_key(alpha) == base_key(key)
 
     def test_memo_separates_the_two_compilations(self):

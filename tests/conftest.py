@@ -1,16 +1,18 @@
-"""Keep process-global chain-engine state from leaking between tests."""
+"""Fail any test that leaves the execution context changed.
+
+Nothing resets the context between tests: every entry point restores
+what it entered (``use_context``), so a test that finds a different
+context at its end has found a leak, and fails.
+"""
 
 import pytest
 
+from repro.context import current_context
+
 
 @pytest.fixture(autouse=True)
-def _reset_quotient_mode():
-    """The CLI entry points set the process-wide quotient mode (their
-    default is "auto"); restore the library default afterwards so a test
-    that routes through ``repro.cli.main`` cannot change which chain a
-    later test's ``compile_chain`` returns."""
+def _context_is_restored():
+    before = current_context()
     yield
-    from repro.chain import configure_quotient
-
-    configure_quotient("off")
-
+    after = current_context()
+    assert after is before, f"test left the context changed: {after!r}"

@@ -7,13 +7,13 @@ import time
 import pytest
 
 from repro.chain import clear_memo
+from repro.context import ExecutionContext, use_context
 from repro.obs import OBS, clock, configure_tracing
 from repro.obs.live import (
     LIVE,
     HeartbeatEmitter,
     LiveConfig,
     SweepMonitor,
-    configure_heartbeat,
     format_progress_event,
     monitored_map,
     read_heartbeats,
@@ -21,13 +21,6 @@ from repro.obs.live import (
     worker_status,
 )
 from repro.obs.schema import validate_progress
-
-
-@pytest.fixture(autouse=True)
-def clean_live():
-    configure_heartbeat(None)
-    yield
-    configure_heartbeat(None)
 
 
 class TestLiveConfig:
@@ -118,28 +111,31 @@ class TestHeartbeatEmitter:
         assert read_heartbeats(tmp_path)[emitter.worker]["counters"] == {}
 
 
-class TestConfigureHeartbeat:
-    def test_install_update_and_uninstall(self, tmp_path):
-        configure_heartbeat({"dir": str(tmp_path), "interval": 2.0})
-        emitter = LIVE.emitter
-        assert emitter is not None
-        assert emitter.interval == 2.0
-        # Same directory: the emitter (and its counters) is kept.
-        configure_heartbeat({"dir": str(tmp_path), "interval": 0.5})
-        assert LIVE.emitter is emitter
-        assert emitter.interval == 0.5
-        # A different sweep's directory rebuilds it.
+class TestContextEmitter:
+    def test_emitter_follows_the_context(self, tmp_path):
+        assert LIVE.emitter is None
+        with use_context(ExecutionContext(heartbeat=(tmp_path, 2.0))):
+            emitter = LIVE.emitter
+            assert emitter is not None
+            assert emitter.interval == 2.0
+        assert LIVE.emitter is None
+        # Same directory again: the emitter (and its counters) is kept.
+        with use_context(ExecutionContext(heartbeat=(tmp_path, 0.5))):
+            assert LIVE.emitter is emitter
+            assert emitter.interval == 0.5
+        # A different sweep's directory builds a new one.
         other = tmp_path / "other"
         other.mkdir()
-        configure_heartbeat({"dir": str(other)})
-        assert LIVE.emitter is not emitter
-        configure_heartbeat(None)
-        assert LIVE.emitter is None
+        with use_context(ExecutionContext(heartbeat=(other, 1.0))):
+            assert LIVE.emitter is not emitter
 
-    def test_payload_without_dir_uninstalls(self, tmp_path):
-        configure_heartbeat({"dir": str(tmp_path)})
-        configure_heartbeat({})
-        assert LIVE.emitter is None
+    def test_a_forked_child_builds_its_own_emitter(
+        self, tmp_path, monkeypatch
+    ):
+        with use_context(ExecutionContext(heartbeat=(tmp_path, 1.0))):
+            emitter = LIVE.emitter
+            monkeypatch.setattr("os.getpid", lambda: emitter.pid + 1)
+            assert LIVE.emitter is not emitter
 
 
 class TestWorkerStatus:
@@ -512,7 +508,7 @@ class TestRunSweepLiveIntegration:
         assert events[-1]["completed"] == events[-1]["total"]
         for event in events:
             assert validate_progress(event) == [], event
-        # The serial engine's in-process emitter was detached at exit.
+        # The serial engine's in-process jobs left no emitter behind.
         assert LIVE.emitter is None
 
     def test_engine_invariant_counters_unchanged_by_live(

@@ -12,11 +12,11 @@ from repro.chain import (
     run_group_queries,
     run_queries,
 )
+from repro.context import ExecutionContext, use_context
 from repro.core import k_leader_election, leader_election
 from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration
 from repro.results import (
-    configure_query_memo,
     decode_value,
     encode_value,
     query_memo,
@@ -28,9 +28,8 @@ from repro.runner import SweepSpec, run_sweep
 
 @pytest.fixture
 def memo(tmp_path):
-    installed = configure_query_memo(tmp_path / "memo")
-    yield installed
-    configure_query_memo(None)
+    with use_context(ExecutionContext(results_memo=tmp_path / "memo")):
+        yield query_memo()
 
 
 def queries_for(n):
@@ -135,18 +134,22 @@ class TestRunQueriesMemo:
         partial = run_group_queries(items[:1] + [items[2]])
         assert partial == [cold[0], cold[2]]
 
-    def test_memo_survives_process_restart(self, tmp_path):
+    def test_memo_survives_process_restart(self, tmp_path, monkeypatch):
+        from repro.results import memo as memo_module
+
         alpha = RandomnessConfiguration.from_group_sizes((2, 3))
         chain = compile_chain(alpha, adversarial_assignment((2, 3)))
-        configure_query_memo(tmp_path / "memo")
-        cold = run_queries(chain, queries_for(5))
-        configure_query_memo(None)
-        # A "new process": a fresh instance over the same directory.
-        fresh = configure_query_memo(tmp_path / "memo")
-        assert len(fresh) == len(cold)
-        warm = run_queries(chain, queries_for(5))
-        configure_query_memo(None)
+        context = ExecutionContext(results_memo=tmp_path / "memo")
+        with use_context(context):
+            cold = run_queries(chain, queries_for(5))
+            # A "new process": no memo built yet, so the next lookup
+            # loads a fresh instance from the directory.
+            monkeypatch.setattr(memo_module, "_MEMO", None)
+            fresh = query_memo()
+            assert len(fresh) == len(cold)
+            warm = run_queries(chain, queries_for(5))
         assert warm == cold
+        assert fresh.stats()["hits"] == len(cold)
 
     def test_no_memo_means_no_overhead_path(self):
         assert query_memo() is None

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.chain import clear_memo
+from repro.context import ExecutionContext
 from repro.obs import (
     OBS,
     TRACER,
@@ -157,7 +158,9 @@ class TestExperimentPathTelemetry:
     def test_execute_experiment_ships_telemetry_when_traced(self):
         from repro.runner.worker import execute_experiment
 
-        record = execute_experiment({"index": 0, "obs": True})
+        record = execute_experiment(
+            {"index": 0, "context": ExecutionContext(trace=True)}
+        )
         assert record["telemetry"]["metrics"]["counters"][
             "runner.experiments"
         ] == 1

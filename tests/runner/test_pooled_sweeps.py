@@ -10,19 +10,14 @@ import json
 
 import pytest
 
-from repro.chain import configure_disk_cache
+from repro.chain import disk_cache
+from repro.context import ExecutionContext, current_context, use_context
 from repro.runner import (
     ProcessPoolEngine,
     SerialEngine,
     SweepSpec,
     run_sweep,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    yield
-    configure_disk_cache(None)
 
 
 def _strip_timing(records):
@@ -161,20 +156,21 @@ class TestPooledSweeps:
 
 
 class TestProcessContext:
-    def test_callers_disk_cache_survives_a_run_dirless_pool_sweep(
+    def test_callers_disk_cache_serves_a_run_dirless_pool_sweep(
         self, tmp_path
     ):
-        from repro.chain import disk_cache
+        mine = ExecutionContext(chain_cache=tmp_path / "mine")
+        with use_context(mine):
+            installed = disk_cache()
+            run_sweep(_sweep(), engine=ProcessPoolEngine(workers=2))
+            assert current_context() is mine
+            assert disk_cache() is installed
+            # The workers ran under the caller's context too.
+            assert len(installed) > 0
 
-        installed = configure_disk_cache(tmp_path / "mine")
-        run_sweep(_sweep(), engine=ProcessPoolEngine(workers=2))
-        assert disk_cache() is installed
-
-    def test_pooled_experiment_payloads_carry_only_the_chain_context(
-        self,
-    ):
+    def test_pooled_experiment_payloads_carry_only_the_context(self):
         from repro.analysis import ALL_EXPERIMENTS, iter_all_experiments
-        from repro.runner.worker import chain_context_payload
+        from repro.runner.worker import payload_context
 
         captured = []
 
@@ -190,13 +186,11 @@ class TestProcessContext:
             range(len(ALL_EXPERIMENTS))
         )
         for payload in captured:
-            assert set(payload) == {"index", *chain_context_payload()}
+            assert set(payload) == {"index", "context"}
+            assert payload["context"] == payload_context()
 
     @pytest.mark.parametrize("mode", ["off", "auto", "on"])
     def test_quotient_mode_travels_in_every_pool_payload(self, mode):
-        from repro.chain import configure_quotient
-        from repro.runner.worker import chain_context_payload
-
         captured = []
 
         class SpyPool(ProcessPoolEngine):
@@ -205,12 +199,12 @@ class TestProcessContext:
                 captured.extend(payloads)
                 return super().map(fn, payloads)
 
-        configure_quotient(mode)
-        assert chain_context_payload() == {"quotient": mode, "obs": False}
-        run_sweep(_sweep(), engine=SpyPool(workers=2))
+        with use_context(ExecutionContext(quotient=mode)):
+            run_sweep(_sweep(), engine=SpyPool(workers=2))
         assert captured
         for payload in captured:
+            assert payload["context"] == ExecutionContext(quotient=mode)
             for job in payload.get("jobs", [payload]):
-                assert job["quotient"] == mode
+                assert job["context"] == payload["context"]
                 for key in ("batch", "group_chains", "policy"):
                     assert key not in job

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.chain import MAX_GROUP_STATES, clear_memo, compile_chain
+from repro.context import ExecutionContext
 from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration
 from repro.results import ResultsStore
@@ -117,7 +118,8 @@ class TestStateBudgetPacking:
     def _payloads(self, sweep):
         jobs = sweep.expand()
         payloads = [
-            {"spec": spec.to_dict(), "master_seed": 0, "index": i}
+            {"spec": spec.to_dict(), "master_seed": 0, "index": i,
+             "context": ExecutionContext()}
             for i, spec in enumerate(jobs)
         ]
         return jobs, payloads
@@ -236,23 +238,23 @@ class TestStateBudgetPacking:
         jobs, payloads = self._payloads(sweep)
         assert _group_job_payloads(jobs, payloads[:1], engine) is None
 
-    def test_group_payloads_forward_only_the_chain_context(self, sweep):
+    def test_group_payloads_forward_only_the_context(self, sweep):
         jobs, payloads = self._payloads(sweep)
-        context = {
-            "chain_cache": "cache",
-            "quotient": "on",
-            "results_memo": "memo",
-            "obs": True,
-            "live": {"dir": "live"},
-        }
+        context = ExecutionContext(
+            quotient="on",
+            chain_cache="cache",
+            results_memo="memo",
+            heartbeat=("live", 1.0),
+            trace=True,
+        )
         # Fields older parents put in every payload; workers no longer
         # read them, so group payloads must not carry them.
         retired = {"batch": False, "group_chains": False, "policy": {}}
         for payload in payloads:
-            payload.update(context, **retired)
+            payload.update(context=context, **retired)
         groups = _group_job_payloads(
             jobs, payloads, ProcessPoolEngine(workers=2)
         )
         for group in groups:
-            assert set(group) == {"jobs", *context}
-            assert {key: group[key] for key in context} == context
+            assert set(group) == {"jobs", "context"}
+            assert group["context"] is context

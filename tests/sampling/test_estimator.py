@@ -3,10 +3,11 @@
 
 import pytest
 
+from repro.context import ExecutionContext, use_context
 from repro.core import leader_election
 from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration
-from repro.results.memo import configure_query_memo, query_memo
+from repro.results.memo import query_memo
 from repro.sampling import (
     BLOCK_SAMPLES,
     MCEstimate,
@@ -25,9 +26,8 @@ def cell():
 
 @pytest.fixture
 def memo_dir(tmp_path):
-    configure_query_memo(tmp_path / "memo")
-    yield tmp_path / "memo"
-    configure_query_memo(None)
+    with use_context(ExecutionContext(results_memo=tmp_path / "memo")):
+        yield tmp_path / "memo"
 
 
 class TestMCEstimate:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import _make_task, _parse_sizes, main
+from repro.context import current_context
 
 
 class TestParsing:
@@ -174,16 +175,47 @@ class TestCommands:
         assert main(["series", "2,3", "--t-max", "4", "--quotient"]) == 0
         assert capsys.readouterr().out == series_full
 
-    def test_quotient_flag_sets_the_process_mode(self, capsys):
-        from repro.chain import quotient_mode
+    def test_quotient_flag_sets_the_commands_mode(self, monkeypatch, capsys):
+        import repro.cli as cli
 
+        seen = []
+        solve = cli.cmd_solve
+
+        def spy(args):
+            seen.append(current_context().quotient)
+            return solve(args)
+
+        monkeypatch.setattr(cli, "cmd_solve", spy)
         assert main(["solve", "1,1", "--quotient"]) == 0
-        assert quotient_mode() == "on"
         assert main(["solve", "1,1", "--no-quotient"]) == 0
-        assert quotient_mode() == "off"
         # Flag absent on a quotient-aware command: auto.
         assert main(["solve", "1,1"]) == 0
-        assert quotient_mode() == "auto"
+        assert seen == ["on", "off", "auto"]
+        capsys.readouterr()
+
+
+class TestContextIsRestored:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "2,3", "--warehouse", "{tmp}/w"],
+            ["estimate", "2,3", "--samples", "1000", "--warehouse", "{tmp}/w"],
+            ["sweep", "--n", "3", "--run-dir", "{tmp}/run"],
+            ["experiments", "figure-3"],
+        ],
+        ids=["run", "estimate", "sweep", "experiments"],
+    )
+    def test_main_leaves_the_context_as_it_found_it(
+        self, argv, tmp_path, capsys
+    ):
+        from repro.chain import disk_cache
+        from repro.results.memo import query_memo
+
+        before = current_context()
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+        assert current_context() is before
+        assert disk_cache() is None
+        assert query_memo() is None
         capsys.readouterr()
 
     def test_report(self, tmp_path, capsys):

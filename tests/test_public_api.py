@@ -22,6 +22,7 @@ PUBLIC_MODULES = [
     "repro.results",
     "repro.sampling",
     "repro.obs",
+    "repro.context",
     "repro.viz",
 ]
 
