@@ -19,6 +19,7 @@ derives and benchmarks.
 
 from __future__ import annotations
 
+import functools
 from typing import Hashable, Sequence
 
 from .network import NodeProtocol, Payload
@@ -36,17 +37,31 @@ def choose_classes(
     so that all nodes agree.  Returns the chosen keys (the first achieving
     subset in key-sorted bitmask order) or ``None`` when impossible.
     """
+    return _choose_classes(tuple(class_sizes), k)
+
+
+@functools.lru_cache(maxsize=1024)
+def _choose_classes(
+    class_sizes: tuple[tuple[Hashable, int], ...], k: int
+) -> tuple[Hashable, ...] | None:
+    # Every node asks with the same multiset in a round (the partition is
+    # common knowledge), so all but the first call of a round are hits.
+    # Cache keys compare by ``==``, so keys that are equal must have equal
+    # reprs -- true of the bit tuples and interned ints the protocols use.
     ordered = sorted(class_sizes, key=lambda kv: repr(kv[0]))
-    m = len(ordered)
-    for mask in range(1, 1 << m):
-        total = 0
-        for index in range(m):
-            if mask >> index & 1:
-                total += ordered[index][1]
+    sizes = [size for _, size in ordered]
+    # totals[mask] = totals[mask without its lowest bit] + that bit's size
+    totals = [0]
+    for mask in range(1, 1 << len(ordered)):
+        low = mask & -mask
+        total = totals[mask ^ low] + sizes[low.bit_length() - 1]
         if total == k:
             return tuple(
-                ordered[index][0] for index in range(m) if mask >> index & 1
+                key
+                for index, (key, _) in enumerate(ordered)
+                if mask >> index & 1
             )
+        totals.append(total)
     return None
 
 

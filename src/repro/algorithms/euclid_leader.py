@@ -41,7 +41,7 @@ Guarantees (tested):
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .blackboard_leader import choose_classes
 from .network import NodeProtocol, Payload
@@ -67,11 +67,12 @@ class EuclidLeaderNode(NodeProtocol):
         self._tag = self.ctx.interner.intern(("euclid-start",))
         self._prev_tag = self._tag
 
-    def compose(self) -> Mapping[int, Payload]:
-        n = self.ctx.n
+    def compose(self) -> Payload | Mapping[int, Payload]:
+        if self._request_port is None:
+            return (self._tag, 0)  # the same message on every port
         return {
             port: (self._tag, 1 if port == self._request_port else 0)
-            for port in range(1, n)
+            for port in range(1, self.ctx.n)
         }
 
     def absorb(self, bit: int, inbox: Sequence[Payload]) -> None:

@@ -20,13 +20,24 @@ messages from its state at time ``r-1``, then *absorbs* the round's random
 bit together with the messages the other nodes composed, producing its
 state at time ``r``.  This matches Eqs. (1)/(2), where ``K_i(t)`` contains
 the other nodes' time-``t-1`` knowledge.
+
+Hot path: protocol experiments run thousands of short executions, so each
+round does the least work that gives the same deliveries.  A run resolves
+every node's source index once and reads each source's bit once per round.
+The blackboard orders the whole board by ``repr`` once per round (a stable
+sort of node indices); each inbox is that board with the node's own slot
+dropped, which is exactly the stable ``repr`` sort of the other nodes'
+payloads.  The clique precomputes a route table at construction: for each
+node and port, the sender behind it and the sender's port facing back, so
+delivery never consults the :class:`PortAssignment` in the round loop.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Sequence
 
 from ..models.knowledge import KnowledgeInterner
 from ..models.ports import PortAssignment
@@ -137,13 +148,14 @@ class _BaseNetwork(abc.ABC):
         reported ``rounds`` is cumulative across calls.
         """
         deadline = self._round + max_rounds
+        source_of = self.alpha.assignment
         while self._round < deadline:
             r = self._round + 1
             outbox = [node.compose() for node in self.nodes]
             inboxes = self._deliver(outbox)
+            bits = [source.bit(r) for source in self.sources]
             for i, node in enumerate(self.nodes):
-                bit = self.sources[self.alpha.source_of(i)].bit(r)
-                node.absorb(bit, inboxes[i])
+                node.absorb(bits[source_of[i]], inboxes[i])
                 if (
                     self._decision_rounds[i] is None
                     and node.output() is not None
@@ -172,15 +184,13 @@ class BlackboardNetwork(_BaseNetwork):
                 raise TypeError(
                     "blackboard nodes must post a single payload"
                 )
-        return [
-            tuple(
-                sorted(
-                    (p for j, p in enumerate(outbox) if j != i),
-                    key=repr,
-                )
-            )
-            for i in range(self.n)
-        ]
+        keys = [repr(payload) for payload in outbox]
+        order = sorted(range(self.n), key=keys.__getitem__)
+        board = tuple(outbox[j] for j in order)
+        inboxes: list[tuple[Payload, ...]] = [()] * self.n
+        for slot, j in enumerate(order):
+            inboxes[j] = board[:slot] + board[slot + 1 :]
+        return inboxes
 
 
 class CliqueNetwork(_BaseNetwork):
@@ -198,28 +208,34 @@ class CliqueNetwork(_BaseNetwork):
         if ports.n != alpha.n:
             raise ValueError("ports and alpha disagree on n")
         self.ports = ports
+        #: ``routes[i][p-1]`` is ``(sender, sender_port)``: the node behind
+        #: port ``p`` of ``i`` and that node's port facing ``i``.
+        self._routes = tuple(
+            tuple(
+                (sender, ports.port_to(sender, i))
+                for sender in ports.neighbours(i)
+            )
+            for i in range(ports.n)
+        )
         super().__init__(alpha, node_factory, seed=seed, sources=sources)
 
     def _deliver(
         self, outbox: Sequence[Payload | Mapping[int, Payload]]
     ) -> list[tuple[Payload, ...]]:
-        n = self.n
+        per_port = [isinstance(sent, Mapping) for sent in outbox]
         inboxes: list[tuple[Payload, ...]] = []
-        for i in range(n):
+        for routes in self._routes:
             received = []
-            for port in range(1, n):
-                sender = self.ports.neighbour(i, port)
+            for sender, sender_port in routes:
                 sent = outbox[sender]
-                if isinstance(sent, Mapping):
-                    sender_port = self.ports.port_to(sender, i)
+                if per_port[sender]:
                     if sender_port not in sent:
                         raise ValueError(
                             f"node {sender} composed no payload for its "
                             f"port {sender_port}"
                         )
-                    received.append(sent[sender_port])
-                else:
-                    received.append(sent)
+                    sent = sent[sender_port]
+                received.append(sent)
             inboxes.append(tuple(received))
         return inboxes
 

@@ -27,16 +27,12 @@ def _protocol_mean_rounds(
 ) -> tuple[float, float]:
     """Empirical mean and standard error of the decision round."""
     alpha = RandomnessConfiguration.from_group_sizes(shape)
+    ports = adversarial_assignment(shape) if clique else None
     total = 0
     total_sq = 0
     for seed in range(runs):
-        if clique:
-            network = CliqueNetwork(
-                alpha,
-                adversarial_assignment(shape),
-                EuclidLeaderNode,
-                seed=seed,
-            )
+        if ports is not None:
+            network = CliqueNetwork(alpha, ports, EuclidLeaderNode, seed=seed)
         else:
             network = BlackboardNetwork(
                 alpha, BlackboardLeaderNode, seed=seed

@@ -218,14 +218,12 @@ def lemma_b1_equiprobability(n_max: int = 4, t_max: int = 3) -> ExperimentResult
         for shape in enumerate_size_shapes(n):
             alpha = RandomnessConfiguration.from_group_sizes(shape)
             for t in range(1, t_max + 1):
-                probs = {
+                masses = [
                     realization_probability(rho, alpha)
                     for rho in iter_consistent_realizations(alpha, t)
-                }
-                total = sum(
-                    realization_probability(rho, alpha)
-                    for rho in iter_consistent_realizations(alpha, t)
-                )
+                ]
+                probs = set(masses)
+                total = sum(masses)
                 expected = Fraction(1, 2 ** (t * alpha.k))
                 ok = probs == {expected} and total == 1
                 passed &= ok

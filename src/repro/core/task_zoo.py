@@ -14,7 +14,7 @@ neighbours of leader election, all defined as count tasks:
   sizes (e.g. a 2/3 split for replica placement).
 
 Derived characterizations (validated against the exact chain limits in
-tests and the ``bench_ext_task_zoo`` benchmark):
+tests and the ``extension-task-zoo`` experiment of ``repro report``):
 
 =================== =============================== =========================
 task                blackboard                      clique, worst-case ports

@@ -23,9 +23,10 @@ exhaustive enumeration via :meth:`GraphTopology.iter_labelings`.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class GraphTopology:
@@ -221,6 +222,8 @@ class GraphTopology:
 
     def to_networkx(self) -> "nx.Graph":
         """Export the underlying (unlabeled) graph to networkx."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n))
         graph.add_edges_from(tuple(edge) for edge in self.edges())

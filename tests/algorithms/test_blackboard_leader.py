@@ -1,12 +1,35 @@
 """Unit tests for the blackboard election protocol (Theorem 4.1 algorithm)."""
 
+import itertools
+
 import pytest
 
 from repro.algorithms import BlackboardLeaderNode, BlackboardNetwork, choose_classes
 from repro.randomness import FixedBitSource, RandomnessConfiguration
 
 
+def reference_choose(class_sizes, k):
+    """Every mask's sum recomputed, masks in increasing order."""
+    ordered = sorted(class_sizes, key=lambda kv: repr(kv[0]))
+    m = len(ordered)
+    for mask in range(1, 1 << m):
+        total = sum(ordered[i][1] for i in range(m) if mask >> i & 1)
+        if total == k:
+            return tuple(ordered[i][0] for i in range(m) if mask >> i & 1)
+    return None
+
+
 class TestChooseClasses:
+    def test_matches_per_mask_sums(self):
+        for m in range(1, 6):
+            keys = [3 * index + 5 for index in range(m)]  # 5, 8, 11, ...
+            for sizes in itertools.product(range(1, 4), repeat=m):
+                pairs = list(zip(keys, sizes))
+                for k in range(1, 9):
+                    assert choose_classes(pairs, k) == reference_choose(
+                        pairs, k
+                    ), (pairs, k)
+
     def test_finds_singleton(self):
         assert choose_classes([("a", 2), ("b", 1)], 1) == ("b",)
 
@@ -26,6 +49,11 @@ class TestChooseClasses:
 
     def test_respects_exact_sum(self):
         assert choose_classes([("a", 3)], 2) is None
+
+    def test_int_keys_order_by_repr(self):
+        # Interned tags are ints: "10" < "2" < "9" decides the election.
+        assert choose_classes([(2, 1), (9, 1), (10, 1)], 1) == (10,)
+        assert choose_classes([(9, 2), (10, 1), (11, 1)], 2) == (10, 11)
 
 
 class TestElection:
