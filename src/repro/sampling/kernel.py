@@ -23,9 +23,15 @@ Three solvers decide whole blocks in numpy passes:
 
 * ``bits`` -- draw source-bit matrices, intern knowledge classes by
   pairwise-equality refinement (bit-string grouping on the blackboard,
-  per-round label refinement on the port-numbered clique), and decide
-  solvability once per distinct class-size multiset.  Bit-exact equal to
-  the per-trajectory scalar oracle on the same words.
+  per-round refinement of one packed signature per node on the
+  port-numbered clique), and reduce each block to its distinct
+  class-size multisets, found by a ``lexsort`` and an adjacent-row diff.
+  That partition comes from the protocol complex alone, so it is
+  computed once per ``(configuration, ports, t, stream, block)`` and
+  reused by every task on the same trials (common random numbers make
+  a sweep's tasks of one stream share it); only the verdict per
+  distinct multiset depends on the task.  Bit-exact equal to the
+  per-trajectory scalar oracle on the same words.
 * ``chain`` -- sample trajectories through the compiled (optionally
   quotient) float chain's CSR rows; one comparison pass per round
   against padded cumulative transition counts.
@@ -36,7 +42,7 @@ Three solvers decide whole blocks in numpy passes:
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,11 +89,20 @@ def source_words(
     smaller word count on the same key.  Bit ``r`` of source ``j`` in
     sample ``s`` is ``(out[s, j, r // 64] >> (r % 64)) & 1``.
     """
+    return np.ascontiguousarray(
+        _round_major_words(stream_seed, block, k, words).transpose(2, 1, 0)
+    )
+
+
+def _round_major_words(
+    stream_seed: int, block: int, k: int, words: int
+) -> np.ndarray:
+    """The words of :func:`source_words` as generated: ``(words, k,
+    BLOCK_SAMPLES)``, the layout the ``bits`` solver compares in."""
     rng = np.random.Generator(np.random.Philox(key=philox_key(stream_seed, block)))
-    raw = rng.integers(
+    return rng.integers(
         0, 2**64, size=(words, k, BLOCK_SAMPLES), dtype=np.uint64
     )
-    return np.ascontiguousarray(raw.transpose(2, 1, 0))
 
 
 def chain_draws(stream_seed: int, block: int, t: int) -> np.ndarray:
@@ -112,129 +127,177 @@ def resolve_method(method: str, ports=None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Bit-level solvers: knowledge partition per sample, batched
+# Bit-level solver: one task-free knowledge partition per block
 # ----------------------------------------------------------------------
-def _verdicts_by_size_multiset(
-    task: SymmetryBreakingTask, keys: np.ndarray
-) -> np.ndarray:
-    """Solvability per row of ``keys`` (descending-sorted class sizes,
-    zero-padded), evaluating the task once per distinct multiset.
+def _first_equal_labels(units: np.ndarray) -> np.ndarray:
+    """First-occurrence class labels ``(m, B)`` of ``units`` ``(w, m, B)``.
 
-    Valid for every symmetric output complex -- the package contract --
-    where solvability depends only on the multiset of knowledge-class
-    sizes (see :meth:`SymmetryBreakingTask.solvable_from_sizes`).
+    Units ``i`` and ``j`` of one trial are equal when all ``w`` of their
+    words are; each unit's label is the lowest index equal to it.  The
+    pairwise compares run over ``B``-long rows, one earlier unit at a
+    time from the last down, so the lowest equal index is written last.
     """
-    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
-    verdicts = np.fromiter(
-        (
-            task.solvable_from_sizes(int(s) for s in row if s)
-            for row in distinct
-        ),
-        dtype=bool,
-        count=len(distinct),
-    )
-    return verdicts[inverse.reshape(-1)]
+    m, batch = units.shape[1:]
+    labels = np.empty((m, batch), dtype=np.min_scalar_type(m))
+    labels[:] = np.arange(m, dtype=labels.dtype)[:, None]
+    for j in range(m - 2, -1, -1):
+        same = (units[:, j + 1 :] == units[:, j : j + 1]).all(axis=0)
+        labels[j + 1 :][same] = j
+    return labels
 
 
-def _size_multiset_keys(eq: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-sample class-size multisets from a pairwise-equality tensor.
-
-    ``eq`` is ``(B, m, m)`` with ``eq[s, i, j]`` true when units ``i``
-    and ``j`` are in the same knowledge class of sample ``s``;
-    ``weights[j]`` is how many nodes unit ``j`` carries.  Rows are the
-    class sizes sorted descending, zero-padded -- a canonical key.
-    """
-    m = eq.shape[1]
-    labels = eq.argmax(axis=2)  # first equal unit = canonical label
-    sizes = eq @ weights  # class size, repeated on every member
-    keys = np.where(labels == np.arange(m), sizes, 0)
-    keys.sort(axis=1)
-    return keys[:, ::-1]
-
-
-def _solve_blackboard(
-    alpha: RandomnessConfiguration,
-    task: SymmetryBreakingTask,
-    t: int,
-    words: np.ndarray,
-) -> np.ndarray:
-    """Blackboard solvability per sample.
+def _blackboard_labels(words: np.ndarray, t: int) -> np.ndarray:
+    """Source labels ``(k, B)`` from round-major ``words``: sources whose
+    first ``t`` bits agree.
 
     On the blackboard, knowledge equality is bit-string equality (proof
     of Theorem 4.1; :func:`repro.models.blackboard.bitstring_partition`),
     and node bit strings coincide exactly when their *sources* do -- so
-    the partition is computed source-pairwise and weighted by group
-    sizes, ``k x k`` instead of ``n x n``.
+    the partition is taken over sources, ``k x k`` instead of ``n x n``,
+    and weighted by group sizes.
     """
-    masked = words[:, :, : words_needed(t)]
     if t % 64:
-        masked = masked.copy()
-        masked[:, :, -1] &= np.uint64((1 << (t % 64)) - 1)
-    eq = (masked[:, :, None, :] == masked[:, None, :, :]).all(axis=3)
-    weights = np.asarray(alpha.group_sizes, dtype=np.int64)
-    return _verdicts_by_size_multiset(task, _size_multiset_keys(eq, weights))
+        words = words.copy()
+        words[-1] &= np.uint64((1 << (t % 64)) - 1)
+    return _first_equal_labels(words)
 
 
 def _bit_planes(
     alpha: RandomnessConfiguration, words: np.ndarray, t: int
 ) -> np.ndarray:
-    """Per-node round bits ``(B, n, t)`` (uint8) from source words."""
+    """Per-node round bits ``(t, n, B)`` (uint8) from round-major words."""
     rounds = np.arange(t)
-    shifts = (rounds % 64).astype(np.uint64)
-    planes = (words[:, :, rounds // 64] >> shifts) & np.uint64(1)
+    shifts = (rounds % 64).astype(np.uint64)[:, None, None]
+    planes = (words[rounds // 64] >> shifts) & np.uint64(1)
     return planes.astype(np.uint8)[:, list(alpha.assignment), :]
 
 
-def _solve_clique(
+def _clique_labels(
     alpha: RandomnessConfiguration,
-    task: SymmetryBreakingTask,
     ports: PortAssignment,
-    t: int,
     words: np.ndarray,
+    t: int,
 ) -> np.ndarray:
-    """Port-numbered message-passing solvability per sample.
+    """Node labels ``(n, B)`` of the port-numbered message-passing partition.
 
     Knowledge classes are refined round by round: two nodes stay equal
-    iff their previous classes, their fresh bits, and the classes behind
-    each of their ports (in port order) all agree -- the interner
-    recursion of :class:`~repro.models.message_passing.MessagePassingModel`
-    expressed as a pairwise-equality tensor, with first-occurrence
-    ``argmax`` labels as the canonical class ids (no integer encoding,
-    so no overflow at any ``n``).
+    iff their previous classes, their fresh bits, their degrees and the
+    classes behind each of their ports (in port order) all agree -- the
+    interner recursion of
+    :class:`~repro.models.message_passing.MessagePassingModel`.
+
+    Each round packs all of that into one signature per node: the
+    columns ``2*label + bit``, a degree-class id and the labels behind
+    each port, stored in ``np.min_scalar_type(2n+1)`` (every column is
+    below ``2n``), zero-padded to whole ``uint64`` words and viewed as
+    those words.  The signatures are compared word by word and the new
+    labels are the first-occurrence indices of
+    :func:`_first_equal_labels`.  Labels stay node indices and no
+    mixed-radix product is formed, so no overflow at any ``n``.
     """
     n = alpha.n
-    batch = words.shape[0]
+    batch = words.shape[2]
     bits = _bit_planes(alpha, words, t)
     degrees = [len(ports.neighbours(node)) for node in range(n)]
+    degree_ids = np.unique(degrees, return_inverse=True)[1]
     width = max(degrees)
-    # Pad short rows with the node itself: padded positions then compare
-    # the nodes' own labels, already part of the equality, so padding is
-    # inert; nodes of unequal degree are separated by ``pair_ok``.
-    nbr = np.fromiter(
-        (
-            ports.neighbours(node)[p] if p < degrees[node] else node
-            for node in range(n)
-            for p in range(width)
-        ),
-        dtype=np.int64,
-        count=n * width,
-    ).reshape(n, width)
-    deg = np.asarray(degrees, dtype=np.int64)
-    pair_ok = deg[:, None] == deg[None, :]
-    labels = np.zeros((batch, n), dtype=np.int64)
-    eq = np.broadcast_to(pair_ok, (batch, n, n))
+    dtype = np.min_scalar_type(2 * n + 1)
+    columns = 2 + width
+    per_word = 8 // dtype.itemsize
+    # Rows of ``slots``: the labels, the ``2*label + bit`` values, one
+    # constant row per degree class, and a zero row for the padding.
+    # ``pick[i]`` lists the slot behind each signature column of node i.
+    classes = int(degree_ids.max()) + 1
+    slots = np.zeros((2 * n + classes + 1, batch), dtype=dtype)
+    slots[2 * n : 2 * n + classes] = np.arange(classes)[:, None]
+    pick = np.full(
+        (n, -(-columns // per_word) * per_word), len(slots) - 1, dtype=np.intp
+    )
+    pick[:, 0] = n + np.arange(n)
+    pick[:, 1] = 2 * n + degree_ids
+    for node in range(n):
+        # Short rows keep the zero slot: the degree column already
+        # separates nodes of unequal degree.
+        pick[node, 2 : 2 + degrees[node]] = ports.neighbours(node)
+    labels = np.zeros((n, batch), dtype=dtype)
     for r in range(t):
-        label_eq = labels[:, :, None] == labels[:, None, :]
-        plane = bits[:, :, r]
-        bit_eq = plane[:, :, None] == plane[:, None, :]
-        received = labels[:, nbr]  # (B, n, width)
-        recv_eq = (
-            received[:, :, None, :] == received[:, None, :, :]
-        ).all(axis=3)
-        eq = pair_ok & label_eq & bit_eq & recv_eq
-        labels = eq.argmax(axis=2)
-    weights = np.ones(n, dtype=np.int64)
-    return _verdicts_by_size_multiset(task, _size_multiset_keys(eq, weights))
+        slots[:n] = labels
+        np.multiply(slots[:n], 2, out=slots[n : 2 * n])
+        slots[n : 2 * n] += bits[r]
+        signature = np.ascontiguousarray(slots[pick].transpose(0, 2, 1))
+        packed = signature.view(np.uint64)  # (n, B, words)
+        labels = _first_equal_labels(
+            np.ascontiguousarray(packed.transpose(2, 0, 1))
+        )
+    return labels
+
+
+def _size_multisets(
+    labels: np.ndarray, weights: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Per-trial class sizes, sorted descending and zero-padded: ``(B, m)``.
+
+    ``labels[j, s]`` is the first unit of ``j``'s class in trial ``s``
+    and ``weights[j]`` how many nodes unit ``j`` carries (one each when
+    ``None``).  One offset ``bincount`` sums each class onto its first
+    unit; every other slot stays zero.
+    """
+    m, batch = labels.shape
+    flat = (labels + np.arange(batch) * m).ravel()
+    if weights is None:
+        sizes = np.bincount(flat, minlength=batch * m)
+    else:
+        sizes = np.bincount(
+            flat, weights=np.repeat(weights, batch), minlength=batch * m
+        ).astype(np.int64)
+    sizes = sizes.reshape(batch, m)
+    sizes.sort(axis=1)
+    return sizes[:, ::-1]
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct rows in lexicographic order, per-row index into them)``
+    by one ``lexsort`` and an adjacent-row diff."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    index = np.empty(len(keys), dtype=np.uint16)
+    index[order] = np.cumsum(starts) - 1
+    return ranked[starts], index
+
+
+# Cells of one stream run back to back (a sweep walks tasks per stream),
+# so a small window of blocks catches every reuse.
+@lru_cache(maxsize=128)
+def _block_classes(
+    alpha: RandomnessConfiguration,
+    ports: PortAssignment | None,
+    t: int,
+    stream_seed: int,
+    block: int,
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The block's knowledge partitions, reduced to what a task reads.
+
+    Returns the distinct class-size multisets (descending, zeros dropped)
+    and a read-only ``uint16`` index from each trial to its multiset.
+    Task-free: the partition comes from the protocol complex alone, so
+    every task on the same ``(stream_seed, block)`` reuses it.
+    """
+    words = _round_major_words(stream_seed, block, alpha.k, words_needed(t))
+    if ports is None:
+        keys = _size_multisets(
+            _blackboard_labels(words, t), alpha.group_sizes
+        )
+    else:
+        keys = _size_multisets(_clique_labels(alpha, ports, words, t))
+    distinct, index = _distinct_rows(keys)
+    index.flags.writeable = False
+    classes = tuple(
+        tuple(int(size) for size in row if size) for row in distinct
+    )
+    return classes, index
 
 
 # ----------------------------------------------------------------------
@@ -370,10 +433,16 @@ def block_indicators(
         return _solve_chain(
             alpha, task, ports, t, draws, quotient=quotient
         )
-    words = source_words(stream_seed, block, alpha.k, words_needed(t))
-    if ports is None:
-        return _solve_blackboard(alpha, task, t, words)
-    return _solve_clique(alpha, task, ports, t, words)
+    # Valid for every symmetric output complex -- the package contract --
+    # where solvability depends only on the multiset of knowledge-class
+    # sizes (see :meth:`SymmetryBreakingTask.solvable_from_sizes`).
+    classes, index = _block_classes(alpha, ports, t, stream_seed, block)
+    verdicts = np.fromiter(
+        (task.solvable_from_sizes(sizes) for sizes in classes),
+        dtype=bool,
+        count=len(classes),
+    )
+    return verdicts[index]
 
 
 __all__ = [

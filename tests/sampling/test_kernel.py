@@ -4,9 +4,13 @@ agreement between the vectorized solvers and the scalar oracle."""
 import numpy as np
 import pytest
 
-from repro.core import leader_election
+from repro.core import k_leader_election, leader_election
 from repro.core.task_zoo import unique_ids
-from repro.models import adversarial_assignment, random_assignment
+from repro.models import (
+    adversarial_assignment,
+    random_assignment,
+    round_robin_assignment,
+)
 from repro.randomness import RandomnessConfiguration
 from repro.sampling import (
     BLOCK_SAMPLES,
@@ -18,6 +22,7 @@ from repro.sampling import (
     source_words,
     words_needed,
 )
+from repro.sampling.kernel import _block_classes
 
 
 class TestSubstreams:
@@ -112,3 +117,69 @@ class TestBitExactness:
         b = block_indicators(alpha, task, 1, stream_seed=0, block=1)
         assert 0 < a.sum() < BLOCK_SAMPLES  # intermediate probability
         assert not np.array_equal(a, b)
+
+
+class TestBlockClassesCache:
+    """The task-free partition cache must key on everything the partition
+    reads -- configuration, ports, horizon, stream and block -- and must
+    never hand a caller an array it shares with the cache."""
+
+    STREAM = (23, 1)
+
+    def _check(self, sizes, ports, task, t):
+        alpha = RandomnessConfiguration.from_group_sizes(sizes)
+        stream_seed, block = self.STREAM
+        fast = block_indicators(
+            alpha, task, t, ports, stream_seed=stream_seed, block=block
+        )
+        slow = scalar_block_indicators(
+            alpha, task, t, ports, stream_seed=stream_seed, block=block,
+            count=200,
+        )
+        assert np.array_equal(fast[:200], slow)
+        return fast
+
+    @pytest.fixture(params=["cleared", "warm"])
+    def clear(self, request):
+        def clear():
+            if request.param == "cleared":
+                _block_classes.cache_clear()
+
+        clear()
+        return clear
+
+    def test_task_a_then_task_b(self, clear):
+        sizes = (1, 2, 2)
+        leader = self._check(sizes, None, leader_election(5), 4)
+        clear()
+        k_leader = self._check(sizes, None, k_leader_election(5, 2), 4)
+        assert not np.array_equal(leader, k_leader)
+
+    def test_longer_horizon_then_shorter(self, clear):
+        sizes = (1, 2, 2)
+        ports = adversarial_assignment(sizes)
+        task = leader_election(5)
+        long = self._check(sizes, ports, task, 4)
+        clear()
+        short = self._check(sizes, ports, task, 3)
+        assert not np.array_equal(long, short)
+
+    def test_port_tables_of_one_size(self, clear):
+        sizes = (2, 2)
+        task = leader_election(4)
+        ports = adversarial_assignment(sizes)
+        adversarial = self._check(sizes, ports, task, 4)
+        clear()
+        benign = self._check(sizes, round_robin_assignment(4), task, 4)
+        assert not adversarial.any() and benign.any()
+
+    def test_callers_cannot_write_into_the_cache(self):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
+        task = leader_election(3)
+        first = block_indicators(alpha, task, 3, stream_seed=4, block=0)
+        expected = first.copy()
+        first[:] = ~first
+        again = block_indicators(alpha, task, 3, stream_seed=4, block=0)
+        assert np.array_equal(again, expected)
+        _, index = _block_classes(alpha, None, 3, 4, 0)
+        assert index.dtype == np.uint16 and not index.flags.writeable
