@@ -29,7 +29,7 @@ algorithms in synchronous anonymous systems, end to end:
 * :mod:`repro.obs` -- span tracing and metrics across the chain/runner/
   warehouse stack, persisted and queryable (see ``OBS.md``);
 * :mod:`repro.context` -- how jobs run (quotient mode, chain cache,
-  query memo, heartbeats, tracing) as one scoped value;
+  query memo, tracing) as one scoped value;
 * :mod:`repro.viz` -- ASCII/DOT rendering of the paper's figures.
 
 Quickstart::

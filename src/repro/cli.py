@@ -15,7 +15,7 @@ sweep           expand and execute a sweep (parallel, resumable)
 chains          list/inspect/prune a chain disk cache
 results         query/export/stats/compact/ingest/vacuum a results warehouse
 obs             read telemetry back: explain a profile, history/diff/tiers
-                across sweeps, tail/top a live run (OBS.md)
+                across sweeps (OBS.md)
 
 Chain queries run through one front door (``repro.chain.run_queries``
 for one chain, ``run_group_queries`` for a whole shape axis): shared
@@ -90,11 +90,11 @@ with ``python -m repro.obs.schema FILE``) when the command finishes.
 Sweeps with a warehouse also persist the folded telemetry into a
 ``telemetry`` table served by ``repro results query --table
 telemetry``.  ``repro obs`` is the one reader: ``obs explain FILE``
-prints a profile's span tree (calls, total, self time), ``obs
+prints a profile's span tree (calls, total, self time), and ``obs
 history``/``diff``/``tiers`` trend, compare and attribute the sweeps a
-warehouse holds, and ``obs tail``/``top`` watch a live run.  See
-``OBS.md`` for the instrumentation map and "From telemetry to
-decisions".
+warehouse holds.  ``--progress`` prints one ``progress: done/total``
+line per finished job to stderr.  See ``OBS.md`` for the
+instrumentation map and "From telemetry to decisions".
 """
 
 from __future__ import annotations
@@ -229,59 +229,19 @@ def _add_quotient_arg(p) -> None:
 
 
 def _add_progress_args(p) -> None:
-    """Install ``--progress`` and the stall-watchdog knobs."""
+    """Install ``--progress``."""
     p.add_argument(
         "--progress",
         action="store_true",
-        help=(
-            "stream per-job progress to stderr; with a run directory, "
-            "also write progress.jsonl and per-worker heartbeats there "
-            "(tail with `repro obs tail RUN_DIR`)"
-        ),
-    )
-    p.add_argument(
-        "--stall-deadline",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help=(
-            "--progress: flag a worker whose last heartbeat is older "
-            "than this (default 30)"
-        ),
-    )
-    p.add_argument(
-        "--stall-action",
-        choices=("warn", "cancel"),
-        default="warn",
-        help=(
-            "--progress: what the stall watchdog does -- warn on "
-            "stderr, or cancel the pool and resubmit the unfinished "
-            "jobs (default warn)"
-        ),
+        help="print one `progress: done/total` line per finished job "
+        "to stderr",
     )
 
 
-def _live_from(args) -> "dict | None":
-    """The ``run_sweep(live=...)`` payload for ``--progress``, or None."""
-    if not getattr(args, "progress", False):
-        return None
-    return {
-        "deadline": args.stall_deadline,
-        "action": args.stall_action,
-    }
-
-
-def _stderr_progress(total: int):
-    """A per-record callback printing ``done/total`` lines to stderr."""
-    done = 0
-
-    def advance(record: dict) -> None:
-        nonlocal done
-        done += 1
-        key = record.get("key", "?")
-        print(f"progress: {done}/{total} {key}", file=sys.stderr)
-
-    return advance
+def _stderr_progress(record: dict, completed: int, total: int) -> None:
+    """``run_sweep``'s progress callback: one ``done/total`` stderr line."""
+    key = record.get("key", "?")
+    print(f"progress: {completed}/{total} {key}", file=sys.stderr)
 
 
 # ----------------------------------------------------------------------
@@ -355,16 +315,12 @@ def cmd_phase_diagram(args) -> int:
             ports=("adversarial",),
             tasks=(args.task,),
         )
-        progress = (
-            _stderr_progress(len(sweep.expand())) if args.progress else None
-        )
         outcome = run_sweep(
             sweep,
             engine=_engine_from(args),
             run_dir=args.run_dir,
             warehouse=_warehouse_from(args),
-            progress=progress,
-            live=_live_from(args),
+            progress=_stderr_progress if args.progress else None,
         )
     except ValueError as exc:  # e.g. a bad --task spec
         raise SystemExit(f"phase-diagram: {exc}")
@@ -779,74 +735,6 @@ def cmd_results(args) -> int:
     return 0
 
 
-def _obs_tail(args) -> int:
-    """Stream a live run's progress events (``repro obs tail RUN_DIR``)."""
-    import pathlib
-    import time
-
-    from .obs.live import PROGRESS_NAME, format_progress_event, read_progress
-
-    path = pathlib.Path(args.path)
-    if path.is_dir():
-        path = path / PROGRESS_NAME
-    if not args.follow and not path.exists():
-        raise SystemExit(f"obs tail: no progress log at {path}")
-    offset = 0
-    while True:
-        events, offset = read_progress(path, offset)
-        ended = False
-        for event in events:
-            print(format_progress_event(event))
-            ended = ended or event.get("event") == "end"
-        if not args.follow or ended:
-            return 0
-        time.sleep(args.poll)
-
-
-def _obs_top(args) -> int:
-    """Render per-worker heartbeat state (``repro obs top RUN_DIR``)."""
-    import pathlib
-
-    from .obs.live import HEARTBEAT_DIR, worker_status
-
-    directory = pathlib.Path(args.path)
-    if (directory / HEARTBEAT_DIR).is_dir():
-        directory = directory / HEARTBEAT_DIR
-    rows = worker_status(directory)
-    if not rows:
-        print(f"no heartbeats under {directory} (run a sweep with "
-              "--progress and a --run-dir first)")
-        return 0
-    print(
-        format_table(
-            ("worker", "phase", "done", "in-flight", "age", "rss", "cpu"),
-            [
-                (
-                    r["worker"],
-                    r.get("phase", "?"),
-                    r["jobs_finished"],
-                    r["in_flight"],
-                    f"{r['age']:.1f}s",
-                    _format_bytes(r.get("resources", {}).get("rss_peak", 0)),
-                    f"{r.get('resources', {}).get('cpu_seconds', 0.0):.1f}s",
-                )
-                for r in rows
-            ],
-        )
-    )
-    return 0
-
-
-def _format_bytes(count: int) -> str:
-    """Human-readable byte count (``1.5GiB``)."""
-    value = float(count)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024 or unit == "GiB":
-            return f"{value:.1f}{unit}" if unit != "B" else f"{int(value)}B"
-        value /= 1024
-    return f"{value:.1f}GiB"  # pragma: no cover - loop always returns
-
-
 def _obs_explain(args) -> int:
     """Print a profile's span tree (``repro obs explain PROFILE``)."""
     import json
@@ -901,17 +789,10 @@ def cmd_obs(args) -> int:
     every metric across sweeps (one line per metric and stamp), ``repro
     obs diff DIR`` compares two sweeps tier by tier (the two most
     recent, or ``--a A --b B`` by stamp), and ``repro obs tiers DIR``
-    attributes one sweep's wall-clock by span self-time.  ``repro obs
-    tail RUN_DIR`` replays (or with ``--follow`` streams) a live
-    sweep's progress events; ``repro obs top RUN_DIR`` shows per-worker
-    heartbeat state.
+    attributes one sweep's wall-clock by span self-time.
     """
     if args.action == "explain":
         return _obs_explain(args)
-    if args.action == "tail":
-        return _obs_tail(args)
-    if args.action == "top":
-        return _obs_top(args)
     from .obs.analyze import diff_sweeps, tier_attribution
 
     store = _results_store(args.path)
@@ -1193,16 +1074,12 @@ def cmd_sweep(args) -> int:
         )
         # run_sweep expands first, so a bad --tasks spec or a run-dir
         # manifest mismatch both surface here before any job executes.
-        progress = (
-            _stderr_progress(len(sweep.expand())) if args.progress else None
-        )
         outcome = run_sweep(
             sweep,
             engine=_engine_from(args),
             run_dir=args.run_dir,
             warehouse=_warehouse_from(args),
-            progress=progress,
-            live=_live_from(args),
+            progress=_stderr_progress if args.progress else None,
         )
     except ValueError as exc:
         raise SystemExit(f"sweep: {exc}")
@@ -1533,18 +1410,18 @@ def build_parser() -> argparse.ArgumentParser:
         "obs",
         help=(
             "read telemetry back: explain a profile, history/diff/tiers "
-            "across sweeps, tail/top a live run"
+            "across sweeps"
         ),
     )
     p.add_argument(
-        "action", choices=("explain", "history", "diff", "tiers", "tail", "top")
+        "action", choices=("explain", "history", "diff", "tiers")
     )
     p.add_argument(
         "path",
         help=(
             "explain: a --profile-out JSON file; history/diff/tiers: "
             "warehouse directory (or a run directory containing "
-            "warehouse/); tail/top: a live run directory"
+            "warehouse/)"
         ),
     )
     p.add_argument(
@@ -1575,14 +1452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stamp", type=float, default=None,
         help="tiers: sweep stamp to attribute (default: most recent)",
-    )
-    p.add_argument(
-        "--follow", action="store_true",
-        help="tail: keep polling until the run's end event arrives",
-    )
-    p.add_argument(
-        "--poll", type=float, default=1.0,
-        help="tail --follow: poll interval in seconds (default 1)",
     )
     p.set_defaults(func=cmd_obs)
 

@@ -1,15 +1,15 @@
 """How a job runs, as one value: :class:`ExecutionContext`.
 
 Which chains a compile folds, where compiled chains and query answers
-persist, where heartbeats go and whether a job traces are not arguments
-of the numeric functions; they are the context a job runs in.  A
-process has one slot for it.  :func:`current_context` reads the slot;
-:func:`use_context` sets it for one ``with`` block and restores the
-previous value on exit, even on error.
+persist and whether a job traces are not arguments of the numeric
+functions; they are the context a job runs in.  A process has one slot
+for it.  :func:`current_context` reads the slot; :func:`use_context`
+sets it for one ``with`` block and restores the previous value on
+exit, even on error.
 
 The CLI builds the value from its flags, :func:`repro.runner.run_sweep`
-extends the caller's value with a run's cache, memo and heartbeat
-directories, and every worker payload carries the value to the
+extends the caller's value with a run's cache and memo directories,
+and every worker payload carries the value to the
 ``execute_*`` function that runs it, which enters it the same way.  A
 job therefore sees the same context serially and in a pool, and
 nothing a job enters outlives it.
@@ -45,8 +45,6 @@ class ExecutionContext:
     chain_cache: "str | None" = None
     #: Directory of the cross-run query memo, or ``None``.
     results_memo: "str | None" = None
-    #: ``(heartbeat directory, seconds between beats)``, or ``None``.
-    heartbeat: "tuple[str, float] | None" = None
     #: Whether jobs trace.  In a process the switch behind
     #: ``repro.obs.OBS.enabled`` decides; payloads copy it here so pool
     #: workers trace exactly when their parent does.
@@ -62,11 +60,6 @@ class ExecutionContext:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, os.fspath(value))
-        if self.heartbeat is not None:
-            directory, interval = self.heartbeat
-            object.__setattr__(
-                self, "heartbeat", (os.fspath(directory), float(interval))
-            )
 
 
 _CURRENT = ExecutionContext()

@@ -10,10 +10,9 @@ stamps (:mod:`repro.obs.clock`), and the dependency-free schema
 validator for ``--profile-out`` documents (:mod:`repro.obs.schema`).
 On top of the collection substrate sits the read-back loop: cross-run
 analytics over persisted telemetry (:mod:`repro.obs.analyze`) -- see
-OBS.md, "From telemetry to decisions".  Alongside the after-the-fact profile sits the *in-flight*
-layer (:mod:`repro.obs.live`, OBS.md "Live operation"): worker
-heartbeats with resource gauges (:mod:`repro.obs.resources`), a
-streaming ``progress.jsonl`` event log, and a stall watchdog.
+OBS.md, "From telemetry to decisions".  Everything here reports after
+the fact; while a sweep runs, ``--progress`` prints one stderr line per
+finished job (OBS.md, "Progress").
 
 The contract with the hot paths
 -------------------------------
@@ -48,13 +47,6 @@ from __future__ import annotations
 import os
 
 from .clock import now
-from .live import (
-    LIVE,
-    HeartbeatEmitter,
-    LiveConfig,
-    SweepMonitor,
-    monitored_map,
-)
 from .metrics import (
     MetricsRegistry,
     bin_edges,
@@ -153,13 +145,9 @@ def reset_telemetry() -> None:
 
 
 __all__ = [
-    "LIVE",
     "OBS",
-    "HeartbeatEmitter",
-    "LiveConfig",
     "Observability",
     "Span",
-    "SweepMonitor",
     "Tracer",
     "MetricsRegistry",
     "PROFILE_SCHEMA_VERSION",
@@ -170,7 +158,6 @@ __all__ = [
     "drain_telemetry",
     "histogram_percentiles",
     "merge_telemetry",
-    "monitored_map",
     "now",
     "render_span_tree",
     "reset_telemetry",

@@ -9,11 +9,6 @@ sweep orchestrator folds the snapshots into one profile):
 * **gauges** are last-written floats describing a *state* (cache entry
   counts, per-digest load counts); merging takes the max, which is
   order-independent and right for monotone state like load counts.
-  A gauge may carry a **source label** (``gauge(name, value,
-  source="worker-3")``), stored under the key ``name[source]`` -- each
-  source then has its own max-merged slot, so per-worker state like
-  "current RSS on worker 3" is representable while unlabeled gauges
-  keep the plain max law unchanged.
 * **histograms** bucket observations into fixed power-of-two bins
   (:func:`bin_index`); merging sums the buckets.  Fixed bins mean two
   histograms built anywhere, over any data, always merge exactly --
@@ -142,22 +137,10 @@ class MetricsRegistry:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + int(by)
 
-    @staticmethod
-    def _gauge_key(name: str, source: "str | None") -> str:
-        return name if source is None else f"{name}[{source}]"
-
-    def gauge(
-        self, name: str, value: float, source: "str | None" = None
-    ) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins locally).
-
-        With ``source``, the value lands in that source's own labeled
-        slot (key ``name[source]``): merging still takes the max, but
-        per *labeled* slot, so many workers' states coexist instead of
-        collapsing to one global max.
-        """
+    def gauge(self, name: str, value: float) -> None:
+        """Set gauge ``name`` to ``value`` (last write wins locally)."""
         with self._lock:
-            self._gauges[self._gauge_key(name, source)] = float(value)
+            self._gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into histogram ``name``."""
@@ -182,23 +165,10 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def gauge_value(
-        self, name: str, source: "str | None" = None
-    ) -> "float | None":
-        """Current value of gauge ``name`` (optionally labeled), or
-        ``None``."""
+    def gauge_value(self, name: str) -> "float | None":
+        """Current value of gauge ``name``, or ``None``."""
         with self._lock:
-            return self._gauges.get(self._gauge_key(name, source))
-
-    def labeled_gauges(self, name: str) -> "dict[str, float]":
-        """Every labeled slot of gauge ``name``: ``{source: value}``."""
-        prefix = name + "["
-        with self._lock:
-            return {
-                key[len(prefix):-1]: value
-                for key, value in self._gauges.items()
-                if key.startswith(prefix) and key.endswith("]")
-            }
+            return self._gauges.get(name)
 
     def histogram(self, name: str) -> "dict | None":
         """A copy of histogram ``name``, or ``None``."""

@@ -12,14 +12,10 @@ checked", never to a false failure.
 
 Runnable as a module (the CI profile-validation step)::
 
-    python -m repro.obs.schema profile.json
-    python -m repro.obs.schema runs/demo/progress.jsonl
+    python -m repro.obs.schema profile.json [...]
 
 exits 0 when every document validates, 1 with one error per line
-otherwise.  A ``.jsonl`` argument is validated line by line against the
-packaged *progress-event* schema (``progress.schema.json`` -- the wire
-format of :mod:`repro.obs.live`); anything else validates against the
-profile schema.
+otherwise.
 """
 
 from __future__ import annotations
@@ -29,12 +25,6 @@ import pathlib
 
 #: Where the packaged profile schema lives (checked into the tree).
 SCHEMA_PATH = pathlib.Path(__file__).parent / "profile.schema.json"
-
-#: The packaged progress-event schema (one event per ``progress.jsonl``
-#: line; see :mod:`repro.obs.live`).
-PROGRESS_SCHEMA_PATH = (
-    pathlib.Path(__file__).parent / "progress.schema.json"
-)
 
 _TYPES = {
     "object": dict,
@@ -121,47 +111,14 @@ def validate_profile(document) -> "list[str]":
     return validate(document, profile_schema())
 
 
-def progress_schema() -> dict:
-    """The packaged progress-event schema document."""
-    return json.loads(PROGRESS_SCHEMA_PATH.read_text())
-
-
-def validate_progress(event) -> "list[str]":
-    """Violations of the progress-event schema (empty = valid)."""
-    return validate(event, progress_schema())
-
-
-def _validate_event_log(path: pathlib.Path) -> "list[str]":
-    """Violations across one ``progress.jsonl`` file, line-numbered."""
-    errors: list[str] = []
-    schema = progress_schema()
-    for lineno, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except ValueError as exc:
-            errors.append(f"line {lineno}: unparsable ({exc})")
-            continue
-        errors.extend(
-            f"line {lineno}: {error}"
-            for error in validate(event, schema)
-        )
-    return errors
-
-
 def main(argv: "list[str] | None" = None) -> int:
-    """CLI entry point: validate profile JSON / progress JSONL files."""
+    """CLI entry point: validate profile JSON files."""
     import sys
 
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv:
         print(
-            "usage: python -m repro.obs.schema "
-            "(profile.json | progress.jsonl) [...]",
+            "usage: python -m repro.obs.schema profile.json [...]",
             file=sys.stderr,
         )
         return 2
@@ -169,10 +126,7 @@ def main(argv: "list[str] | None" = None) -> int:
     for name in argv:
         path = pathlib.Path(name)
         try:
-            if path.suffix == ".jsonl":
-                errors = _validate_event_log(path)
-            else:
-                errors = validate_profile(json.loads(path.read_text()))
+            errors = validate_profile(json.loads(path.read_text()))
         except (OSError, ValueError) as exc:
             print(f"{name}: unreadable ({exc})")
             failed = True
@@ -191,12 +145,9 @@ if __name__ == "__main__":  # pragma: no cover - exercised via CI
 
 
 __all__ = [
-    "PROGRESS_SCHEMA_PATH",
     "SCHEMA_PATH",
     "main",
     "profile_schema",
-    "progress_schema",
     "validate",
     "validate_profile",
-    "validate_progress",
 ]

@@ -100,39 +100,9 @@ class ProcessPoolEngine(ExecutionEngine):
 
         def generate() -> Iterator[dict]:
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                self._active = pool
-                try:
-                    yield from pool.map(fn, payloads, chunksize=chunksize)
-                finally:
-                    self._active = None
+                yield from pool.map(fn, payloads, chunksize=chunksize)
 
         return generate()
-
-    #: The executor currently draining a :meth:`map` call, if any
-    #: (set by the map generators; :meth:`terminate` targets it).
-    _active: "ProcessPoolExecutor | None" = None
-
-    def terminate(self) -> bool:
-        """Kill the live pool's worker processes; ``True`` if any died.
-
-        The stall watchdog's ``cancel`` action: terminating the
-        workers makes the in-flight ``map`` iterator raise
-        ``BrokenProcessPool``, which
-        :func:`repro.obs.live.monitored_map` catches to resubmit every
-        job not yet yielded on a fresh pool.  Safe to call from the
-        monitor thread while the main thread blocks inside ``map``;
-        a no-op (``False``) when no map is in flight.
-        """
-        pool = self._active
-        if pool is None:
-            return False
-        processes = list(getattr(pool, "_processes", {}).values())
-        for process in processes:
-            try:
-                process.terminate()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        return bool(processes)
 
 
 #: CLI spellings of the built-in engines.

@@ -7,13 +7,6 @@ A run directory's record of truth is two files:
 * ``records.jsonl`` -- one JSON object per *completed* job, appended and
   flushed as each job finishes.
 
-A live sweep (``--progress``) adds side-channel *metadata* that never
-influences records or resume: ``progress.jsonl`` (streaming progress
-events) and ``heartbeats/`` (one append-log per worker) -- see
-:mod:`repro.obs.live`.  The warehouse ignores both, and ``repro
-results vacuum`` deletes them with the directory without requiring
-coverage.
-
 Resume is a pure set difference: re-running a sweep against an existing
 directory skips every job whose key already appears in the log.  A
 half-written trailing line (the signature of a killed process) is
@@ -48,20 +41,6 @@ class RunDirectory:
     def records_path(self) -> pathlib.Path:
         """Path of ``records.jsonl``."""
         return self.path / self.RECORDS
-
-    @property
-    def progress_path(self) -> pathlib.Path:
-        """Path of the live progress event log (``progress.jsonl``)."""
-        from ..obs.live import PROGRESS_NAME
-
-        return self.path / PROGRESS_NAME
-
-    @property
-    def heartbeat_dir(self) -> pathlib.Path:
-        """Directory of per-worker heartbeat logs (``heartbeats/``)."""
-        from ..obs.live import HEARTBEAT_DIR
-
-        return self.path / HEARTBEAT_DIR
 
     def write_manifest(self, manifest: dict) -> None:
         """Write the manifest, or verify it matches the existing one.

@@ -247,28 +247,18 @@ def run_sweep(
     run_dir: "str | pathlib.Path | None" = None,
     progress=None,
     warehouse: "str | pathlib.Path | bool | None" = None,
-    live: "bool | dict | None" = None,
 ) -> SweepOutcome:
     """Execute a sweep, optionally resuming from a run directory.
 
     ``engine`` defaults to :class:`~repro.runner.engines.SerialEngine`.
     With ``run_dir``, each completed job is appended to
     ``records.jsonl`` immediately, and jobs already recorded there are
-    not re-run.  ``progress`` (if given) is called with each fresh record
-    as it completes.
-
-    ``live`` (needs a run directory) turns on the in-flight telemetry
-    side channel (:mod:`repro.obs.live`, OBS.md "Live operation"):
-    workers append heartbeats under ``<run_dir>/heartbeats/``, a
-    monitor thread folds them into schema-validated progress events in
-    ``<run_dir>/progress.jsonl``, and a stall watchdog flags workers
-    whose heartbeat age exceeds the deadline.  Pass ``True`` for the
-    defaults or a dict of :class:`~repro.obs.live.LiveConfig` fields
-    (``interval``, ``poll``, ``deadline``, ``action``, ``max_reaps``);
-    ``action="cancel"`` lets the watchdog reap a stalled pool and
-    resubmit the unfinished jobs deterministically.  Live telemetry
-    never touches the record path: ``records.jsonl`` is byte-identical
-    with ``live`` on or off.
+    not re-run.  ``progress`` (if given) is called as
+    ``progress(record, completed, total)`` with each fresh record as it
+    completes; ``completed`` counts resumed jobs too, so the last call
+    of a finished sweep has ``completed == total``.  It never touches
+    the record path: ``records.jsonl`` is byte-identical with or
+    without it.
 
     ``warehouse`` names the columnar results warehouse
     (:class:`~repro.results.store.ResultsStore`) the sweep serves and
@@ -350,16 +340,6 @@ def run_sweep(
         payloads = [
             p for p in payloads if jobs[p["index"]].job_key not in done
         ]
-    config = None
-    if live and directory is not None:
-        from ..obs.live import LiveConfig
-
-        config = LiveConfig.from_payload(
-            live if isinstance(live, (dict, LiveConfig)) else None
-        )
-        # Workers append heartbeats to their own log under the run
-        # directory, far from the record return path.
-        changes["heartbeat"] = (str(directory.heartbeat_dir), config.interval)
     context = payload_context(**changes)
     for payload in payloads:
         payload["context"] = context
@@ -370,29 +350,12 @@ def run_sweep(
     dispatch = payloads if grouped is None else grouped
     if grouped is not None:
         engine = _bin_engine(engine)
-    monitor = None
-    if config is not None:
-        from ..obs.live import SweepMonitor
-
-        monitor = SweepMonitor(
-            directory.path,
-            total=len(jobs),
-            config=config,
-            engine=engine,
-            resumed=len(prior),
-        )
     worker_fn = execute_run if grouped is None else execute_run_group
     executed = 0
     fresh: list[dict] = []
     group_stats: list[dict] = []
     try:
-        if monitor is not None:
-            monitor.start()
-            from ..obs.live import monitored_map
-
-            results = monitored_map(engine, worker_fn, dispatch, monitor)
-        else:
-            results = engine.map(worker_fn, dispatch)
+        results = engine.map(worker_fn, dispatch)
         with trace("sweep.execute", jobs=len(dispatch)):
             for result in results:
                 # Workers attach their drained telemetry *next to* the
@@ -417,15 +380,9 @@ def run_sweep(
                         directory.append(record)
                     fresh.append(record)
                     executed += 1
-                    if monitor is not None:
-                        monitor.note_record(record)
                     if progress is not None:
-                        progress(record)
+                        progress(record, len(prior) + executed, len(jobs))
     finally:
-        if monitor is not None:
-            # Flush the final progress event (``event: "end"``) and stop
-            # the monitor thread.
-            monitor.stop()
         if store is not None:
             # Land what this invocation produced: the fresh job records
             # (watermarked -- only the new JSONL bytes are read) and the

@@ -28,7 +28,6 @@ from ..chain import (
 from ..context import ExecutionContext, current_context, use_context
 from ..core.tasks import SymmetryBreakingTask
 from ..obs import (
-    LIVE,
     OBS,
     configure_tracing,
     drain_telemetry,
@@ -163,8 +162,6 @@ def execute_run(payload: dict) -> dict:
     spec = RunSpec.from_dict(payload["spec"])
     master_seed = int(payload.get("master_seed", 0))
     seed = derive_seed(master_seed, spec.job_key)
-    if LIVE.emitter is not None:
-        LIVE.emitter.job_started(f"job:{spec.kind}")
     value: dict
     with trace("runner.job", key=spec.job_key, kind=spec.kind) as timer:
         alpha = RandomnessConfiguration.from_group_sizes(spec.sizes)
@@ -209,8 +206,6 @@ def execute_run(payload: dict) -> dict:
                 "samples": estimate.samples,
             }
     record = _job_record(payload, spec, seed, alpha, value, timer.duration)
-    if LIVE.emitter is not None:
-        LIVE.emitter.job_finished()
     if OBS.enabled:
         OBS.metrics.inc("runner.jobs")
         # Telemetry rides *next to* the record fields under a key the
@@ -245,8 +240,6 @@ def execute_run_group(payload: dict) -> dict:
     """
     from ..chain import evolution_strategy, transition_density
 
-    if LIVE.emitter is not None:
-        LIVE.emitter.job_started("group:prepare", count=len(payload["jobs"]))
     with trace("runner.group", jobs=len(payload["jobs"])) as timer:
         prepared = []
         items: dict[int, tuple[CompiledChain, list]] = {}
@@ -254,8 +247,6 @@ def execute_run_group(payload: dict) -> dict:
         memo_hits = 0
         with trace("group.prepare"):
             for job in payload["jobs"]:
-                if LIVE.emitter is not None:
-                    LIVE.emitter.pulse()
                 spec = RunSpec.from_dict(job["spec"])
                 master_seed = int(job.get("master_seed", 0))
                 seed = derive_seed(master_seed, spec.job_key)
@@ -278,8 +269,6 @@ def execute_run_group(payload: dict) -> dict:
                     (job, spec, seed, alpha, (id(chain), len(queries)), None)
                 )
                 queries.append(Query.limit(task))
-        if LIVE.emitter is not None:
-            LIVE.emitter.pulse("group:evolve")
         with trace("group.evolve"):
             answers = dict(
                 zip(order, run_group_queries([items[cid] for cid in order]))
@@ -313,8 +302,6 @@ def execute_run_group(payload: dict) -> dict:
         "elapsed": elapsed_total,
     }
     result = {"records": records, "group": group}
-    if LIVE.emitter is not None:
-        LIVE.emitter.job_finished(count=len(prepared))
     if OBS.enabled:
         OBS.metrics.inc("runner.groups")
         OBS.metrics.inc("runner.jobs", len(prepared))

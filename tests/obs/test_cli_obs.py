@@ -1,9 +1,11 @@
 """CLI observability round-trips: --profile-out, obs explain/history/
-diff/tiers, chain cache read-back, stamps, and the retired spellings."""
+diff/tiers, chain cache read-back, stamps, --progress, and the retired
+spellings."""
 
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -290,24 +292,19 @@ class TestCrossRunAnalyticsCLI:
             main(["obs", "tiers", str(run), "--stamp", "123.0"])
 
 
-class TestLiveCLI:
-    """The live-operation surface: --progress, obs tail, obs top."""
+class TestProgressFlag:
+    """``--progress``: one stderr line per finished job, records and
+    run-directory contents untouched."""
 
-    @pytest.fixture
-    def live_run(self, tmp_path, capsys):
-        """A completed --progress sweep; returns its run directory."""
-        run = tmp_path / "run"
-        clear_memo()
-        assert main(
-            ["sweep", "--n", "4", "--run-dir", str(run), "--no-warehouse",
-             "--progress"]
-        ) == 0
-        capsys.readouterr()
-        return run
+    @staticmethod
+    def _stripped(path):
+        """A run directory's records, ``elapsed`` excluded."""
+        return [
+            {k: v for k, v in json.loads(line).items() if k != "elapsed"}
+            for line in (path / "records.jsonl").read_text().splitlines()
+        ]
 
-    def test_progress_sweep_streams_stderr_and_writes_sidecar(
-        self, tmp_path, capsys
-    ):
+    def test_progress_sweep_streams_stderr(self, tmp_path, capsys):
         run = tmp_path / "run"
         clear_memo()
         assert main(
@@ -317,11 +314,6 @@ class TestLiveCLI:
         err = capsys.readouterr().err
         assert "progress: 1/10" in err
         assert "progress: 10/10" in err
-        assert (run / "progress.jsonl").exists()
-        assert list((run / "heartbeats").glob("*.log"))
-        from repro.obs.schema import _validate_event_log
-
-        assert _validate_event_log(run / "progress.jsonl") == []
 
     def test_progress_records_identical_to_plain_run(self, tmp_path, capsys):
         clear_memo()
@@ -331,48 +323,78 @@ class TestLiveCLI:
         ) == 0
         clear_memo()
         assert main(
-            ["sweep", "--n", "4", "--run-dir", str(tmp_path / "live"),
+            ["sweep", "--n", "4", "--run-dir", str(tmp_path / "progress"),
              "--no-warehouse", "--progress"]
         ) == 0
         capsys.readouterr()
+        assert self._stripped(tmp_path / "plain") == self._stripped(
+            tmp_path / "progress"
+        )
 
-        def stripped(path):
-            return [
-                {k: v for k, v in json.loads(line).items()
-                 if k != "elapsed"}
-                for line in path.read_text().splitlines()
-            ]
+    def test_pooled_progress_records_identical_to_plain_pooled_run(
+        self, tmp_path, capsys
+    ):
+        pooled = ["--engine", "process", "--workers", "2", "--no-warehouse"]
+        clear_memo()
+        assert main(
+            ["sweep", "--n", "4", "--run-dir", str(tmp_path / "plain"),
+             *pooled]
+        ) == 0
+        clear_memo()
+        assert main(
+            ["sweep", "--n", "4", "--run-dir", str(tmp_path / "progress"),
+             *pooled, "--progress"]
+        ) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("progress: 10/10 ")
+        assert self._stripped(tmp_path / "plain") == self._stripped(
+            tmp_path / "progress"
+        )
 
-        assert stripped(
-            tmp_path / "plain" / "records.jsonl"
-        ) == stripped(tmp_path / "live" / "records.jsonl")
-        assert not (tmp_path / "plain" / "progress.jsonl").exists()
+    def test_progress_run_dir_holds_the_plain_file_set(
+        self, tmp_path, capsys
+    ):
+        def files(run):
+            # A warehouse segment is named by its table plus a stamp,
+            # a pid or the record bytes it covers: keep the table.
+            return sorted(
+                re.sub(r"(segments/[^-/]+)-[^/]*(\.[a-z]+)$", r"\1\2",
+                       str(path.relative_to(run)))
+                for path in run.rglob("*")
+            )
 
-    def test_obs_tail_replays_the_event_log(self, live_run, capsys):
-        assert main(["obs", "tail", str(live_run)]) == 0
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        assert lines[0].startswith("[start] 0/10 jobs")
-        assert lines[-1].startswith("[end] 10/10 jobs")
+        for name, extra in (("plain", []), ("progress", ["--progress"])):
+            clear_memo()
+            assert main(
+                ["sweep", "--n", "4", "--run-dir", str(tmp_path / name),
+                 *extra]
+            ) == 0
+        capsys.readouterr()
+        assert files(tmp_path / "progress") == files(tmp_path / "plain")
 
-    def test_obs_tail_without_a_log_is_an_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="no progress log"):
-            main(["obs", "tail", str(tmp_path / "nope")])
-
-    def test_obs_top_renders_worker_rows(self, live_run, capsys):
-        assert main(["obs", "top", str(live_run)]) == 0
-        out = capsys.readouterr().out
-        rows = _table_rows(out)
-        assert rows
-        # Serial run: one worker, all ten jobs finished, none in flight.
-        assert rows[0][2] == "10"
-        assert rows[0][3] == "0"
-
-    def test_obs_top_without_heartbeats_says_so(self, tmp_path, capsys):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert main(["obs", "top", str(empty)]) == 0
-        assert "no heartbeats" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "4", "--no-warehouse"],
+            ["phase-diagram", "4", "--no-warehouse"],
+        ],
+        ids=["sweep", "phase-diagram"],
+    )
+    def test_resumed_progress_ends_at_the_total(self, argv, tmp_path,
+                                                capsys):
+        run = tmp_path / "run"
+        clear_memo()
+        assert main([*argv, "--run-dir", str(run)]) == 0
+        records = run / "records.jsonl"
+        lines = records.read_text().splitlines(keepends=True)
+        assert len(lines) == 10
+        records.write_text("".join(lines[:6]))
+        capsys.readouterr()
+        assert main([*argv, "--run-dir", str(run), "--progress"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split()[1] for line in err] == [
+            "7/10", "8/10", "9/10", "10/10"
+        ]
 
     def test_run_report_progress_flags_parse(self, tmp_path, capsys):
         assert main(["run", "2,3", "--progress"]) == 0
@@ -426,8 +448,11 @@ class TestOneTelemetrySpelling:
             ["run", "2,3", "--trace"],
             ["metrics", "show"],
             ["obs", "diff", "DIR", "--stamps", "1", "2"],
+            ["obs", "tail", "DIR"],
+            ["obs", "top", "DIR"],
         ],
-        ids=["trace-prefix", "trace-flag", "metrics", "obs-diff-stamps"],
+        ids=["trace-prefix", "trace-flag", "metrics", "obs-diff-stamps",
+             "obs-tail", "obs-top"],
     )
     def test_retired_spellings_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -57,43 +57,6 @@ class TestMergeLaws:
         assert hist["sum"] == 9.0
         assert (hist["min"], hist["max"]) == (1.0, 8.0)
 
-    def test_labeled_gauges_merge_per_source(self):
-        # The OBS.md caveat: an unlabeled max-merged gauge collapses
-        # per-worker readings.  Labels give each source its own slot,
-        # each still max-merged -- so per-worker peaks survive the fold.
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        c = MetricsRegistry()
-        a.gauge("worker.rss_peak", 100, source="w1")
-        b.gauge("worker.rss_peak", 80, source="w1")
-        c.gauge("worker.rss_peak", 50, source="w2")
-        a.merge(b.snapshot())  # same slot: max wins across registries
-        a.merge(c.snapshot())
-        assert a.labeled_gauges("worker.rss_peak") == {
-            "w1": 100.0, "w2": 50.0,
-        }
-        assert a.gauge_value("worker.rss_peak", source="w1") == 100.0
-        assert a.gauge_value("worker.rss_peak", source="w2") == 50.0
-
-    def test_labeled_and_unlabeled_slots_are_disjoint(self):
-        registry = MetricsRegistry()
-        registry.gauge("entries", 9)
-        registry.gauge("entries", 5, source="w1")
-        assert registry.gauge_value("entries") == 9.0
-        assert registry.labeled_gauges("entries") == {"w1": 5.0}
-        # A name that is a prefix of another does not leak labels.
-        registry.gauge("entries.extra", 1, source="w2")
-        assert registry.labeled_gauges("entries") == {"w1": 5.0}
-
-    def test_labeled_gauges_round_trip_snapshot_merge(self):
-        registry = MetricsRegistry()
-        registry.gauge("g", 3, source="a")
-        snap = registry.snapshot()
-        assert snap["gauges"] == {"g[a]": 3.0}  # plain keys: JSON-safe
-        other = MetricsRegistry()
-        other.merge(snap)
-        assert other.labeled_gauges("g") == {"a": 3.0}
-
     def test_merge_is_order_independent(self):
         snaps = []
         for seed in (1, 2, 3):

@@ -76,24 +76,3 @@ class TestVacuum:
     def test_untouched_directory_is_not_covered(self, store, run_dir):
         assert store.vacuum_run_directory(run_dir) == "not-covered"
         assert run_dir.exists()
-
-    def test_live_sidecar_files_never_block_vacuum(self, store, tmp_path):
-        # progress.jsonl and heartbeats/ are run-dir *metadata* (see
-        # STORE.md): the warehouse never ingests them, so vacuum must
-        # delete them with the directory without requiring coverage.
-        from repro.chain import clear_memo
-
-        path = tmp_path / "live-run"
-        sweep = SweepSpec(shapes=((1, 2), (3,)), models=("blackboard",))
-        clear_memo()
-        run_sweep(
-            sweep,
-            run_dir=path,
-            warehouse=False,
-            live={"interval": 0.0, "poll": 0.05},
-        )
-        assert (path / "progress.jsonl").exists()
-        assert list((path / "heartbeats").glob("*.log"))
-        store.ingest_run_directory(path)
-        assert store.vacuum_run_directory(path) == "removed"
-        assert not path.exists()

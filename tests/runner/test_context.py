@@ -63,14 +63,12 @@ class TestUseContext:
         context = ExecutionContext(
             chain_cache=tmp_path / "chains",
             results_memo=tmp_path / "memo",
-            heartbeat=(tmp_path / "beats", 2),
         )
         assert context.chain_cache == str(tmp_path / "chains")
-        assert context.heartbeat == (str(tmp_path / "beats"), 2.0)
+        assert context.results_memo == str(tmp_path / "memo")
         assert context == ExecutionContext(
             chain_cache=str(tmp_path / "chains"),
             results_memo=str(tmp_path / "memo"),
-            heartbeat=(str(tmp_path / "beats"), 2.0),
         )
         assert pickle.loads(pickle.dumps(context)) == context
 

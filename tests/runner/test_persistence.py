@@ -116,13 +116,16 @@ class TestResume:
     def test_records_stream_as_jobs_complete(self, tmp_path):
         rd_path = tmp_path / "run"
         seen: list[int] = []
+        counts: list[tuple[int, int]] = []
 
-        def spy(record):
+        def spy(record, completed, total):
             rd = RunDirectory(rd_path)
             seen.append(len(rd.load_records()))
+            counts.append((completed, total))
 
         run_sweep(
             _sweep(), engine=SerialEngine(), run_dir=rd_path, progress=spy
         )
         # After the k-th completion the log already holds k records.
         assert seen == list(range(1, len(seen) + 1))
+        assert counts == [(k, len(seen)) for k in seen]

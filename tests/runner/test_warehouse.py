@@ -244,7 +244,6 @@ class TestStateBudgetPacking:
             quotient="on",
             chain_cache="cache",
             results_memo="memo",
-            heartbeat=("live", 1.0),
             trace=True,
         )
         # Fields older parents put in every payload; workers no longer
