@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from repro.chain import ChainDiskCache, clear_memo
-from repro.cli import build_parser, main
+from repro.cli import _stderr_progress, build_parser, main
 from repro.obs import clock
 from repro.obs.schema import validate_profile
 from repro.results import ResultsStore
@@ -25,6 +25,14 @@ def _table_rows(text):
         if line.strip() and set(line) - {"-", " "}
     ]
     return [line.split() for line in lines[1:]]  # drop the header
+
+
+def _subparsers(parser):
+    """The ``repro`` subcommand parsers, by name."""
+    return next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
 
 
 def _traced_sweep(*argv):
@@ -401,6 +409,46 @@ class TestProgressFlag:
         err = capsys.readouterr().err
         assert "progress: 1/1" in err
 
+    @pytest.mark.parametrize(
+        "command", ["run", "sweep", "phase-diagram", "report"]
+    )
+    def test_progress_is_the_commands_only_progress_option(self, command):
+        sub = _subparsers(build_parser())[command]
+        options = [
+            option for action in sub._actions
+            for option in action.option_strings
+            if "progress" in option
+        ]
+        assert options == ["--progress"]
+        progress = next(
+            action for action in sub._actions
+            if "--progress" in action.option_strings
+        )
+        assert progress.default is False
+
+    @pytest.mark.parametrize(
+        "record, line",
+        [({"key": "sizes=1,2"}, "progress: 3/7 sizes=1,2\n"),
+         ({}, "progress: 3/7 ?\n")],
+        ids=["keyed", "keyless"],
+    )
+    def test_stderr_line_format(self, record, line, capsys):
+        _stderr_progress(record, 3, 7)
+        captured = capsys.readouterr()
+        assert captured.err == line
+        assert captured.out == ""
+
+    def test_report_progress_counts_every_experiment(self, tmp_path,
+                                                     capsys):
+        from repro.analysis import ALL_EXPERIMENTS
+
+        assert main(["report", str(tmp_path / "out"), "--progress"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        total = len(ALL_EXPERIMENTS)
+        assert [line.split()[1] for line in err] == [
+            f"{k}/{total}" for k in range(1, total + 1)
+        ]
+
 
 class TestObsDiffStamps:
     def test_a_and_b_select_both_sides(self, tmp_path, capsys):
@@ -459,6 +507,14 @@ class TestOneTelemetrySpelling:
             main(argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_obs_reads_the_four_warehouse_views(self):
+        obs = _subparsers(build_parser())["obs"]
+        action = next(
+            action for action in obs._actions if action.dest == "action"
+        )
+        assert set(action.choices) == {"explain", "history", "diff",
+                                       "tiers"}
 
     def test_every_subcommand_accepts_profile_out(self):
         parser = build_parser()

@@ -1,5 +1,10 @@
 """The metrics registry: bins, merge laws, and atomic drains."""
 
+import random
+import threading
+
+import pytest
+
 from repro.obs import MetricsRegistry, bin_edges, bin_index
 from repro.obs.metrics import MIN_EXP, NBINS
 
@@ -145,3 +150,105 @@ class TestHistogramPercentiles:
         registry.observe("h", 0.0)  # bucket 0 is open below
         pct = histogram_percentiles(registry.histogram("h"))
         assert pct["p50"] == 0.0
+
+
+class TestGauges:
+    """Unlabelled gauges: last write wins locally, max wins on merge."""
+
+    def test_last_write_wins_locally(self):
+        registry = MetricsRegistry()
+        registry.gauge("entries", 10)
+        registry.gauge("entries", 3)
+        assert registry.gauge_value("entries") == 3.0
+
+    def test_an_unset_gauge_reads_none(self):
+        assert MetricsRegistry().gauge_value("entries") is None
+
+    def test_values_are_stored_as_floats(self):
+        registry = MetricsRegistry()
+        registry.gauge("entries", 7)
+        value = registry.gauge_value("entries")
+        assert isinstance(value, float)
+        assert registry.snapshot()["gauges"] == {"entries": 7.0}
+
+    def test_merge_into_an_empty_registry_keeps_a_negative_gauge(self):
+        source = MetricsRegistry()
+        source.gauge("delta", -2.5)
+        target = MetricsRegistry()
+        target.merge(source.snapshot())
+        assert target.gauge_value("delta") == -2.5
+
+    def test_remerging_a_snapshot_moves_counters_but_not_gauges(self):
+        source = MetricsRegistry()
+        source.inc("jobs", 2)
+        source.gauge("entries", 4)
+        snap = source.snapshot()
+        target = MetricsRegistry()
+        target.merge(snap)
+        target.merge(snap)
+        assert target.counter("jobs") == 4
+        assert target.gauge_value("entries") == 4.0
+
+
+class TestMergeInputs:
+    @pytest.mark.parametrize(
+        "snapshot",
+        [None, [], "counters", {}, {"counters": None, "gauges": None,
+                                    "histograms": None}],
+        ids=["none", "list", "string", "empty", "null-sections"],
+    )
+    def test_non_snapshots_and_empty_sections_change_nothing(self,
+                                                             snapshot):
+        registry = MetricsRegistry()
+        registry.inc("jobs", 1)
+        registry.gauge("entries", 2)
+        registry.observe("lat", 0.5)
+        before = registry.snapshot()
+        registry.merge(snapshot)
+        assert registry.snapshot() == before
+
+
+class TestPartitionLaw:
+    """Any split of the work over workers folds to one registry's totals.
+
+    Observations are dyadic so histogram sums are exact in any order,
+    and gauge writes are monotone, the state the max-merge is for.
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_drained_workers_fold_to_the_single_process_totals(self, seed):
+        rng = random.Random(seed)
+        events = [
+            (rng.choice(["a", "b", "c"]), rng.randrange(1, 5),
+             2.0 ** rng.randrange(-20, 20))
+            for _ in range(200)
+        ]
+        workers = [MetricsRegistry() for _ in range(rng.randrange(1, 6))]
+        single = MetricsRegistry()
+        for step, (name, by, value) in enumerate(events):
+            for registry in (single, rng.choice(workers)):
+                registry.inc(name, by)
+                registry.gauge(f"{name}.high", step)
+                registry.observe(name, value)
+        folded = MetricsRegistry()
+        for registry in rng.sample(workers, len(workers)):
+            folded.merge(registry.drain())
+        assert folded.snapshot() == single.snapshot()
+
+
+class TestThreadSafety:
+    def test_concurrent_increments_are_not_lost(self):
+        registry = MetricsRegistry()
+
+        def work():
+            for _ in range(2000):
+                registry.inc("jobs")
+                registry.observe("lat", 1.0)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert registry.counter("jobs") == 8000
+        assert registry.histogram("lat")["count"] == 8000

@@ -1,5 +1,10 @@
 """Folding, rendering, rows, and the profile schema validator."""
 
+import json
+import os
+import subprocess
+import sys
+
 from repro.obs import (
     MetricsRegistry,
     OBS,
@@ -13,6 +18,7 @@ from repro.obs import (
     telemetry_rows,
     trace,
 )
+from repro.obs.schema import main as schema_main
 from repro.obs.schema import validate, validate_profile
 from repro.obs.trace import TRACER
 
@@ -197,3 +203,66 @@ class TestProfileSchemaV2:
     def test_validator_enum_keyword(self):
         assert validate(2, {"type": "integer", "enum": [2]}) == []
         assert validate(3, {"type": "integer", "enum": [2]}) != []
+
+
+class TestSchemaModuleCLI:
+    """``python -m repro.obs.schema FILE...``: profiles only."""
+
+    @staticmethod
+    def _write(path, document):
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def test_no_arguments_prints_usage(self, capsys):
+        assert schema_main([]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_a_valid_profile_passes(self, tmp_path, capsys):
+        name = self._write(tmp_path / "p.json", build_profile())
+        assert schema_main([name]) == 0
+        assert capsys.readouterr().out == f"{name}: valid\n"
+
+    def test_a_missing_file_is_unreadable(self, tmp_path, capsys):
+        name = str(tmp_path / "nope.json")
+        assert schema_main([name]) == 1
+        assert capsys.readouterr().out.startswith(f"{name}: unreadable")
+
+    def test_malformed_json_is_unreadable(self, tmp_path, capsys):
+        path = tmp_path / "torn.json"
+        path.write_text('{"meta": ')
+        assert schema_main([str(path)]) == 1
+        assert capsys.readouterr().out.startswith(f"{path}: unreadable")
+
+    def test_each_violation_is_one_line_named_by_file(self, tmp_path,
+                                                      capsys):
+        document = build_profile()
+        del document["metrics"]
+        document["surprise"] = True
+        name = self._write(tmp_path / "bad.json", document)
+        assert schema_main([name]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"{name}: {error}" for error in validate_profile(document)
+        ]
+        assert len(lines) == 2
+
+    def test_one_bad_file_fails_the_batch(self, tmp_path, capsys):
+        good = self._write(tmp_path / "good.json", build_profile())
+        bad = self._write(tmp_path / "bad.json", {"meta": {}})
+        assert schema_main([good, bad]) == 1
+        out = capsys.readouterr().out
+        assert f"{good}: valid" in out
+        assert f"{bad}: " in out.replace(f"{good}: valid", "")
+
+    def test_runs_as_a_module(self, tmp_path):
+        import repro
+
+        name = self._write(tmp_path / "p.json", build_profile())
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.obs.schema", name],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert result.stdout == f"{name}: valid\n"

@@ -7,13 +7,19 @@ under the caller's context rather than silently dropping its cache or
 memo.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.analysis import parallel_estimate
 from repro.chain import clear_memo, disk_cache
-from repro.context import ExecutionContext, current_context, use_context
+from repro.context import (
+    QUOTIENT_MODES,
+    ExecutionContext,
+    current_context,
+    use_context,
+)
 from repro.core import leader_election
 from repro.obs import OBS, reset_telemetry
 from repro.randomness import RandomnessConfiguration
@@ -71,6 +77,48 @@ class TestUseContext:
             results_memo=str(tmp_path / "memo"),
         )
         assert pickle.loads(pickle.dumps(context)) == context
+
+
+class TestTheValue:
+    def test_four_fields_with_the_library_defaults(self):
+        fields = {
+            field.name: field.default
+            for field in dataclasses.fields(ExecutionContext)
+        }
+        assert fields == {
+            "quotient": "off",
+            "chain_cache": None,
+            "results_memo": None,
+            "trace": False,
+        }
+
+    @pytest.mark.parametrize("mode", QUOTIENT_MODES)
+    def test_every_quotient_mode_is_accepted(self, mode):
+        assert ExecutionContext(quotient=mode).quotient == mode
+
+    def test_an_unknown_quotient_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown quotient mode"):
+            ExecutionContext(quotient="sometimes")
+
+    def test_the_value_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExecutionContext().trace = True  # type: ignore[misc]
+
+    def test_replace_normalises_paths_again(self, tmp_path):
+        context = dataclasses.replace(
+            ExecutionContext(), results_memo=tmp_path / "memo"
+        )
+        assert context.results_memo == str(tmp_path / "memo")
+
+    def test_nested_blocks_unwind_in_order(self):
+        outer = ExecutionContext(quotient="on")
+        inner = ExecutionContext(trace=True)
+        before = current_context()
+        with use_context(outer):
+            with use_context(inner):
+                assert current_context() is inner
+            assert current_context() is outer
+        assert current_context() is before
 
 
 class TestWorkersRestoreTheContext:
