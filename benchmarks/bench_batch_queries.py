@@ -7,9 +7,8 @@ over ``Q`` tasks and ``H`` horizons pays ``Q * H`` evolutions; the exact
 backend shares its cached distributions but still runs one absorption
 sweep per limit call.  The query front door
 (:func:`repro.chain.run_queries`) answers the whole sweep in shared
-passes -- one distribution evolution to the deepest horizon (dense
-matrix-vector recurrences on small chains) plus one vectorized
-reverse-topological level sweep for all the limits at once.
+passes -- one distribution evolution to the deepest horizon plus one
+vectorized reverse-topological level sweep for all the limits at once.
 
 This benchmark times the canonical multi-task, multi-horizon sweep both
 ways and asserts
@@ -116,7 +115,7 @@ def _best_of(fn, rounds: int = 5) -> tuple[float, list]:
 
 def measure() -> dict:
     """Timings plus the byte-identity and speedup verdicts."""
-    # Warm the shared chain (and its COO/dense caches) for both paths.
+    # Warm the shared chain (and its COO/CSR caches) for both paths.
     _float_scalar()
     _float_batched()
     scalar_seconds, scalar_float = _best_of(_float_scalar)

@@ -7,7 +7,7 @@ canonical multi-task, multi-horizon float sweep of
 ``bench_batch_queries`` through
 
 * a replica of the ``run_queries`` front door without its OBS sites
-  (same memo scan, one-item group plan, execute, record), and
+  (same memo scan, one per-chain plan, execute, record), and
 * the instrumented front door (``run_queries`` with tracing **off**),
 
 and asserts the instrumented-disabled path stays within the acceptance
@@ -29,14 +29,8 @@ import os
 import statistics
 import time
 
-from repro.chain import (
-    MultiQueryPlan,
-    Query,
-    compile_chain,
-    run_queries,
-    validate_backend,
-)
-from repro.chain.batch import memoized_answers, record_answers
+from repro.chain import Query, compile_chain, run_queries, validate_backend
+from repro.chain.batch import QueryPlan, memoized_answers, record_answers
 from repro.core import (
     k_leader_election,
     leader_and_deputy,
@@ -87,9 +81,9 @@ def _chain():
 def raw_sweep() -> list:
     """The ``run_queries`` front door with no OBS sites.
 
-    Replicates its body (memo scan, a one-item ``MultiQueryPlan``,
-    record) without instrumentation, so the only difference the paired
-    timings see is what the instrumentation added.
+    Replicates its body (memo scan, one ``QueryPlan``, record) without
+    instrumentation, so the only difference the paired timings see is
+    what the instrumentation added.
     """
     chain = _chain()
     queries = _queries()
@@ -97,9 +91,7 @@ def raw_sweep() -> list:
     results, tokens, misses = memoized_answers(chain, queries, "float")
     if misses:
         subset = [queries[i] for i in misses]
-        answers = MultiQueryPlan([(chain, subset)]).execute(
-            backend="float"
-        )[0]
+        answers = QueryPlan(chain, subset).execute(backend="float")
         for i, value in zip(misses, answers):
             results[i] = value
         record_answers(tokens, misses, results)

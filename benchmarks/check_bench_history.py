@@ -1,8 +1,8 @@
 """Perf-regression sentinel over the ``BENCH_*.json`` reports.
 
 Every scaling-sensitive benchmark writes a machine-readable report
-(``BENCH_multi.json``, ``BENCH_quotient.json``, ``BENCH_store.json``,
-``BENCH_mc.json``, ``BENCH_obs.json``).  This
+(``BENCH_quotient.json``, ``BENCH_store.json``, ``BENCH_mc.json``,
+``BENCH_obs.json``).  This
 script closes the loop CI-side: it compares the fresh reports against
 the committed baselines in ``benchmarks/baselines/`` and fails when a
 gated metric regresses beyond tolerance, so a perf regression breaks

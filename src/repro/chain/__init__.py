@@ -13,8 +13,9 @@ The package-level API:
   the current :class:`~repro.context.ExecutionContext` names;
 * :func:`run_queries` / :func:`run_group_queries` -- the one query
   front door: answer whole sets of :class:`Query` objects against one
-  chain (a group of one) or many chains at once, memo first, then in
-  shared passes (:mod:`repro.chain.batch`, :mod:`repro.chain.multi`).
+  chain (a group of one) or many chains, memo first, then one shared
+  per-chain plan under either backend (:mod:`repro.chain.batch`,
+  :mod:`repro.chain.multi`).
   The scalar per-query methods on :class:`CompiledChain` are the
   oracle the tests check the front door against.
 
@@ -22,12 +23,7 @@ The package-level API:
 this engine; see ``CHAIN.md`` for the design.
 """
 
-from .backends import (
-    BACKENDS,
-    evolution_strategy,
-    transition_density,
-    validate_backend,
-)
+from .backends import BACKENDS, validate_backend
 from .batch import (
     QUANTITIES,
     Query,
@@ -40,7 +36,6 @@ from .cache import (
 )
 from .engine import (
     DEFAULT_DISTRIBUTION_CACHE_CAP,
-    DENSE_STATE_LIMIT,
     MAX_NODES,
     ChainKey,
     CompiledChain,
@@ -54,13 +49,7 @@ from .engine import (
     refine_labels,
     set_distribution_cache_cap,
 )
-from .multi import (
-    MAX_GROUP_STATES,
-    ChainGroup,
-    MultiQueryPlan,
-    plan_chunks,
-    run_group_queries,
-)
+from .multi import run_group_queries
 from .quotient import (
     QUOTIENT_MODES,
     QuotientChain,
@@ -86,15 +75,11 @@ __all__ = [
     "BACKENDS",
     "CacheEntry",
     "ChainDiskCache",
-    "ChainGroup",
     "ChainKey",
     "CompiledChain",
     "DEFAULT_DISTRIBUTION_CACHE_CAP",
-    "DENSE_STATE_LIMIT",
     "LabelVector",
-    "MAX_GROUP_STATES",
     "MAX_NODES",
-    "MultiQueryPlan",
     "QUANTITIES",
     "QUOTIENT_MODES",
     "Query",
@@ -112,20 +97,17 @@ __all__ = [
     "compile_chain",
     "disk_cache",
     "effective_chain_key",
-    "evolution_strategy",
     "is_chain_automorphism",
     "is_quotient_key",
     "labels_from_blocks",
     "memo_size",
     "memoized_chain",
     "neighbour_tables",
-    "plan_chunks",
     "quotient_key",
     "refine_labels",
     "resolve_quotient",
     "run_group_queries",
     "run_queries",
     "set_distribution_cache_cap",
-    "transition_density",
     "validate_backend",
 ]

@@ -32,51 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: Recognized backend names (the ``backend=`` kwarg / ``--backend`` flag).
 BACKENDS = ("exact", "float")
 
-#: Density floor for the dense evolution path: a dense matvec does
-#: ``states^2`` fused multiply-adds where the scatter-add does ``nnz``
-#: un-fused ones, and the per-element gap is roughly this factor's
-#: inverse -- below it, the transition structure is too sparse for the
-#: dense product to pay for itself.
-DENSE_DENSITY_FLOOR = 1.0 / 32.0
-
-#: Chains this small always take the dense path: at these sizes the
-#: whole matrix lives in cache and the scatter-add's indexing overhead
-#: dominates whatever sparsity would save.
-DENSE_ALWAYS_STATES = 64
-
-
-def transition_density(num_states: int, nnz: int) -> float:
-    """``nnz / states^2`` -- the fraction of the dense matrix occupied."""
-    if num_states <= 0:
-        return 0.0
-    return nnz / (num_states * num_states)
-
-
-def evolution_strategy(num_states: int, nnz: int) -> str:
-    """``"dense"`` or ``"scatter"`` for a distribution-evolution pass.
-
-    Chosen from the *measured* transition density rather than the fixed
-    state-count threshold alone: :data:`~repro.chain.engine.DENSE_STATE_LIMIT`
-    stays as the hard memory cap (a cached dense matrix above it would
-    outlive the query), but below the cap the decision follows
-    ``nnz / states^2`` -- dense when the structure is dense enough for
-    the matvec's fused arithmetic to beat the scatter-add's indexing,
-    scatter otherwise.  The float executor of the query front door
-    (:class:`~repro.chain.multi.ChainGroup`, for groups of one chain as
-    for many) takes this verdict and exposes it in its ``repr``.  Both
-    strategies evolve the same distribution, so the verdict only moves
-    wall-clock, never results.
-    """
-    from .engine import DENSE_STATE_LIMIT
-
-    if num_states > DENSE_STATE_LIMIT:
-        return "scatter"
-    if num_states <= DENSE_ALWAYS_STATES:
-        return "dense"
-    if transition_density(num_states, nnz) >= DENSE_DENSITY_FLOOR:
-        return "dense"
-    return "scatter"
-
 
 def validate_backend(backend: str) -> str:
     if backend not in BACKENDS:
@@ -348,14 +303,11 @@ def expected_float(
 
 __all__ = [
     "BACKENDS",
-    "DENSE_ALWAYS_STATES",
-    "DENSE_DENSITY_FLOOR",
     "absorption_exact",
     "absorption_float",
     "absorption_float_matrix",
     "distribution_exact",
     "distribution_float",
-    "evolution_strategy",
     "expected_exact",
     "expected_float",
     "expected_float_matrix",
@@ -363,6 +315,5 @@ __all__ = [
     "series_exact",
     "series_float",
     "step_exact",
-    "transition_density",
     "validate_backend",
 ]

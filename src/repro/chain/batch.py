@@ -5,17 +5,19 @@ its limit, the expected solving time, and Definition 3.3's verdict --
 is a :class:`Query` (``quantity``, ``task``, optional ``horizon``).
 :func:`run_queries` answers a list of them against one chain; it is a
 group of one item through :func:`~repro.chain.multi.run_group_queries`,
-so both spellings share one memo scan, one float executor (the stacked
-passes of :class:`~repro.chain.multi.ChainGroup`) and one recording
-step.
+so both spellings share one memo scan, one execution step and one
+recording step.
 
-:class:`QueryPlan` is the per-chain planner the group plan builds for
-each item.  It groups queries per distinct solvability mask and records
-which kernels they need.  Its :meth:`~QueryPlan.execute` is the exact
-backend: the chain's cached task-independent distributions are shared
-across all probability/series queries, and each distinct mask pays for
-at most one absorption/expected sweep.  These are the very kernels the
-scalar :class:`~repro.chain.engine.CompiledChain` methods use, so exact
+:class:`QueryPlan` is the per-chain planner the front door builds for
+each item.  It groups queries per distinct solvability mask, records
+which kernels they need, and :meth:`~QueryPlan.execute` runs them under
+either backend.  Exact: the chain's cached task-independent
+distributions are shared across all probability/series queries, and
+each distinct mask pays for at most one absorption/expected sweep.
+Float: one scatter-add evolution to the deepest horizon covers every
+mass row, and one batched reverse level sweep each covers the limit and
+expected-time masks.  These are the very kernels the scalar
+:class:`~repro.chain.engine.CompiledChain` methods use, so exact
 answers are byte-identical to the scalar ones by construction; the
 scalar methods stay as the reference the tests compare against.
 
@@ -29,12 +31,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..obs import OBS
 from .backends import (
     absorption_exact,
+    absorption_float_matrix,
     expected_exact,
+    expected_float_matrix,
     mass_exact,
     series_exact,
+    validate_backend,
 )
 
 #: What a query may ask for.  ``solvable`` (Definition 3.3) is always
@@ -101,9 +108,6 @@ class QueryPlan:
     with the same mask share every pass), and the plan records which
     kernels the batch needs: distribution masses at which times,
     absorption for which masks, expected times for which masks.
-    :class:`~repro.chain.multi.MultiQueryPlan` builds one plan per item
-    and reads these registries for its stacked float passes; the exact
-    backend runs :meth:`execute` directly.
     """
 
     def __init__(self, chain, queries: Iterable[Query]):
@@ -125,10 +129,11 @@ class QueryPlan:
         # Which (slot, t) masses the distribution pass must produce.
         self._mass_times: set[int] = set()
         self._mass_slots: set[int] = set()
-        self._absorb_slots: set[int] = set()
-        #: ``limit`` slots alone: under the float backend these join the
-        #: float absorption batch while ``solvable`` stays exact.
+        #: ``limit`` and ``solvable`` slots apart: under the float
+        #: backend limits join the float absorption batch while
+        #: ``solvable`` stays exact.
         self._limit_slots: set[int] = set()
+        self._solvable_slots: set[int] = set()
         self._expected_slots: set[int] = set()
         for query, slot in zip(self.queries, self._slots):
             if query.quantity == "probability":
@@ -137,22 +142,24 @@ class QueryPlan:
             elif query.quantity == "series":
                 self._mass_times.update(range(1, query.horizon + 1))
                 self._mass_slots.add(slot)
-            elif query.quantity in ("limit", "solvable"):
-                self._absorb_slots.add(slot)
-                if query.quantity == "limit":
-                    self._limit_slots.add(slot)
+            elif query.quantity == "limit":
+                self._limit_slots.add(slot)
+            elif query.quantity == "solvable":
+                self._solvable_slots.add(slot)
             else:  # expected
                 self._expected_slots.add(slot)
 
     def __len__(self) -> int:
         return len(self.queries)
 
-    def execute(self) -> list:
-        """Answer every query exactly, in query order."""
+    def execute(self, backend: str = "exact") -> list:
+        """Answer every query under ``backend``, in query order."""
+        if validate_backend(backend) == "float":
+            return self._execute_float()
         chain = self.chain
         absorption: dict[int, list[Fraction]] = {}
         expected: dict[int, list] = {}
-        for slot in self._absorb_slots:
+        for slot in self._limit_slots | self._solvable_slots:
             absorption[slot] = absorption_exact(chain, self._masks[slot])
         for slot in self._expected_slots:
             expected[slot] = expected_exact(chain, self._masks[slot])
@@ -175,6 +182,68 @@ class QueryPlan:
                 )
             else:  # expected
                 results.append(expected[slot][chain.start])
+        return results
+
+    def _float_rows(self, slots: set[int]):
+        """``slot -> row`` and the ``(rows, S)`` boolean mask matrix."""
+        ordered = sorted(slots)
+        masks = np.asarray([self._masks[s] for s in ordered], dtype=bool)
+        return {slot: row for row, slot in enumerate(ordered)}, masks
+
+    def _execute_float(self) -> list:
+        chain = self.chain
+        start = chain.start
+        # One scatter-add evolution to the deepest mass time; every mass
+        # row is read off each wanted time's distribution.
+        masses: dict[int, np.ndarray] = {}
+        if self._mass_slots:
+            mass_row, mass_masks = self._float_rows(self._mass_slots)
+            mass_masks = mass_masks.astype(np.float64)
+            src, dst, weight = chain.coo()
+            dist = np.zeros(chain.num_states)
+            dist[start] = 1.0
+            if 0 in self._mass_times:
+                masses[0] = mass_masks @ dist
+            for t in range(1, max(self._mass_times, default=0) + 1):
+                dist = np.bincount(
+                    dst, weights=dist[src] * weight,
+                    minlength=chain.num_states,
+                )
+                if t in self._mass_times:
+                    masses[t] = mass_masks @ dist
+        if self._limit_slots:
+            limit_row, masks = self._float_rows(self._limit_slots)
+            absorption = absorption_float_matrix(chain, masks)[:, start]
+        if self._expected_slots:
+            expected_row, masks = self._float_rows(self._expected_slots)
+            expected = expected_float_matrix(chain, masks)[:, start]
+        # ``solvable`` stays exact whatever the backend: the zero-one
+        # law is asserted on exact limits.
+        verdicts = {
+            slot: _assert_zero_one(
+                chain, absorption_exact(chain, self._masks[slot])[start]
+            )
+            for slot in self._solvable_slots
+        }
+        results = []
+        for query, slot in zip(self.queries, self._slots):
+            if query.quantity == "probability":
+                results.append(float(masses[query.horizon][mass_row[slot]]))
+            elif query.quantity == "series":
+                row = mass_row[slot]
+                results.append(
+                    [
+                        float(masses[t][row])
+                        for t in range(1, query.horizon + 1)
+                    ]
+                )
+            elif query.quantity == "limit":
+                results.append(float(absorption[limit_row[slot]]))
+            elif query.quantity == "solvable":
+                results.append(verdicts[slot])
+            else:  # expected
+                value = expected[expected_row[slot]]
+                results.append(None if np.isinf(value) else float(value))
         return results
 
 

@@ -61,11 +61,6 @@ MAX_NODES = 10
 #: Structural memo key: (assignment, neighbour tables, back-port tables).
 ChainKey = tuple
 
-#: Float evolutions over at most this many (stacked) states may step a
-#: dense ``(S, S)`` float64 transition matrix (2 MB at the limit);
-#: larger ones always use sparse scatter-adds.
-DENSE_STATE_LIMIT = 512
-
 #: Default cap on cached exact distributions per chain (entries, i.e.
 #: time steps 0..cap-1).  Deeper horizons are still answered exactly by
 #: stepping transiently past the last cached entry; they just stop
@@ -725,7 +720,6 @@ __all__ = [
     "ChainKey",
     "CompiledChain",
     "DEFAULT_DISTRIBUTION_CACHE_CAP",
-    "DENSE_STATE_LIMIT",
     "MAX_NODES",
     "back_port_tables",
     "chain_key",

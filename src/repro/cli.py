@@ -18,9 +18,9 @@ obs             read telemetry back: explain a profile, history/diff/tiers
                 across sweeps (OBS.md)
 
 Chain queries run through one front door (``repro.chain.run_queries``
-for one chain, ``run_group_queries`` for a whole shape axis): shared
-passes answer every (task, horizon) question of a call, and under the
-float backend one stacked block-diagonal pass covers every chain.
+for one chain, ``run_group_queries`` for a whole shape axis): the
+query memo first, then shared per-chain passes answer every (task,
+horizon) question of a call under the exact or float backend.
 Chains themselves compile **quotiented**
 by the configuration's automorphism group when it has one
 (``repro.chain.quotient``: orbit states instead of raw partitions);

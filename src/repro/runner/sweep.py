@@ -28,9 +28,13 @@ from .spec import SweepSpec, derive_seed, make_ports
 from .worker import execute_run, execute_run_group, payload_context
 
 
+#: State budget per group bin: no bin packs more (estimated) chain
+#: states than this, so one grouped pass's working set stays bounded.
+MAX_GROUP_STATES = 1 << 15
+
 #: Bell numbers B(0)..B(10): the partition count of an n-set bounds a
-#: consistency chain's state count from above, so it is the stacked-
-#: state proxy for chains nobody has compiled yet.
+#: consistency chain's state count from above, so it is the state
+#: proxy for chains nobody has compiled yet.
 _BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
 
 
@@ -49,7 +53,6 @@ def _family_state_weight(spec) -> int:
     estimate.
     """
     from ..chain import (
-        MAX_GROUP_STATES,
         automorphism_count,
         effective_chain_key,
         is_quotient_key,
@@ -82,21 +85,19 @@ def _group_job_payloads(jobs, payloads, engine):
     directories byte-identical to serial ungrouped ones (records land
     in index order either way).
 
-    Bins are budgeted by **stacked states**, not job count: each run
+    Bins are budgeted by **chain states**, not job count: each run
     weighs its family's (estimated) compiled-state count
     (:func:`_family_state_weight`), the per-bin budget is the total
     weight split over four bins per pool worker, and no bin ever
-    exceeds :data:`~repro.chain.multi.MAX_GROUP_STATES`.  The cap can
-    leave many more bins than that (83 on the n=9 grid), and the heavy
-    families sit next to each other in the grid, so the pool dispatches
-    one bin per task (:func:`_bin_engine`) rather than re-chunking
-    adjacent bins onto one worker.
+    exceeds :data:`MAX_GROUP_STATES`.  The cap can leave many more bins
+    than that (83 on the n=9 grid), and the heavy families sit next to
+    each other in the grid, so the pool dispatches one bin per task
+    (:func:`_bin_engine`) rather than re-chunking adjacent bins onto one
+    worker.
     Returns ``None`` -- dispatch one payload per job -- when the sweep
     is sampling-kind (Monte-Carlo jobs gain nothing from a shared chain
     pass) or there is at most one job.
     """
-    from ..chain import MAX_GROUP_STATES
-
     if len(payloads) < 2:
         return None
     if any(jobs[p["index"]].kind != "exact" for p in payloads):
@@ -161,8 +162,8 @@ class SweepOutcome:
     executed: int
     #: How many jobs were skipped because the run directory had them.
     resumed: int
-    #: Per-group diagnostics from grouped dispatch (stacked size,
-    #: density, evolution verdict, memo hits); lands in the warehouse's
+    #: Per-group diagnostics from grouped dispatch (total size,
+    #: density, arithmetic that ran, memo hits); lands in the warehouse's
     #: ``groups`` table, never in the job records.
     group_stats: list[dict] = field(default_factory=list)
     #: Fields like the aggregate are derived; see :meth:`result`.

@@ -217,7 +217,7 @@ def execute_run(payload: dict) -> dict:
 
 @_runs_in_payload_context
 def execute_run_group(payload: dict) -> dict:
-    """Execute a whole group of exact jobs in one multi-chain pass.
+    """Execute a whole group of exact jobs in one front-door call.
 
     ``payload`` is ``{"jobs": [<execute_run payloads>...]}`` plus the
     ``"context"`` the whole group runs in.  The
@@ -232,14 +232,13 @@ def execute_run_group(payload: dict) -> dict:
     With a cross-run query memo configured, jobs whose cell is already
     answered never even compile their chain; only the misses enter the
     grouped pass.  The result additionally carries a ``"group"``
-    diagnostics dict -- stacked size/density and the adaptive
-    ``evolution_strategy`` verdict, plus the memo hit count -- which the
-    sweep orchestrator lands in the warehouse's ``groups`` table for
-    perf forensics (deliberately *outside* the job records, whose bytes
-    stay engine- and warmth-independent).
+    diagnostics dict -- total chain size and density, the arithmetic
+    that ran (``"exact"``, or ``"memo"`` when every job was a memo hit),
+    plus the memo hit count -- which the sweep orchestrator lands in the
+    warehouse's ``groups`` table for perf forensics (deliberately
+    *outside* the job records, whose bytes stay engine- and
+    warmth-independent).
     """
-    from ..chain import evolution_strategy, transition_density
-
     with trace("runner.group", jobs=len(payload["jobs"])) as timer:
         prepared = []
         items: dict[int, tuple[CompiledChain, list]] = {}
@@ -294,10 +293,8 @@ def execute_run_group(payload: dict) -> dict:
         "chains": len(chains),
         "states": states,
         "transitions": transitions,
-        "density": transition_density(states, transitions) if states else 0.0,
-        "evolution": (
-            evolution_strategy(states, transitions) if states else "memo"
-        ),
+        "density": transitions / (states * states) if states else 0.0,
+        "evolution": "exact" if chains else "memo",
         "memo_hits": memo_hits,
         "elapsed": elapsed_total,
     }

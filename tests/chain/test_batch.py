@@ -169,6 +169,27 @@ class TestPlan:
                 chain, [Query.limit(leader_election(3))], backend="decimal"
             )
 
+    def test_float_plan_answers_python_floats_and_none(self):
+        alpha = RandomnessConfiguration.from_group_sizes((2, 2))
+        chain = compile_chain(alpha)
+        task = leader_election(4)  # gcd 2: never solved
+        plan = QueryPlan(chain, [
+            Query.probability(task, 0),
+            Query.series(task, 0),
+            Query.series(task, 2),
+            Query.limit(task),
+            Query.expected_time(task),
+            Query.solvable(task),
+        ])
+        answers = plan.execute("float")
+        assert answers == [0.0, [], [0.0, 0.0], 0.0, None, False]
+        assert [type(a) for a in answers] == [
+            float, list, list, float, type(None), bool
+        ]
+        assert {type(x) for x in answers[2]} == {float}
+        with pytest.raises(ValueError):
+            plan.execute("decimal")
+
 
 class TestPlanCounters:
     @pytest.mark.parametrize("backend", ["exact", "float"])

@@ -4,8 +4,8 @@ A worker gets a chain one way only: the process memo, then the run
 directory's disk cache (a pickle written by whichever process compiled
 it first), then a fresh compile.  These tests pin down that every step
 hands back the same chain, that the lookup order is memo -> disk ->
-compile, and that groups stacked from transported chains answer exactly
-like groups stacked from the originals.
+compile, and that grouped queries over transported chains answer
+exactly like grouped queries over the originals.
 """
 
 import pickle
@@ -15,7 +15,6 @@ import pytest
 
 from repro.chain import (
     ChainDiskCache,
-    ChainGroup,
     Query,
     chain_key,
     clear_memo,
@@ -233,20 +232,25 @@ class TestGroupsOfTransportedChains:
 
     def test_group_of_round_tripped_chains_is_identical(self):
         chains = self._chains()
-        group = ChainGroup(chains)
-        rebuilt = ChainGroup([_round_trip(chain) for chain in chains])
-        assert rebuilt.num_states == group.num_states
-        assert rebuilt.num_transitions == group.num_transitions
-        assert tuple(rebuilt.offsets) == tuple(group.offsets)
-        assert tuple(rebuilt.starts) == tuple(group.starts)
-        assert np.array_equal(rebuilt._src, group._src)
-        assert np.array_equal(rebuilt._dst, group._dst)
-        assert np.array_equal(rebuilt._weight, group._weight)
-        assert np.array_equal(rebuilt._self_w, group._self_w)
-        assert len(rebuilt._steps) == len(group._steps)
-        for got, want in zip(rebuilt._steps, group._steps):
-            for column in range(4):
-                assert np.array_equal(got[column], want[column])
+        rebuilt = [_round_trip(chain) for chain in chains]
+
+        def items(group_chains):
+            items = []
+            for chain in group_chains:
+                task = leader_election(chain.n)
+                items.append((chain, [
+                    Query.probability(task, 3),
+                    Query.series(task, 5),
+                    Query.limit(task),
+                    Query.expected_time(task),
+                    Query.solvable(task),
+                ]))
+            return items
+
+        want = run_group_queries(items(chains), backend="float")
+        got = run_group_queries(items(rebuilt), backend="float")
+        # Same COO arrays and level schedule: bitwise-identical floats.
+        assert got == want
 
     @pytest.mark.parametrize("backend", ["exact", "float"])
     def test_group_queries_match_through_disk_loaded_chains(
@@ -272,7 +276,7 @@ class TestGroupsOfTransportedChains:
 
         want = run_group_queries(items(chains), backend=backend)
         got = run_group_queries(items(loaded), backend=backend)
-        # Same out tables, same stacked passes: bitwise-identical answers.
+        # Same out tables, same passes: bitwise-identical answers.
         assert got == want
 
     def test_disk_entries_are_keyed_per_chain(self, tmp_path):

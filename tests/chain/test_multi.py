@@ -1,27 +1,23 @@
-"""Multi-chain groups: stacked results vs per-chain and vs the scalar
-oracle, chunk planning, structure."""
+"""Many chains through one front-door call: results vs per-chain calls
+and vs the scalar oracle."""
 
-import numpy as np
 import pytest
 
 from repro.chain import (
-    MAX_GROUP_STATES,
-    ChainGroup,
-    MultiQueryPlan,
     Query,
     compile_chain,
-    evolution_strategy,
-    plan_chunks,
     run_group_queries,
     run_queries,
 )
-from repro.chain import multi as multi_module
+from repro.chain.batch import QueryPlan
+from repro.context import ExecutionContext, use_context
 from repro.core import (
     k_leader_election,
     leader_election,
     weak_symmetry_breaking,
 )
 from repro.models import adversarial_assignment, round_robin_assignment
+from repro.obs import OBS, configure_tracing, reset_telemetry
 from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
 
 #: Every size shape with 2..5 processes: one grouped-vs-oracle case each.
@@ -32,7 +28,7 @@ ORACLE_SHAPES = [
 
 def _mixed_shape_items():
     """A mixed-shape sweep axis: several totals, both models, all
-    quantities -- the access pattern the group engine exists for."""
+    quantities -- the access pattern of the analysis sweeps."""
     items = []
     for n in (3, 4, 5):
         tasks = (leader_election(n), k_leader_election(n, 2))
@@ -167,9 +163,10 @@ class TestGroupedResults:
 class TestGroupedAgainstScalarOracle:
     """The grouped path against the scalar per-query methods.
 
-    The per-chain comparison above checks the group layer against plans
-    it executes itself; these cases pin it to an independent reference,
-    one size shape (under every port model) at a time.
+    The per-chain comparison above checks the grouped call against
+    one-item calls through the same plans; these cases pin it to an
+    independent reference, one size shape (under every port model) at
+    a time.
     """
 
     @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
@@ -204,103 +201,70 @@ class TestGroupedAgainstScalarOracle:
                         assert abs(g - w) < 1e-12
 
 
-class TestPlanChunks:
-    @pytest.mark.parametrize("budget", [1, 16, 64, 256, MAX_GROUP_STATES])
-    def test_greedy_partition_under_the_budget(self, monkeypatch, budget):
-        monkeypatch.setattr(multi_module, "MAX_GROUP_STATES", budget)
-        chains = [chain for chain, _ in _mixed_shape_items()]
-        chunks = plan_chunks(chains)
-        # An order-preserving partition of the input.
-        assert [id(c) for chunk in chunks for c in chunk] == [
-            id(c) for c in chains
-        ]
-        for position, chunk in enumerate(chunks):
-            distinct = {id(c): c.num_states for c in chunk}
-            states = sum(distinct.values())
-            # Within budget, or one oversized chain alone in its chunk.
-            assert states <= budget or len(distinct) == 1
-            if position + 1 < len(chunks):
-                # Greedy: the next chunk opens only when its first chain
-                # would have overflowed this one.
-                assert states + chunks[position + 1][0].num_states > budget
-        if budget == MAX_GROUP_STATES:
-            assert len(chunks) == 1
+class TestFrontDoorSteps:
+    """Memo scan, per-item plans, recording, and the telemetry the
+    benchmark harness reads, one step at a time."""
 
-    def test_repeated_chain_counts_once_per_chunk(self, monkeypatch):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 2, 2))
-        chain = compile_chain(alpha)
-        monkeypatch.setattr(
-            multi_module, "MAX_GROUP_STATES", chain.num_states
-        )
-        chunks = plan_chunks([chain, chain, chain])
-        assert [[id(c) for c in chunk] for chunk in chunks] == [
-            [id(chain)] * 3
-        ]
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_partial_hits_plan_only_the_misses(self, tmp_path, backend):
+        items = _oracle_items((1, 2, 2))
+        fresh = run_group_queries(items, backend=backend)
+        half = [(chain, queries[::2]) for chain, queries in items]
+        misses = sum(len(q) - len(q[::2]) for _, q in items)
+        context = ExecutionContext(results_memo=tmp_path / "memo")
+        previous = configure_tracing(True)
+        try:
+            with use_context(context):
+                run_group_queries(half, backend=backend)
+                reset_telemetry()
+                warm = run_group_queries(items, backend=backend)
+                counters = OBS.metrics.snapshot()["counters"]
+        finally:
+            configure_tracing(previous)
+            reset_telemetry()
+        assert warm == fresh
+        assert counters["chain.batch.plans"] == len(items)
+        assert counters["chain.batch.queries"] == misses
 
+    def test_telemetry_counts_items_and_spans_only_misses(self, tmp_path):
+        items = _oracle_items((1, 3))
+        context = ExecutionContext(results_memo=tmp_path / "memo")
+        previous = configure_tracing(True)
+        try:
+            with use_context(context):
+                reset_telemetry()
+                run_group_queries(items)
+                cold = OBS.metrics.snapshot()["counters"]
+                cold_spans = [span.name for span in OBS.tracer.drain()]
+                reset_telemetry()
+                run_group_queries(items)
+                warm = OBS.metrics.snapshot()["counters"]
+                warm_spans = [span.name for span in OBS.tracer.drain()]
+        finally:
+            configure_tracing(previous)
+            reset_telemetry()
+        assert cold["chain.multi.items"] == warm["chain.multi.items"] == 3
+        assert "chain.multi.items_memoized" not in cold
+        assert warm["chain.multi.items_memoized"] == 3
+        assert cold_spans.count("chain.multi.execute") == 1
+        assert "chain.multi.execute" not in warm_spans
 
-class TestChainGroupStructure:
-    def test_offsets_starts_and_repr_expose_the_stacking(self):
-        chains = [chain for chain, _ in _mixed_shape_items()[:6]]
-        group = ChainGroup(chains)
-        assert group.num_states == sum(c.num_states for c in chains)
-        assert group.num_transitions == sum(
-            c.num_transitions for c in chains
-        )
-        expected_offsets = np.cumsum([0] + [c.num_states for c in chains])
-        assert list(group.offsets) == list(expected_offsets[:-1])
-        assert list(group.starts) == [
-            off + c.start for off, c in zip(expected_offsets, chains)
-        ]
-        text = repr(group)
-        assert f"chains={len(chains)}" in text
-        assert group.evolution in text  # the adaptive decision, exposed
-
-    def test_merged_schedule_matches_single_chain_sweep(self):
-        alpha = RandomnessConfiguration.from_group_sizes((1, 1, 3))
-        chain = compile_chain(alpha)
-        task = leader_election(5)
-        mask = chain.solvable_mask(task)
-        group = ChainGroup([chain])
-        stacked = group.reverse_sweep(
-            [[mask]],
-            accumulator_init=0.0,
-            masked_value=1.0,
-            absorbing_value=0.0,
-        )
-        from repro.chain.backends import absorption_float_matrix
-
-        single = absorption_float_matrix(
-            chain, np.asarray([mask], dtype=bool)
-        )
-        assert np.allclose(stacked, single, atol=1e-15)
-
-    def test_state_budget_splits_chunks(self, monkeypatch):
-        items = _mixed_shape_items()
-        monkeypatch.setattr(multi_module, "MAX_GROUP_STATES", 8)
-        plan = MultiQueryPlan(items)
-        chunks = plan._chunks()
-        assert len(chunks) > 1
-        assert sorted(i for chunk in chunks for i in chunk) == list(
-            range(len(items))
-        )
-        # Oversized chains still get a (singleton) chunk of their own.
-        results = plan.execute(backend="float")
-        assert len(results) == len(items)
-        grouped_exact = plan.execute(backend="exact")
-        assert grouped_exact == _per_chain(items, "exact")
-
-
-class TestAdaptiveEvolution:
-    def test_strategy_follows_density_below_the_hard_cap(self):
-        from repro.chain import DENSE_STATE_LIMIT
-        from repro.chain.backends import (
-            DENSE_ALWAYS_STATES,
-            DENSE_DENSITY_FLOOR,
-        )
-
-        assert evolution_strategy(DENSE_STATE_LIMIT + 1, 10**9) == "scatter"
-        assert evolution_strategy(DENSE_ALWAYS_STATES, 1) == "dense"
-        states = DENSE_ALWAYS_STATES * 2
-        dense_nnz = int(states * states * DENSE_DENSITY_FLOOR) + 1
-        assert evolution_strategy(states, dense_nnz) == "dense"
-        assert evolution_strategy(states, states) == "scatter"
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 2), (1, 2, 2), (2, 3)], ids=str
+    )
+    def test_float_rows_do_not_interact(self, shape):
+        # A many-mask float plan answers each query as a one-query plan
+        # does: sharing one evolution and one sweep per quantity mixes
+        # no rows.
+        for chain, queries in _oracle_items(shape):
+            together = QueryPlan(chain, queries).execute("float")
+            for query, got in zip(queries, together):
+                (alone,) = QueryPlan(chain, [query]).execute("float")
+                got_row = got if isinstance(got, list) else [got]
+                alone_row = alone if isinstance(alone, list) else [alone]
+                assert len(got_row) == len(alone_row)
+                for g, a in zip(got_row, alone_row):
+                    if g is None or isinstance(g, bool):
+                        assert g == a
+                    else:
+                        assert abs(g - a) < 1e-15

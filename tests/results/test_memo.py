@@ -91,6 +91,36 @@ class TestValueCodec:
             query_token("d", "solvable", task, None, "exact")
         )
 
+    @pytest.mark.parametrize("backend, tokens", [
+        ("exact", (
+            "e3abc2241cfd6a808950a0a790815cf2945001246db30c60b15dc6f53c86a821",
+            "c715e3d008f44a5d2fae8b59ed86200a83600d2a59f1e40c37fd1ac9b3dbc501",
+            "3b2d9cb51ee156db8fde6d15a92d4949aa08ebf28751030c503c5e21471609e3",
+        )),
+        ("float", (
+            "485e9ac686186dd79c9b150b45265d3db0ad9add65b646ae8022713d3cba1d2a",
+            "1b1338e1ba9f9755be043a96aa9eb1602e12bd3f12b51b42acd2b1f30d46f600",
+            "7ecfc0bac0a29a23877689246c7d361391e44c6d33972984b0880c665fe18e80",
+        )),
+    ])
+    def test_tokens_are_pinned(self, backend, tokens):
+        # Warehouses written by earlier releases stay warm only while
+        # the tokens of (chain, quantity, task, horizon, backend) hold.
+        from repro.chain.cache import key_digest
+
+        chain = compile_chain(
+            RandomnessConfiguration.from_group_sizes((2, 3)),
+            adversarial_assignment((2, 3)),
+        )
+        digest = key_digest(chain.key)
+        task = leader_election(5)
+        assert tuple(
+            query_token(digest, quantity, task, horizon, backend)
+            for quantity, horizon in (
+                ("limit", None), ("series", 4), ("expected", None)
+            )
+        ) == tokens
+
 
 class TestRunQueriesMemo:
     def test_exact_hits_are_byte_identical(self, memo):

@@ -5,13 +5,14 @@ import json
 
 import pytest
 
-from repro.chain import MAX_GROUP_STATES, clear_memo, compile_chain
-from repro.context import ExecutionContext
+from repro.chain import clear_memo, compile_chain
+from repro.context import ExecutionContext, use_context
 from repro.models import adversarial_assignment
-from repro.randomness import RandomnessConfiguration
+from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
 from repro.results import ResultsStore
 from repro.runner import ProcessPoolEngine, SerialEngine, SweepSpec, run_sweep
 from repro.runner.sweep import (
+    MAX_GROUP_STATES,
     _bin_engine,
     _family_state_weight,
     _group_job_payloads,
@@ -102,9 +103,22 @@ class TestGroupForensics:
         outcome = run_sweep(sweep, run_dir=tmp_path / "run")
         assert sum(g["jobs"] for g in outcome.group_stats) == outcome.total
         for stats in outcome.group_stats:
-            assert stats["evolution"] in ("dense", "scatter", "memo")
-            assert stats["states"] >= 0
-            assert 0.0 <= stats["density"] <= 1.0
+            assert stats["evolution"] == "exact"
+            assert stats["states"] > 0
+            assert 0.0 < stats["density"] <= 1.0
+
+    def test_fully_memoized_groups_record_memo(self, tmp_path, sweep):
+        warehouse = tmp_path / "shared"
+        run_sweep(sweep, run_dir=tmp_path / "cold", warehouse=warehouse)
+        clear_memo()
+        warm = run_sweep(sweep, run_dir=tmp_path / "warm",
+                         warehouse=warehouse)
+        assert warm.group_stats
+        for stats in warm.group_stats:
+            assert stats["evolution"] == "memo"
+            assert stats["memo_hits"] == stats["jobs"]
+            assert stats["chains"] == stats["states"] == 0
+            assert stats["density"] == 0.0
 
     def test_group_stats_stay_out_of_job_records(self, tmp_path, sweep):
         run_sweep(sweep, run_dir=tmp_path / "run")
@@ -153,6 +167,32 @@ class TestStateBudgetPacking:
             # too big to split.
             assert total <= MAX_GROUP_STATES or len(families) == 1
 
+    def test_exact_sweep_grid_bins_are_pinned(self):
+        # The pooled n=9 benchmark grid (both models, three port kinds,
+        # two workers, quotient "auto" as the CLI runs it) packs into 83
+        # bins starting at these job indices; a drift in the state
+        # budget or the weight estimate moves them.
+        sweep = SweepSpec(
+            shapes=tuple(enumerate_size_shapes(9)),
+            models=("blackboard", "clique"),
+            ports=("adversarial", "round-robin", "random"),
+        )
+        jobs, payloads = self._payloads(sweep)
+        clear_memo()
+        with use_context(ExecutionContext(quotient="auto")):
+            groups = _group_job_payloads(
+                jobs, payloads, ProcessPoolEngine(workers=2)
+            )
+        assert len(jobs) == 120
+        assert [group["jobs"][0]["index"] for group in groups] == [
+            0, 5, 6, 7, 9, 10, 11, 13, 14, 15, 17, 18, 19, 21, 22, 23, 25,
+            26, 27, 29, 30, 31, 33, 34, 35, 37, 38, 39, 41, 42, 43, 45, 46,
+            47, 49, 50, 51, 53, 54, 55, 57, 58, 59, 61, 62, 63, 65, 66, 67,
+            69, 70, 71, 73, 74, 75, 77, 78, 79, 81, 82, 83, 85, 86, 87, 89,
+            90, 91, 93, 94, 95, 97, 98, 99, 101, 102, 103, 107, 110, 111,
+            113, 114, 115, 119,
+        ]
+
     def test_weight_uses_compiled_states_when_available(self):
         shape = (2, 3)
         spec = SweepSpec(shapes=(shape,), models=("clique",)).expand()[0]
@@ -188,10 +228,10 @@ class TestStateBudgetPacking:
 
     def test_bin_budget_is_capped_by_max_group_states(self, sweep,
                                                       monkeypatch):
-        import repro.chain
+        import repro.runner.sweep
 
         # A one-state cap leaves every chain family alone in its bin.
-        monkeypatch.setattr(repro.chain, "MAX_GROUP_STATES", 1)
+        monkeypatch.setattr(repro.runner.sweep, "MAX_GROUP_STATES", 1)
         jobs, payloads = self._payloads(sweep)
         groups = _group_job_payloads(
             jobs, payloads, ProcessPoolEngine(workers=1)
