@@ -106,7 +106,8 @@ def instrumented_sweep() -> list:
 #: Each timing sample runs the sweep this many times back to back (the
 #: per-call cost is well under a millisecond, so single calls drown in
 #: scheduler noise), and paths are sampled interleaved so CPU frequency
-#: drift hits them equally.
+#: drift hits them equally.  The default ``ROUNDS`` is even, so each of the
+#: raw and instrumented paths runs first in half of the rounds.
 INNER_ITERATIONS = int(os.environ.get("OBS_BENCH_INNER", "10"))
 ROUNDS = int(os.environ.get("OBS_BENCH_ROUNDS", "12"))
 
@@ -130,10 +131,17 @@ def measure() -> dict:
         ratios_off: list[float] = []
         ratios_on: list[float] = []
         raw_values = off_values = on_values = []
-        for _ in range(ROUNDS):
+        for round_index in range(ROUNDS):
             configure_tracing(False)
-            raw_round, raw_values = _sample(raw_sweep)
-            off_round, off_values = _sample(instrumented_sweep)
+            # Alternate which path runs first, so whatever favours the
+            # first (or second) slot of a round lands on both paths
+            # equally often.
+            if round_index % 2:
+                off_round, off_values = _sample(instrumented_sweep)
+                raw_round, raw_values = _sample(raw_sweep)
+            else:
+                raw_round, raw_values = _sample(raw_sweep)
+                off_round, off_values = _sample(instrumented_sweep)
             configure_tracing(True)
             on_round, on_values = _sample(instrumented_sweep)
             reset_telemetry()

@@ -14,8 +14,8 @@ algorithms in synchronous anonymous systems, end to end:
   and its 0/1 limits, Theorems 4.1/4.2 and generalizations;
 * :mod:`repro.chain` -- the compiled consistency-chain engine behind
   :class:`~repro.core.markov.ConsistencyChain`: interned states, sparse
-  transition matrices, dual exact/float backends, process-wide memo and
-  optional on-disk cache (see ``CHAIN.md``);
+  transition matrices, dual exact/float backends and a process-wide
+  memo (see ``CHAIN.md``);
 * :mod:`repro.algorithms` -- runnable protocols: blackboard leader
   election, Algorithm 1 (CreateMatching), the Euclid-style leader election,
   and the Theorem C.1 reduction;
@@ -28,8 +28,8 @@ algorithms in synchronous anonymous systems, end to end:
   query memo serving reports and repeated sweeps (see ``STORE.md``);
 * :mod:`repro.obs` -- span tracing and metrics across the chain/runner/
   warehouse stack, persisted and queryable (see ``OBS.md``);
-* :mod:`repro.context` -- how jobs run (quotient mode, chain cache,
-  query memo, tracing) as one scoped value;
+* :mod:`repro.context` -- how jobs run (quotient mode, query memo,
+  tracing) as one scoped value;
 * :mod:`repro.viz` -- ASCII/DOT rendering of the paper's figures.
 
 Quickstart::

@@ -2,15 +2,12 @@
 
 The package-level API:
 
-* :func:`compile_chain` -- compile (or fetch memoized/cached) the chain
-  of one ``(alpha, ports)`` configuration;
+* :func:`compile_chain` -- compile (or fetch memoized) the chain of
+  one ``(alpha, ports)`` configuration;
 * :class:`CompiledChain` -- interned states, sparse integer transitions,
   and every query of the seed :class:`~repro.core.markov.ConsistencyChain`
   under both an exact ``Fraction`` backend and a numpy ``float64``
   backend (``backend="exact" | "float"``);
-* :class:`ChainDiskCache` / :func:`disk_cache` -- persist compilations
-  across worker processes and runs, in the ``chain_cache`` directory
-  the current :class:`~repro.context.ExecutionContext` names;
 * :func:`run_queries` / :func:`run_group_queries` -- the one query
   front door: answer whole sets of :class:`Query` objects against one
   chain (a group of one) or many chains, memo first, then one shared
@@ -28,11 +25,6 @@ from .batch import (
     QUANTITIES,
     Query,
     run_queries,
-)
-from .cache import (
-    CacheEntry,
-    ChainDiskCache,
-    disk_cache,
 )
 from .engine import (
     DEFAULT_DISTRIBUTION_CACHE_CAP,
@@ -73,8 +65,6 @@ from .interning import (
 
 __all__ = [
     "BACKENDS",
-    "CacheEntry",
-    "ChainDiskCache",
     "ChainKey",
     "CompiledChain",
     "DEFAULT_DISTRIBUTION_CACHE_CAP",
@@ -95,7 +85,6 @@ __all__ = [
     "chain_key",
     "clear_memo",
     "compile_chain",
-    "disk_cache",
     "effective_chain_key",
     "is_chain_automorphism",
     "is_quotient_key",

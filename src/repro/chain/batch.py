@@ -43,6 +43,7 @@ from .backends import (
     series_exact,
     validate_backend,
 )
+from .engine import key_digest
 
 #: What a query may ask for.  ``solvable`` (Definition 3.3) is always
 #: decided on exact arithmetic -- the zero-one law is asserted on exact
@@ -276,8 +277,6 @@ def memoized_answers(chain, queries: Sequence[Query], backend: str):
         return [None] * len(queries), [None] * len(queries), list(
             range(len(queries))
         )
-    from .cache import key_digest
-
     digest = key_digest(chain.key)
     results: list = [None] * len(queries)
     tokens: list = []

@@ -16,13 +16,12 @@ results digit for digit while the float backend reads the same counts as
 A process-wide memo keyed by the chain's *structural* content (the
 source assignment and the neighbour/back-port tables) means a sweep that
 touches the same configuration from many call sites -- per task, per
-time horizon, per experiment -- compiles it exactly once.  An optional
-disk cache (:mod:`repro.chain.cache`) extends the memo across worker
-processes and runs.
+time horizon, per experiment -- compiles it exactly once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import weakref
 from collections import Counter
@@ -169,6 +168,11 @@ def chain_key(
     neigh = neighbour_tables(ports)
     back = back_port_tables(ports) if include_back_ports else None
     return (alpha.assignment, neigh, back)
+
+
+def key_digest(key: ChainKey) -> str:
+    """Stable content hash of a structural chain key."""
+    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
 
 
 def _task_content_key(task) -> "tuple | None":
@@ -652,19 +656,15 @@ def compile_chain(
     ``ports=None`` selects the blackboard model; a
     :class:`~repro.models.ports.PortAssignment` or
     :class:`~repro.models.graph.GraphTopology` selects message passing.
-    While the current :class:`~repro.context.ExecutionContext` names a
-    ``chain_cache`` directory (:func:`repro.chain.cache.disk_cache`),
-    compilations persist there across worker processes and runs.
 
     ``quotient`` selects the symmetry-quotient backend
     (:mod:`repro.chain.quotient`): ``True``/``"on"`` folds states into
     automorphism orbits, ``False``/``"off"`` compiles the full chain,
     ``"auto"`` folds exactly when a nontrivial automorphism exists, and
     ``None`` (the default) defers to the current context's ``quotient``
-    mode.  Quotient
-    compilations carry a tagged key, so the memo and disk cache keep the
-    two backends separate automatically.  Lookup order is memo, then
-    disk cache, then compile.
+    mode.  Quotient compilations carry a tagged key, so the memo keeps
+    the two backends separate automatically.  Lookup order is memo, then
+    compile.
     """
     if alpha.n > MAX_NODES:
         raise ValueError(
@@ -680,9 +680,8 @@ def compile_chain(
     if quotient_backend.resolve_quotient(key, quotient):
         key = quotient_backend.quotient_key(key)
     if not use_memo:
-        # One-shot chains (exhaustive port enumerations) skip BOTH the
-        # memo and the disk cache: each is queried once and never again,
-        # so persisting them would only flood the cache directory.
+        # One-shot chains (exhaustive port enumerations) skip the memo:
+        # each is queried once and never again.
         if OBS.enabled:
             OBS.metrics.inc("chain.compile.unmemoized")
             with trace("chain.compile", n=alpha.n, memo=False):
@@ -693,16 +692,6 @@ def compile_chain(
         if OBS.enabled:
             OBS.metrics.inc("chain.compile.hit.memo")
         return hit
-    from .cache import disk_cache
-
-    store = disk_cache()
-    if store is not None:
-        cached = store.load(key)
-        if cached is not None:
-            if OBS.enabled:
-                OBS.metrics.inc("chain.compile.hit.disk")
-            _MEMO[key] = cached
-            return cached
     if OBS.enabled:
         OBS.metrics.inc("chain.compile.miss")
         with trace("chain.compile", n=alpha.n):
@@ -711,8 +700,6 @@ def compile_chain(
     else:
         chain = _build_chain(key, alpha)
     _MEMO[key] = chain
-    if store is not None:
-        store.store(chain)
     return chain
 
 
@@ -726,6 +713,7 @@ __all__ = [
     "clear_memo",
     "compile_chain",
     "explore",
+    "key_digest",
     "memo_size",
     "memoized_chain",
     "neighbour_tables",

@@ -34,10 +34,10 @@ For any ``g in G`` with source relabeling ``h``:
 
 A :class:`QuotientChain` is a plain :class:`~repro.chain.engine
 .CompiledChain` over orbit-representative label vectors (the lexicographic
-minimum of each orbit), so the batch, multi, cache, and memo layers all
-operate on it unchanged; its key is the structural key plus a
-``"quotient"`` tag, so every digest (process memo, disk cache, cross-run
-query memo) separates the two compilations for free.
+minimum of each orbit), so the batch, multi and memo layers all operate
+on it unchanged; its key is the structural key plus a ``"quotient"``
+tag, so every digest (process memo, cross-run query memo) separates the
+two compilations for free.
 
 No orbit is ever walked and the group is never enumerated as ``n!``
 permutations.  Blackboard states keep every source group inside one

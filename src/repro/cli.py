@@ -12,7 +12,6 @@ experiments     run reproduction experiments (all or by id)
 run             execute one runner job and print its JSON record
 estimate        Monte-Carlo Pr[S(t)] estimate (mergeable memoized substreams)
 sweep           expand and execute a sweep (parallel, resumable)
-chains          list/inspect/prune a chain disk cache
 results         query/export/stats/compact/ingest/vacuum a results warehouse
 obs             read telemetry back: explain a profile, history/diff/tiers
                 across sweeps (OBS.md)
@@ -447,84 +446,6 @@ def cmd_graphs(args) -> int:
         "worst-case deterministic leader election:",
         "YES" if verdict else "NO",
     )
-    return 0
-
-
-def cmd_chains(args) -> int:
-    """List, inspect, or prune a chain disk cache."""
-    import datetime
-    import pathlib
-    import pickle
-
-    from .chain import ChainDiskCache, QuotientChain
-
-    root = pathlib.Path(args.directory)
-    # Accept a run directory transparently: sweeps persist their chains
-    # under <run_dir>/chains.
-    if (root / "chains").is_dir():
-        root = root / "chains"
-    if not root.is_dir():
-        raise SystemExit(f"chains: no cache directory at {args.directory}")
-    cache = ChainDiskCache(root)
-    entries = cache.entries()
-    if args.action == "prune":
-        if args.all:
-            removed = cache.evict(max_bytes=0, max_entries=0)
-        elif args.max_bytes is None and args.max_entries is None:
-            raise SystemExit(
-                "chains prune: need --max-bytes, --max-entries, or --all"
-            )
-        else:
-            try:
-                removed = cache.evict(
-                    max_bytes=args.max_bytes, max_entries=args.max_entries
-                )
-            except ValueError as exc:
-                raise SystemExit(f"chains prune: {exc}")
-        freed = sum(entry.size for entry in removed)
-        print(
-            f"pruned {len(removed)}/{len(entries)} cached chains "
-            f"({freed} bytes freed) from {root}"
-        )
-        return 0
-    if not entries:
-        print(f"{root}: empty chain cache")
-        return 0
-    rows = []
-    for entry in entries:
-        stamp = datetime.datetime.fromtimestamp(entry.mtime).isoformat(
-            sep=" ", timespec="seconds"
-        )
-        if args.action == "inspect":
-            try:
-                with entry.path.open("rb") as handle:
-                    chain = pickle.load(handle)
-                model = "blackboard" if chain.key[1] is None else (
-                    "classical" if chain.key[2] is not None else "clique"
-                )
-                states = (
-                    f"orbits={chain.num_states} full_states={chain.full_states}"
-                    if isinstance(chain, QuotientChain)
-                    else f"states={chain.num_states}"
-                )
-                detail = (
-                    f"n={chain.n} k={chain.k} {states} "
-                    f"transitions={chain.num_transitions} {model}"
-                )
-            except Exception as exc:
-                detail = f"unreadable ({type(exc).__name__})"
-            rows.append(
-                (entry.digest[:12], entry.size, entry.loads, stamp, detail)
-            )
-        else:
-            rows.append((entry.digest[:12], entry.size, entry.loads, stamp))
-    headers = (
-        ("digest", "bytes", "loads", "last used", "chain")
-        if args.action == "inspect"
-        else ("digest", "bytes", "loads", "last used")
-    )
-    print(format_table(headers, rows))
-    print(f"{len(entries)} chains, {cache.total_bytes()} bytes in {root}")
     return 0
 
 
@@ -1234,12 +1155,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-samples", type=int, default=64000)
     p.add_argument(
         "--method",
-        choices=("auto", "bits", "chain", "scalar"),
+        choices=("auto", "bits", "scalar"),
         default="auto",
         help=(
-            "batch solver: bit-level knowledge partitions (auto/bits), "
-            "compiled-chain trajectories (chain), or the per-trajectory "
-            "oracle loop (scalar)"
+            "batch solver: bit-level knowledge partitions (auto/bits) "
+            "or the per-trajectory oracle loop (scalar)"
         ),
     )
     _add_warehouse_args(p)
@@ -1305,28 +1225,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--max-states", type=int, default=64)
     p.set_defaults(func=cmd_mermaid)
-
-    p = sub.add_parser(
-        "chains",
-        help="list/inspect/prune a chain disk cache",
-    )
-    p.add_argument("action", choices=("list", "inspect", "prune"))
-    p.add_argument(
-        "directory",
-        help="cache directory (or a run directory containing chains/)",
-    )
-    p.add_argument(
-        "--max-bytes", type=int, default=None,
-        help="prune: evict LRU chains until the cache fits this many bytes",
-    )
-    p.add_argument(
-        "--max-entries", type=int, default=None,
-        help="prune: evict LRU chains down to this many files",
-    )
-    p.add_argument(
-        "--all", action="store_true", help="prune: remove every cached chain"
-    )
-    p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser(
         "results",

@@ -1,18 +1,17 @@
 """How a job runs, as one value: :class:`ExecutionContext`.
 
-Which chains a compile folds, where compiled chains and query answers
-persist and whether a job traces are not arguments of the numeric
-functions; they are the context a job runs in.  A process has one slot
-for it.  :func:`current_context` reads the slot; :func:`use_context`
-sets it for one ``with`` block and restores the previous value on
-exit, even on error.
+Which chains a compile folds, where query answers persist and whether
+a job traces are not arguments of the numeric functions; they are the
+context a job runs in.  A process has one slot for it.
+:func:`current_context` reads the slot; :func:`use_context` sets it for
+one ``with`` block and restores the previous value on exit, even on
+error.
 
 The CLI builds the value from its flags, :func:`repro.runner.run_sweep`
-extends the caller's value with a run's cache and memo directories,
-and every worker payload carries the value to the
-``execute_*`` function that runs it, which enters it the same way.  A
-job therefore sees the same context serially and in a pool, and
-nothing a job enters outlives it.
+extends the caller's value with a run's memo directory, and every
+worker payload carries the value to the ``execute_*`` function that
+runs it, which enters it the same way.  A job therefore sees the same
+context serially and in a pool, and nothing a job enters outlives it.
 
 Stdlib only, so that ``chain``, ``results``, ``sampling``, ``obs`` and
 ``runner`` can all read it.
@@ -41,8 +40,6 @@ class ExecutionContext:
 
     #: The quotient mode (:data:`QUOTIENT_MODES`); the CLI's is "auto".
     quotient: str = "off"
-    #: Directory of the compiled-chain disk cache, or ``None``.
-    chain_cache: "str | None" = None
     #: Directory of the cross-run query memo, or ``None``.
     results_memo: "str | None" = None
     #: Whether jobs trace.  In a process the switch behind
@@ -56,10 +53,10 @@ class ExecutionContext:
                 f"unknown quotient mode {self.quotient!r}; expected one "
                 f"of {QUOTIENT_MODES}"
             )
-        for name in ("chain_cache", "results_memo"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, os.fspath(value))
+        if self.results_memo is not None:
+            object.__setattr__(
+                self, "results_memo", os.fspath(self.results_memo)
+            )
 
 
 _CURRENT = ExecutionContext()

@@ -155,8 +155,8 @@ def solving_probability_sampled(
     pure function of its arguments, independent of execution order, and
     extends bit-exactly under a larger budget.  ``seed=None`` draws a
     fresh stream.  ``method`` selects the batch solver (``"bits"``
-    knowledge-partition passes, ``"chain"`` compiled-chain trajectories,
-    ``"scalar"`` the legacy per-trajectory oracle loop).
+    knowledge-partition passes or ``"scalar"``, the legacy
+    per-trajectory oracle loop).
     """
     if samples < 1:
         raise ValueError("need samples >= 1")

@@ -1,12 +1,11 @@
 """Append-only JSON event logs with fold-on-compact snapshots.
 
-The warehouse needs two kinds of "many concurrent writers, occasional
-reader" state: the cross-run query memo (:mod:`repro.results.memo`) and
-the chain-cache load statistics (:mod:`repro.chain.cache`).  Both used
-to be impossible to keep exact with a read-modify-write sidecar file --
-two workers racing on the rewrite silently dropped one worker's update.
+The cross-run query memo (:mod:`repro.results.memo`) is "many
+concurrent writers, occasional reader" state.  A read-modify-write
+sidecar file cannot keep it exact: two workers racing on the rewrite
+silently drop one worker's update.
 
-:class:`AppendLog` solves both with the same primitive:
+:class:`AppendLog` keeps it exact with one primitive:
 
 * **append** -- one event is one JSON line written with a *single*
   ``os.write`` to an ``O_APPEND`` descriptor.  POSIX guarantees the

@@ -5,10 +5,10 @@ Every exact sweep cell the chain stack answers is a pure function of
 the run, the engine, or the worker count can change it.  This module
 memoizes those answers *across* runs: the key is a SHA-256 over
 
-* the **chain structural digest** -- the same
-  :func:`repro.chain.cache.key_digest` the disk cache files are named
-  by, so two sweeps that build equal configurations share entries even
-  though they never share Python objects;
+* the **chain structural digest**
+  (:func:`repro.chain.engine.key_digest`), so two sweeps that build
+  equal configurations share entries even though they never share
+  Python objects;
 * the **task content token** -- the ``(n, count-multisets)`` value
   identity of a :class:`~repro.core.tasks.CountTask` (tasks without a
   value identity are simply never memoized);
@@ -27,7 +27,7 @@ compacted ``memo.json``), safe under any number of concurrent sweep
 workers.  :func:`query_memo` returns the memo of the current
 :class:`~repro.context.ExecutionContext`'s ``results_memo`` directory
 -- the runner names the warehouse's memo in every worker payload's
-context, next to the chain disk cache -- and it is consulted by
+context -- and it is consulted by
 the query front door (:func:`repro.chain.run_group_queries`, and
 :func:`repro.chain.run_queries` as its one-item spelling) before any
 evolution pass.

@@ -299,10 +299,6 @@ def run_sweep(
         changes["results_memo"] = str(store.memo_dir)
     if run_dir is not None:
         directory = RunDirectory(run_dir)
-        # Persist compiled chains next to the records: every worker (and
-        # every resumed run) then compiles each (alpha, ports) chain at
-        # most once, sweep-wide.
-        changes["chain_cache"] = str(directory.path / "chains")
         directory.write_manifest(
             {
                 "sweep": sweep.to_dict(),

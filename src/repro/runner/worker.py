@@ -104,7 +104,7 @@ def _memoized_exact_limit(spec: RunSpec, alpha, ports) -> "Fraction | None":
     query-level recording always agree.
     """
     from ..chain import effective_chain_key
-    from ..chain.cache import key_digest
+    from ..chain.engine import key_digest
     from ..results.memo import MISS, query_memo, query_token
 
     memo = query_memo()

@@ -3,9 +3,9 @@
 Three layers (see RUNNER.md, "Monte-Carlo substreams and the merge law"):
 
 * :mod:`repro.sampling.kernel` -- counter-based Philox substreams in
-  fixed blocks; whole-block solvability decided in numpy passes (bit
-  partition refinement or compiled-chain trajectories), with the legacy
-  per-trajectory loop kept as the scalar oracle.
+  fixed blocks; whole-block solvability decided by bit partition
+  refinement in numpy passes, with the legacy per-trajectory loop kept
+  as the scalar oracle.
 * :mod:`repro.sampling.estimator` -- integer ``(successes, samples)``
   cells with an associative merge law, memoized per full block in the
   cross-run :mod:`repro.results` memo.
@@ -29,7 +29,6 @@ from .kernel import (
     BLOCK_SAMPLES,
     METHODS,
     block_indicators,
-    chain_draws,
     philox_key,
     resolve_method,
     scalar_block_indicators,
@@ -47,7 +46,6 @@ __all__ = [
     "block_indicators",
     "block_token",
     "cell_digest",
-    "chain_draws",
     "normal_quantile",
     "paired_difference",
     "philox_key",

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from ..obs import OBS
 from .estimator import MCEstimate, sample_range
-from .kernel import BLOCK_SAMPLES, block_indicators, resolve_method
+from .kernel import BLOCK_SAMPLES, block_indicators
 
 #: One substream block: the natural unit of both the first look and each
 #: adaptive top-up (full blocks are what the memo can serve and store).
@@ -37,7 +37,6 @@ def _extend(cell: Mapping, estimate: MCEstimate, by: int) -> MCEstimate:
         start=estimate.samples,
         stop=estimate.samples + by,
         method=cell.get("method", "auto"),
-        quotient=cell.get("quotient"),
         use_memo=cell.get("use_memo", True),
     )
     return estimate.merge(grown)
@@ -61,7 +60,6 @@ def adaptive_cell_estimate(
     increment: int = DEFAULT_INCREMENT,
     max_samples: int = 64 * BLOCK_SAMPLES,
     method: str = "auto",
-    quotient=None,
     use_memo: bool = True,
 ) -> MCEstimate:
     """Sample one cell until its interval is narrow enough (or the cap).
@@ -81,7 +79,6 @@ def adaptive_cell_estimate(
         "ports": ports,
         "stream_seed": stream_seed,
         "method": method,
-        "quotient": quotient,
         "use_memo": use_memo,
     }
     estimate = _extend(cell, MCEstimate(0, 0), min(initial, max_samples))
@@ -181,8 +178,7 @@ def paired_difference(
                 cell.get("ports"),
                 stream_seed=stream_seed,
                 block=block,
-                method=resolve_method(cell.get("method", "auto"), cell.get("ports")),
-                quotient=cell.get("quotient"),
+                method=cell.get("method", "auto"),
             )[:take]
             pair.append(indicators.astype(int))
         diff = pair[0] - pair[1]

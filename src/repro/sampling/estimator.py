@@ -57,23 +57,14 @@ class MCEstimate:
         )
 
 
-def cell_digest(
-    alpha, ports=None, *, method: str = "auto", quotient=None
-) -> str:
+def cell_digest(alpha, ports=None) -> str:
     """The structural digest an MC cell keys its memo entries under.
 
-    Bit-level methods sample the configuration itself, so they share the
-    plain structural key; the chain-trajectory method samples a
-    *compiled* chain, whose quotient/full choice changes the trajectory
-    distribution's state space (not its marginals) -- it keys under the
-    effective (possibly quotient-tagged) chain key.
+    Every method samples the configuration itself, so a cell shares the
+    plain structural key of its ``(alpha, ports)`` chain.
     """
-    from ..chain.cache import key_digest
-    from ..chain.engine import chain_key
-    from ..chain.quotient import effective_chain_key
+    from ..chain.engine import chain_key, key_digest
 
-    if resolve_method(method, ports) == "chain":
-        return key_digest(effective_chain_key(alpha, ports, quotient=quotient))
     return key_digest(chain_key(alpha, ports))
 
 
@@ -109,7 +100,6 @@ def sample_range(
     start: int,
     stop: int,
     method: str = "auto",
-    quotient=None,
     use_memo: bool = True,
 ) -> MCEstimate:
     """Successes over samples ``[start, stop)`` of a cell's substream.
@@ -121,13 +111,9 @@ def sample_range(
     """
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got [{start}, {stop})")
-    resolved = resolve_method(method, ports)
+    resolved = resolve_method(method)
     memo = query_memo() if use_memo else None
-    digest = (
-        cell_digest(alpha, ports, method=resolved, quotient=quotient)
-        if memo is not None
-        else None
-    )
+    digest = cell_digest(alpha, ports) if memo is not None else None
     successes = 0
     hits = 0
     fresh = 0
@@ -156,7 +142,6 @@ def sample_range(
             stream_seed=stream_seed,
             block=block,
             method=resolved,
-            quotient=quotient,
         )
         successes += int(
             indicators[lo - block * BLOCK_SAMPLES : hi - block * BLOCK_SAMPLES]
@@ -184,7 +169,6 @@ def sample_cell(
     stream_seed: int,
     samples: int,
     method: str = "auto",
-    quotient=None,
     use_memo: bool = True,
 ) -> MCEstimate:
     """The first ``samples`` trials of a cell's substream."""
@@ -199,7 +183,6 @@ def sample_cell(
         start=0,
         stop=samples,
         method=method,
-        quotient=quotient,
         use_memo=use_memo,
     )
 

@@ -19,7 +19,7 @@ estimate.  Everything here follows from one discipline:
   random numbers, which make paired comparisons across sweep cells
   low-variance.
 
-Three solvers decide whole blocks in numpy passes:
+Two solvers decide whole blocks:
 
 * ``bits`` -- draw source-bit matrices, intern knowledge classes by
   pairwise-equality refinement (bit-string grouping on the blackboard,
@@ -32,9 +32,6 @@ Three solvers decide whole blocks in numpy passes:
   a sweep's tasks of one stream share it); only the verdict per
   distinct multiset depends on the task.  Bit-exact equal to the
   per-trajectory scalar oracle on the same words.
-* ``chain`` -- sample trajectories through the compiled (optionally
-  quotient) float chain's CSR rows; one comparison pass per round
-  against padded cumulative transition counts.
 * ``scalar`` -- the legacy per-trajectory Python loop over the *same*
   Philox words; kept as the test oracle and benchmark baseline.
 """
@@ -57,7 +54,7 @@ from ..randomness.configuration import RandomnessConfiguration
 BLOCK_SAMPLES = 1000
 
 #: Methods accepted by :func:`block_indicators`.
-METHODS = ("auto", "bits", "chain", "scalar")
+METHODS = ("auto", "bits", "scalar")
 
 
 def philox_key(stream_seed: int, block: int) -> np.ndarray:
@@ -105,24 +102,10 @@ def _round_major_words(
     )
 
 
-def chain_draws(stream_seed: int, block: int, t: int) -> np.ndarray:
-    """Per-round transition draws: ``(BLOCK_SAMPLES, t)`` uint64.
-
-    Round-major like :func:`source_words`, so horizon extensions reuse
-    the early rounds.  Drawn from the same key as the source words (the
-    two layouts never coexist in one estimate: the method is part of the
-    memo token).
-    """
-    rng = np.random.Generator(np.random.Philox(key=philox_key(stream_seed, block)))
-    raw = rng.integers(0, 2**64, size=(t, BLOCK_SAMPLES), dtype=np.uint64)
-    return np.ascontiguousarray(raw.transpose(1, 0))
-
-
-def resolve_method(method: str, ports=None) -> str:
-    """Resolve ``"auto"`` (currently always the bit-level solver)."""
+def resolve_method(method: str) -> str:
+    """Resolve ``"auto"`` (always the bit-level solver)."""
     if method not in METHODS:
         raise ValueError(f"unknown sampling method {method!r}")
-    del ports  # the bit solver covers every model; kept for evolution
     return "bits" if method == "auto" else method
 
 
@@ -301,69 +284,6 @@ def _block_classes(
 
 
 # ----------------------------------------------------------------------
-# Chain-trajectory solver
-# ----------------------------------------------------------------------
-_CHAIN_TABLES: dict = {}
-
-
-def _trajectory_tables(chain) -> tuple[np.ndarray, np.ndarray]:
-    """Padded per-state ``(inclusive-cumulative-count, destination)``
-    matrices for vectorized edge selection; cached per chain key (chains
-    are process-immortal through the compile memo, so no eviction)."""
-    cached = _CHAIN_TABLES.get(chain.key)
-    if cached is not None:
-        return cached
-    indptr, dst, cnt = chain.csr()
-    degrees = np.diff(indptr)
-    width = int(degrees.max())
-    states = chain.num_states
-    positions = np.arange(width) < degrees[:, None]
-    cnt2d = np.zeros((states, width), dtype=np.int64)
-    cnt2d[positions] = cnt
-    cum2d = cnt2d.cumsum(axis=1)
-    if not (cum2d[:, -1] == chain.denom).all():
-        raise ValueError("chain rows must sum to the transition denominator")
-    dst2d = np.zeros((states, width), dtype=np.int64)
-    dst2d[positions] = dst
-    # Padded tail entries keep the full cumulative sum, so a draw can
-    # never select one (draws are < denom).
-    cum2d[~positions] = chain.denom
-    tables = (cum2d, dst2d)
-    _CHAIN_TABLES[chain.key] = tables
-    return tables
-
-
-def _solve_chain(
-    alpha: RandomnessConfiguration,
-    task: SymmetryBreakingTask,
-    ports,
-    t: int,
-    draws: np.ndarray,
-    *,
-    quotient=None,
-) -> np.ndarray:
-    """Trajectory sampling through the compiled (quotient) chain.
-
-    Each round consumes one ``k-1``-bit draw per sample and advances the
-    whole batch through the CSR rows in one comparison pass.  Strong
-    lumping makes the quotient chain a drop-in: orbit trajectories have
-    the marginals of full-chain trajectories.
-    """
-    from ..chain import compile_chain
-
-    chain = compile_chain(alpha, ports, quotient=quotient)
-    cum2d, dst2d = _trajectory_tables(chain)
-    mask = np.asarray(chain.solvable_mask(task), dtype=bool)
-    low_bits = np.uint64(chain.denom - 1)
-    states = np.full(draws.shape[0], chain.start, dtype=np.int64)
-    for r in range(t):
-        draw = (draws[:, r] & low_bits).astype(np.int64)
-        idx = (draw[:, None] >= cum2d[states]).sum(axis=1)
-        states = dst2d[states, idx]
-    return mask[states]
-
-
-# ----------------------------------------------------------------------
 # Scalar oracle
 # ----------------------------------------------------------------------
 def scalar_block_indicators(
@@ -413,7 +333,6 @@ def block_indicators(
     stream_seed: int,
     block: int,
     method: str = "auto",
-    quotient=None,
 ) -> np.ndarray:
     """Per-sample success indicators of one substream block.
 
@@ -423,15 +342,9 @@ def block_indicators(
     """
     if t < 1:
         raise ValueError("need t >= 1")
-    resolved = resolve_method(method, ports)
-    if resolved == "scalar":
+    if resolve_method(method) == "scalar":
         return scalar_block_indicators(
             alpha, task, t, ports, stream_seed=stream_seed, block=block
-        )
-    if resolved == "chain":
-        draws = chain_draws(stream_seed, block, t)
-        return _solve_chain(
-            alpha, task, ports, t, draws, quotient=quotient
         )
     # Valid for every symmetric output complex -- the package contract --
     # where solvability depends only on the multiset of knowledge-class
@@ -449,7 +362,6 @@ __all__ = [
     "BLOCK_SAMPLES",
     "METHODS",
     "block_indicators",
-    "chain_draws",
     "philox_key",
     "resolve_method",
     "scalar_block_indicators",

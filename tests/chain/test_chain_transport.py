@@ -1,9 +1,9 @@
-"""How compiled chains reach pool workers: pickles, disk cache, lookup order.
+"""How compiled chains reach pool workers: pickles and the lookup order.
 
-A worker gets a chain one way only: the process memo, then the run
-directory's disk cache (a pickle written by whichever process compiled
-it first), then a fresh compile.  These tests pin down that every step
-hands back the same chain, that the lookup order is memo -> disk ->
+A worker gets a chain one way only: its process memo, then a fresh
+compile.  A compiled chain still pickles (to its key, labels and out
+table), so it can cross a process boundary.  These tests pin down that
+a pickle hands back the same chain, that the lookup order is memo ->
 compile, and that grouped queries over transported chains answer
 exactly like grouped queries over the originals.
 """
@@ -14,16 +14,14 @@ import numpy as np
 import pytest
 
 from repro.chain import (
-    ChainDiskCache,
     Query,
     chain_key,
     clear_memo,
     compile_chain,
-    disk_cache,
     run_group_queries,
 )
 from repro.chain import engine as engine_module
-from repro.context import ExecutionContext, use_context
+from repro.chain.engine import key_digest
 from repro.core import leader_election
 from repro.models import adversarial_assignment, round_robin_assignment
 from repro.models.graph import GraphTopology
@@ -33,27 +31,28 @@ from repro.runner import spec as runner_spec
 
 
 @pytest.fixture
-def cache_dir(tmp_path):
-    root = tmp_path / "chains"
-    with use_context(ExecutionContext(chain_cache=root)):
-        clear_memo()
-        yield root
+def cold_memo():
+    clear_memo()
+    yield
     clear_memo()
 
 
 #: One blackboard chain and three message-passing chains (adversarial
-#: ports, round-robin ports, a ring topology).
+#: ports, round-robin ports, a ring topology), plus two quotient chains.
 CASES = {
     "blackboard": lambda: ((1, 2, 2), None),
     "adversarial": lambda: ((2, 3), adversarial_assignment((2, 3))),
     "round-robin": lambda: ((1, 2, 2), round_robin_assignment(5)),
     "ring": lambda: ((1, 1, 1, 1), GraphTopology.ring(4)),
+    "quotient-blackboard": lambda: ((1, 1, 2), None),
+    "quotient-ring": lambda: ((1, 1, 1, 1), GraphTopology.ring(4)),
 }
 
 
 def _compile(case, **kwargs):
     shape, ports = CASES[case]()
     alpha = RandomnessConfiguration.from_group_sizes(shape)
+    kwargs.setdefault("quotient", case.startswith("quotient-"))
     return compile_chain(alpha, ports, **kwargs)
 
 
@@ -67,6 +66,7 @@ class TestPickleRoundTrip:
         chain = _compile(case)
         clone = _round_trip(chain)
         assert clone is not chain
+        assert type(clone) is type(chain)
         assert clone.key == chain.key
         assert clone.labels == chain.labels
         assert clone.n == chain.n and clone.k == chain.k
@@ -126,84 +126,37 @@ class TestPickleRoundTrip:
 
 
 class TestLookupOrder:
-    def test_memo_hit_never_touches_the_disk(self, cache_dir, monkeypatch):
+    def test_memo_hit_never_compiles(self, cold_memo, monkeypatch):
         chain = _compile("blackboard")
-        monkeypatch.setattr(
-            ChainDiskCache,
-            "load",
-            lambda self, key: pytest.fail(
-                "memo-warm chain was loaded from disk"
-            ),
-        )
-        assert _compile("blackboard") is chain
-
-    def test_disk_hit_skips_compilation(self, cache_dir, monkeypatch):
-        chain = _compile("adversarial")
-        clear_memo()
         monkeypatch.setattr(
             engine_module,
             "_build_chain",
-            lambda key, alpha: pytest.fail(
-                "disk-warm chain was compiled again"
-            ),
+            lambda key, alpha: pytest.fail("memo-warm chain was compiled"),
         )
-        loaded = _compile("adversarial")
-        assert loaded is not chain
-        assert loaded.key == chain.key
-        assert loaded.out_table() == chain.out_table()
-        # The disk hit now sits in the memo: no second load.
-        assert _compile("adversarial") is loaded
+        assert _compile("blackboard") is chain
 
-    def test_cold_lookup_compiles_and_persists(self, cache_dir):
-        assert len(disk_cache()) == 0
-        chain = _compile("round-robin")
-        assert len(disk_cache()) == 1
-        assert disk_cache().path_for(chain.key).exists()
-        assert _compile("round-robin") is chain
-
-    def test_vanished_disk_entry_degrades_to_a_compile(self, cache_dir):
-        chain = _compile("blackboard")
-        disk_cache().path_for(chain.key).unlink()
-        clear_memo()
-        again = _compile("blackboard")
-        assert again.out_table() == chain.out_table()
-        # The recompile wrote the entry back for the next worker.
-        assert disk_cache().path_for(chain.key).exists()
-
-    def test_digest_collision_is_rejected_by_full_key(self, cache_dir):
-        chain = _compile("blackboard")
-        other = _compile("adversarial")
-        # Plant the other chain's pickle under this chain's file name.
-        path = disk_cache().path_for(chain.key)
-        path.write_bytes(pickle.dumps(other))
-        clear_memo()
-        got = _compile("blackboard")
-        assert got.key == chain.key
-        assert got.out_table() == chain.out_table()
-        # The bad entry was overwritten with the right chain.
-        assert disk_cache().load(chain.key).key == chain.key
-
-    def test_counters_follow_memo_disk_compile(self, cache_dir):
+    def test_counters_follow_memo_then_compile(self, cold_memo):
         configure_tracing(True)
         reset_telemetry()
         try:
-            _compile("ring")  # miss: compiled and stored
+            _compile("ring")  # miss: compiled
             _compile("ring")  # memo
             clear_memo()
-            _compile("ring")  # disk
+            _compile("ring")  # miss again: nothing outlives the memo
             counters = OBS.metrics.snapshot()["counters"]
         finally:
             configure_tracing(False)
             reset_telemetry()
-        assert counters["chain.compile.miss"] == 1
+        assert counters["chain.compile.miss"] == 2
         assert counters["chain.compile.hit.memo"] == 1
-        assert counters["chain.compile.hit.disk"] == 1
-        assert counters["chain.cache.stores"] == 1
+        assert not any(
+            name.startswith("chain.compile.hit.") and name != (
+                "chain.compile.hit.memo"
+            )
+            for name in counters
+        )
 
-    def test_without_a_disk_cache_a_cleared_memo_recompiles(
-        self, monkeypatch
-    ):
-        assert disk_cache() is None
+    def test_a_cleared_memo_recompiles(self, monkeypatch):
         chain = _compile("blackboard")
         clear_memo()
         built = []
@@ -252,16 +205,9 @@ class TestGroupsOfTransportedChains:
         # Same COO arrays and level schedule: bitwise-identical floats.
         assert got == want
 
-    @pytest.mark.parametrize("backend", ["exact", "float"])
-    def test_group_queries_match_through_disk_loaded_chains(
-        self, tmp_path, backend
-    ):
+    def test_exact_group_of_round_tripped_chains_is_identical(self):
         chains = self._chains()
-        store = ChainDiskCache(tmp_path / "chains")
-        for chain in chains:
-            store.store(chain)
-        loaded = [store.load(chain.key) for chain in chains]
-        assert all(chain is not None for chain in loaded)
+        rebuilt = [_round_trip(chain) for chain in chains]
 
         def items(group_chains):
             return [
@@ -274,19 +220,19 @@ class TestGroupsOfTransportedChains:
                 for chain in group_chains
             ]
 
-        want = run_group_queries(items(chains), backend=backend)
-        got = run_group_queries(items(loaded), backend=backend)
-        # Same out tables, same passes: bitwise-identical answers.
+        want = run_group_queries(items(chains), backend="exact")
+        got = run_group_queries(items(rebuilt), backend="exact")
         assert got == want
 
-    def test_disk_entries_are_keyed_per_chain(self, tmp_path):
+    def test_key_digests_are_distinct_per_chain(self):
+        # The query memo keys every answer by this digest.
         chains = self._chains()
-        store = ChainDiskCache(tmp_path / "chains")
-        for chain in chains:
-            store.store(chain)
-        assert len(store) == len({chain.key for chain in chains})
-        assert len({store.path_for(chain.key) for chain in chains}) == len(
-            chains
+        assert len({key_digest(chain.key) for chain in chains}) == len(
+            {chain.key for chain in chains}
+        )
+        assert all(
+            key_digest(_round_trip(chain).key) == key_digest(chain.key)
+            for chain in chains
         )
         assert chain_key(
             RandomnessConfiguration.from_group_sizes((4,))

@@ -8,6 +8,8 @@ facade (which the integration suite in turn validates against literal
 realization enumeration).
 """
 
+import hashlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,9 @@ from repro.chain import (
     clear_memo,
     compile_chain,
     memo_size,
+    quotient_key,
 )
+from repro.chain.engine import key_digest
 from repro.core import (
     ConsistencyChain,
     expected_solving_time,
@@ -97,6 +101,83 @@ class TestMemo:
         two = compile_chain(alpha, use_memo=False)
         assert one is not two
         assert memo_size() == 0
+
+
+#: Chain keys whose digests must never move: the query memo and the
+#: Monte-Carlo memo key every stored answer by them.
+DIGEST_KEYS = {
+    "blackboard-1,2": lambda: chain_key(
+        RandomnessConfiguration.from_group_sizes((1, 2))
+    ),
+    "blackboard-2,3": lambda: chain_key(
+        RandomnessConfiguration.from_group_sizes((2, 3))
+    ),
+    "adversarial-2,3": lambda: chain_key(
+        RandomnessConfiguration.from_group_sizes((2, 3)),
+        adversarial_assignment((2, 3)),
+    ),
+    "round-robin-1,2,2": lambda: chain_key(
+        RandomnessConfiguration.from_group_sizes((1, 2, 2)),
+        round_robin_assignment(5),
+    ),
+    "ring-1,1,1,1": lambda: chain_key(
+        RandomnessConfiguration.from_group_sizes((1, 1, 1, 1)),
+        GraphTopology.ring(4),
+    ),
+    "back-ports-2,3": lambda: chain_key(
+        RandomnessConfiguration.from_group_sizes((2, 3)),
+        adversarial_assignment((2, 3)),
+        include_back_ports=True,
+    ),
+    "quotient-blackboard-1,1,1,1": lambda: quotient_key(chain_key(
+        RandomnessConfiguration.from_group_sizes((1, 1, 1, 1))
+    )),
+    "quotient-adversarial-2,3": lambda: quotient_key(chain_key(
+        RandomnessConfiguration.from_group_sizes((2, 3)),
+        adversarial_assignment((2, 3)),
+    )),
+}
+
+
+class TestKeyDigest:
+    @pytest.mark.parametrize("case, digest", [
+        ("blackboard-1,2",
+         "c3ac3e35164422fc3ca33786625692b1b6eed70ee5ee2a2e5614937e25dbfe95"),
+        ("blackboard-2,3",
+         "efc13158414562e11b15b8aedba272247d23e8d9600734568ee21173baaa9cf8"),
+        ("adversarial-2,3",
+         "d155f1d80edd8189804750ca0401e655ae23b649b5eb826083c1ec6722060e66"),
+        ("round-robin-1,2,2",
+         "88504bd7621f2b866016ada8eaddbd003f6ab77ca781e617b13521c18b78fa4c"),
+        ("ring-1,1,1,1",
+         "3868e6eee03bc76eb2594269bfa16d04610bb6ae17398e29d00b84b1c972162e"),
+        ("back-ports-2,3",
+         "d859f254d0ea2dfda48fd9a1dbfa9a31f4f16037a517086820fb73fae187dd03"),
+        ("quotient-blackboard-1,1,1,1",
+         "2c40427b255b71271bd1efda5a898427a46c6f38602b8b8a4c28f02d112ff3c8"),
+        ("quotient-adversarial-2,3",
+         "c733308ae289f182d045f10bab7b987df48484c4c18bf61afb38e293418623b7"),
+    ])
+    def test_digest_is_pinned(self, case, digest):
+        assert key_digest(DIGEST_KEYS[case]()) == digest
+
+    def test_digest_is_the_sha256_of_the_key_repr(self):
+        key = DIGEST_KEYS["adversarial-2,3"]()
+        assert key_digest(key) == hashlib.sha256(
+            repr(key).encode("utf-8")
+        ).hexdigest()
+
+    def test_digests_separate_every_key(self):
+        digests = {key_digest(build()) for build in DIGEST_KEYS.values()}
+        assert len(digests) == len(DIGEST_KEYS)
+
+    def test_compiled_and_pickled_chains_keep_the_digest(self):
+        alpha = RandomnessConfiguration.from_group_sizes((2, 3))
+        chain = compile_chain(alpha, adversarial_assignment((2, 3)))
+        clone = pickle.loads(pickle.dumps(chain))
+        assert key_digest(chain.key) == key_digest(clone.key) == (
+            key_digest(DIGEST_KEYS["adversarial-2,3"]())
+        )
 
 
 class TestMaskCache:

@@ -18,7 +18,7 @@ from repro.chain import (
     resolve_quotient,
     run_queries,
 )
-from repro.chain.cache import key_digest
+from repro.chain.engine import key_digest
 from repro.chain.quotient import BlackboardFold, QuotientChain, base_key
 from repro.context import ExecutionContext, current_context, use_context
 from repro.randomness import (

@@ -1,6 +1,5 @@
 """CLI observability round-trips: --profile-out, obs explain/history/
-diff/tiers, chain cache read-back, stamps, --progress, and the retired
-spellings."""
+diff/tiers, stamps, --progress, and the retired spellings."""
 
 import argparse
 import json
@@ -11,7 +10,7 @@ import sys
 
 import pytest
 
-from repro.chain import ChainDiskCache, clear_memo
+from repro.chain import clear_memo
 from repro.cli import _stderr_progress, build_parser, main
 from repro.obs import clock
 from repro.obs.schema import validate_profile
@@ -80,40 +79,6 @@ class TestExplain:
         record = json.loads(out)
         assert "_telemetry" not in record
         assert "repro.run" not in out
-
-
-class TestChainCacheReadBack:
-    def test_chains_list_loads_agree_with_load_stats(self, tmp_path, capsys):
-        run = tmp_path / "run"
-        # A warm process-wide compile memo (or the warehouse's query
-        # memo, or resumed records) would serve every job without
-        # touching the run directory's disk cache; the re-run with all
-        # three out of the way loads the first sweep's chains from disk.
-        for _ in range(2):
-            clear_memo()
-            (run / "records.jsonl").unlink(missing_ok=True)
-            assert main(
-                ["sweep", "--n", "4", "--run-dir", str(run),
-                 "--no-warehouse"]
-            ) == 0
-        capsys.readouterr()
-
-        assert main(["chains", "list", str(run)]) == 0
-        listing = capsys.readouterr().out
-        # digest | bytes | loads | date | time; the last line is the
-        # "<N> chains, <bytes> bytes" summary.
-        listed = {
-            parts[0]: int(parts[2])
-            for parts in _table_rows(listing)[:-1]
-        }
-        cache = ChainDiskCache(run / "chains")
-        stats = cache.load_stats()
-        expected = {
-            entry.digest[:12]: stats.get(entry.digest, 0)
-            for entry in cache.entries()
-        }
-        assert listed == expected
-        assert any(listed.values())  # the second sweep loaded from disk
 
 
 class TestProfileOut:

@@ -91,35 +91,69 @@ class TestValueCodec:
             query_token("d", "solvable", task, None, "exact")
         )
 
+    #: Per backend, the (limit, series t=4, expected) tokens of leader
+    #: election on (2, 3) under three chain keys: adversarial ports, the
+    #: blackboard, and adversarial ports with the quotient tag.
     @pytest.mark.parametrize("backend, tokens", [
-        ("exact", (
-            "e3abc2241cfd6a808950a0a790815cf2945001246db30c60b15dc6f53c86a821",
-            "c715e3d008f44a5d2fae8b59ed86200a83600d2a59f1e40c37fd1ac9b3dbc501",
-            "3b2d9cb51ee156db8fde6d15a92d4949aa08ebf28751030c503c5e21471609e3",
-        )),
-        ("float", (
-            "485e9ac686186dd79c9b150b45265d3db0ad9add65b646ae8022713d3cba1d2a",
-            "1b1338e1ba9f9755be043a96aa9eb1602e12bd3f12b51b42acd2b1f30d46f600",
-            "7ecfc0bac0a29a23877689246c7d361391e44c6d33972984b0880c665fe18e80",
-        )),
+        ("exact", {
+            "adversarial": (
+                "e3abc2241cfd6a808950a0a790815cf2945001246db30c60b15dc6f53c86a821",
+                "c715e3d008f44a5d2fae8b59ed86200a83600d2a59f1e40c37fd1ac9b3dbc501",
+                "3b2d9cb51ee156db8fde6d15a92d4949aa08ebf28751030c503c5e21471609e3",
+            ),
+            "blackboard": (
+                "af4580b985188768aad9d1dbe49c69734ce07d1dd2f098d664c191f192f392e5",
+                "b50bed336df53e214f341469507f016bb33488a490e238dc5512c409d9f0f04e",
+                "21adcd948184eac6e9b3c9942c08ffd8abcd6f2f6b13a397432f8feef0f9d552",
+            ),
+            "quotient": (
+                "235f95a3274d0d08e069632fc0612beadd48aca403cc112ac96f47e4f352979b",
+                "da23bcf2fd06833e7a7fe6a536ce741d45dcee1c35ee09fdfc87fe5cd79ee6ca",
+                "03597a531a91f0b86e71d5c3c45bd47bc4df5be4be30172cd6c511f26582ce5b",
+            ),
+        }),
+        ("float", {
+            "adversarial": (
+                "485e9ac686186dd79c9b150b45265d3db0ad9add65b646ae8022713d3cba1d2a",
+                "1b1338e1ba9f9755be043a96aa9eb1602e12bd3f12b51b42acd2b1f30d46f600",
+                "7ecfc0bac0a29a23877689246c7d361391e44c6d33972984b0880c665fe18e80",
+            ),
+            "blackboard": (
+                "eff03049c9758f4d87edd5fdc0ffbe918296a8f4701ad1a198c5af2e6e78362b",
+                "395d3c10ba8cfe999f755191b3deb667ec53376ab9f4fc6f8e1a72a613b2b57e",
+                "ee90f28b66776327d4c1bdd9e0bc969305308f0939deeec0f1694d572af23f19",
+            ),
+            "quotient": (
+                "03a246a2fb7209ede94612b91b7b2474ad699853ccbd022a3c8c41f514bd108a",
+                "c269a0d9394a02ed4ddcd33ea928ea0d48adb8583a77cf4c87bbcd8d9f7776db",
+                "76f697b3fe9ca15cc420c9d2efe7ace11aa10648a224b9719098ae81aa5bd7ff",
+            ),
+        }),
     ])
     def test_tokens_are_pinned(self, backend, tokens):
         # Warehouses written by earlier releases stay warm only while
         # the tokens of (chain, quantity, task, horizon, backend) hold.
-        from repro.chain.cache import key_digest
+        from repro.chain.engine import key_digest
 
-        chain = compile_chain(
-            RandomnessConfiguration.from_group_sizes((2, 3)),
-            adversarial_assignment((2, 3)),
-        )
-        digest = key_digest(chain.key)
+        alpha = RandomnessConfiguration.from_group_sizes((2, 3))
+        ports = adversarial_assignment((2, 3))
+        chains = {
+            "adversarial": compile_chain(alpha, ports),
+            "blackboard": compile_chain(alpha),
+            "quotient": compile_chain(alpha, ports, quotient=True),
+        }
         task = leader_election(5)
-        assert tuple(
-            query_token(digest, quantity, task, horizon, backend)
-            for quantity, horizon in (
-                ("limit", None), ("series", 4), ("expected", None)
+        assert {
+            name: tuple(
+                query_token(
+                    key_digest(chain.key), quantity, task, horizon, backend
+                )
+                for quantity, horizon in (
+                    ("limit", None), ("series", 4), ("expected", None)
+                )
             )
-        ) == tokens
+            for name, chain in chains.items()
+        } == tokens
 
 
 class TestRunQueriesMemo:

@@ -3,8 +3,7 @@
 Every entry point that runs jobs -- ``run_sweep``, ``parallel_estimate``
 and each ``execute_*`` worker function -- must leave
 ``current_context()`` exactly as it found it, and serial jobs must run
-under the caller's context rather than silently dropping its cache or
-memo.
+under the caller's context rather than silently dropping its memo.
 """
 
 import dataclasses
@@ -13,7 +12,7 @@ import pickle
 import pytest
 
 from repro.analysis import parallel_estimate
-from repro.chain import clear_memo, disk_cache
+from repro.chain import clear_memo
 from repro.context import (
     QUOTIENT_MODES,
     ExecutionContext,
@@ -58,7 +57,7 @@ def _sample_payload(**extra):
 class TestUseContext:
     def test_restores_the_previous_context_even_on_error(self, tmp_path):
         before = current_context()
-        inner = ExecutionContext(chain_cache=tmp_path)
+        inner = ExecutionContext(results_memo=tmp_path)
         with pytest.raises(RuntimeError):
             with use_context(inner):
                 assert current_context() is inner
@@ -66,28 +65,20 @@ class TestUseContext:
         assert current_context() is before
 
     def test_paths_are_stored_as_strings_and_pickle(self, tmp_path):
-        context = ExecutionContext(
-            chain_cache=tmp_path / "chains",
-            results_memo=tmp_path / "memo",
-        )
-        assert context.chain_cache == str(tmp_path / "chains")
+        context = ExecutionContext(results_memo=tmp_path / "memo")
         assert context.results_memo == str(tmp_path / "memo")
-        assert context == ExecutionContext(
-            chain_cache=str(tmp_path / "chains"),
-            results_memo=str(tmp_path / "memo"),
-        )
+        assert context == ExecutionContext(results_memo=str(tmp_path / "memo"))
         assert pickle.loads(pickle.dumps(context)) == context
 
 
 class TestTheValue:
-    def test_four_fields_with_the_library_defaults(self):
+    def test_three_fields_with_the_library_defaults(self):
         fields = {
             field.name: field.default
             for field in dataclasses.fields(ExecutionContext)
         }
         assert fields == {
             "quotient": "off",
-            "chain_cache": None,
             "results_memo": None,
             "trace": False,
         }
@@ -138,11 +129,7 @@ class TestWorkersRestoreTheContext:
         self, execute, payload, tmp_path
     ):
         caller = ExecutionContext(quotient="on")
-        job = ExecutionContext(
-            chain_cache=tmp_path / "chains",
-            results_memo=tmp_path / "memo",
-            trace=True,
-        )
+        job = ExecutionContext(results_memo=tmp_path / "memo", trace=True)
         with use_context(caller):
             record = execute(payload(context=job))
             assert current_context() is caller
@@ -172,18 +159,13 @@ class TestSerialPathsKeepTheCallersContext:
             assert len(query_memo()) == len(sweep.expand())
         clear_memo()
 
-    def test_serial_parallel_estimate_uses_the_callers_memo_and_cache(
-        self, tmp_path
-    ):
-        mine = ExecutionContext(
-            chain_cache=tmp_path / "chains", results_memo=tmp_path / "memo"
-        )
+    def test_serial_parallel_estimate_uses_the_callers_memo(self, tmp_path):
+        mine = ExecutionContext(results_memo=tmp_path / "memo")
         alpha = RandomnessConfiguration.from_group_sizes((1, 2))
         with use_context(mine):
             parallel_estimate(
                 alpha, leader_election(3), 3, samples=2000, batches=2
             )
             assert current_context() is mine
-            assert disk_cache() is not None
             # Both 1000-trial batches are full blocks: both memoized.
             assert len(query_memo()) == 2

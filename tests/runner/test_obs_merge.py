@@ -46,8 +46,8 @@ def _engine_invariant(snapshot):
     ``runner.jobs`` counts executed jobs; the ``chain.compile.*`` family
     counts compile calls by outcome, and its *sum* equals the number of
     compile requests regardless of how jobs were binned into workers.
-    (Per-kind splits like disk-vs-memo hits, ``chain.cache.load.*``, and
-    ``runner.groups`` legitimately differ between serial and pooled
+    (Per-kind splits like memo hits against misses, and
+    ``runner.groups``, legitimately differ between serial and pooled
     runs, so they stay out of this slice.)
     """
     counters = snapshot["counters"]

@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.chain import disk_cache
 from repro.context import ExecutionContext, current_context, use_context
 from repro.runner import (
     ProcessPoolEngine,
@@ -104,8 +103,7 @@ class TestPooledSweeps:
     def test_cold_run_dir_sweep_leaves_compilation_to_workers(
         self, tmp_path
     ):
-        from repro.chain import ChainDiskCache, clear_memo, memo_size
-        from repro.obs import OBS, configure_tracing, reset_telemetry
+        from repro.chain import clear_memo, memo_size
 
         clear_memo()
         outcome = run_sweep(
@@ -115,29 +113,88 @@ class TestPooledSweeps:
             warehouse=False,
         )
         assert outcome.executed == outcome.total
-        # No parent-side compilation: the workers compiled every chain
-        # and persisted it in the run directory's disk cache...
+        # No parent-side compilation: the workers compiled every chain.
         assert memo_size() == 0
-        assert len(ChainDiskCache(tmp_path / "run" / "chains")) > 0
-        # ...so a cache-warm re-run loads every chain and compiles none.
-        (tmp_path / "run" / "records.jsonl").unlink()
+
+    @pytest.mark.parametrize("engine", ["serial", "process"])
+    def test_run_dir_sweep_leaves_no_chains_entry(self, tmp_path, engine):
+        # Compiled chains live in each process's memo only; the run
+        # directory holds records, the manifest and the warehouse.
+        run_sweep(
+            _sweep(),
+            engine=(
+                SerialEngine() if engine == "serial"
+                else ProcessPoolEngine(workers=2)
+            ),
+            run_dir=tmp_path / "run",
+        )
+        entries = {path.name for path in (tmp_path / "run").iterdir()}
+        assert "chains" not in entries
+        assert entries == {"manifest.json", "records.jsonl", "warehouse"}
+
+    @pytest.mark.parametrize("engine", ["serial", "process"])
+    def test_warm_warehouse_serves_a_fresh_run_dir_without_compiling(
+        self, tmp_path, engine
+    ):
+        # A fresh run directory over a warehouse another run filled:
+        # every job is a memo hit and no chain compiles anywhere.
+        from repro.chain import clear_memo
+        from repro.obs import OBS, configure_tracing, reset_telemetry
+
+        def make_engine():
+            if engine == "serial":
+                return SerialEngine()
+            return ProcessPoolEngine(workers=2)
+
+        cold = run_sweep(
+            _sweep(), engine=make_engine(), run_dir=tmp_path / "cold",
+            warehouse=tmp_path / "warehouse",
+        )
+        clear_memo()
         configure_tracing(True)
         reset_telemetry()
         try:
-            again = run_sweep(
-                _sweep(),
-                engine=ProcessPoolEngine(workers=2),
-                run_dir=tmp_path / "run",
-                warehouse=False,
+            warm = run_sweep(
+                _sweep(), engine=make_engine(), run_dir=tmp_path / "warm",
+                warehouse=tmp_path / "warehouse",
             )
             counters = OBS.metrics.snapshot()["counters"]
         finally:
             configure_tracing(False)
             reset_telemetry()
-        assert again.executed == again.total
+        assert warm.executed == warm.total
+        assert counters["results.memo.hit"] == warm.total
         assert counters.get("chain.compile.miss", 0) == 0
-        assert counters.get("chain.compile.hit.disk", 0) > 0
-        assert _strip_timing(again.records) == _strip_timing(outcome.records)
+        assert _strip_timing(warm.records) == _strip_timing(cold.records)
+
+    def test_resumed_sweep_serves_lost_records_from_the_memo(
+        self, tmp_path
+    ):
+        # Records lost after their jobs ran (a crash before the append)
+        # come back from the warehouse memo on resume: nothing compiles.
+        from repro.chain import clear_memo
+        from repro.obs import OBS, configure_tracing, reset_telemetry
+
+        first = run_sweep(
+            _sweep(), engine=SerialEngine(), run_dir=tmp_path / "run"
+        )
+        records = tmp_path / "run" / "records.jsonl"
+        lines = records.read_text().splitlines(keepends=True)
+        records.write_text("".join(lines[:3]))
+        clear_memo()
+        configure_tracing(True)
+        reset_telemetry()
+        try:
+            again = run_sweep(
+                _sweep(), engine=SerialEngine(), run_dir=tmp_path / "run"
+            )
+            counters = OBS.metrics.snapshot()["counters"]
+        finally:
+            configure_tracing(False)
+            reset_telemetry()
+        assert (again.resumed, again.executed) == (3, first.total - 3)
+        assert counters.get("chain.compile.miss", 0) == 0
+        assert _strip_timing(again.records) == _strip_timing(first.records)
 
     def test_resumed_pooled_sweep_executes_nothing(self, tmp_path):
         first = run_sweep(
@@ -156,17 +213,17 @@ class TestPooledSweeps:
 
 
 class TestProcessContext:
-    def test_callers_disk_cache_serves_a_run_dirless_pool_sweep(
-        self, tmp_path
-    ):
-        mine = ExecutionContext(chain_cache=tmp_path / "mine")
+    def test_callers_memo_serves_a_run_dirless_pool_sweep(self, tmp_path):
+        from repro.results.memo import query_memo
+
+        mine = ExecutionContext(results_memo=tmp_path / "memo")
+        sweep = _sweep()
         with use_context(mine):
-            installed = disk_cache()
-            run_sweep(_sweep(), engine=ProcessPoolEngine(workers=2))
+            run_sweep(sweep, engine=ProcessPoolEngine(workers=2))
             assert current_context() is mine
-            assert disk_cache() is installed
-            # The workers ran under the caller's context too.
-            assert len(installed) > 0
+            # The workers ran under the caller's context too: every job
+            # recorded its answer in the caller's memo.
+            assert len(query_memo()) == len(sweep.expand())
 
     def test_pooled_experiment_payloads_carry_only_the_context(self):
         from repro.analysis import ALL_EXPERIMENTS, iter_all_experiments
@@ -208,3 +265,34 @@ class TestProcessContext:
                 assert job["context"] == payload["context"]
                 for key in ("batch", "group_chains", "policy"):
                     assert key not in job
+
+    @pytest.mark.parametrize("warehouse", ["default", "none"])
+    def test_a_run_dir_adds_only_the_warehouse_memo(
+        self, tmp_path, warehouse
+    ):
+        # The run directory contributes the warehouse's memo and
+        # nothing else to the context the workers run under.
+        captured = []
+
+        class SpyPool(ProcessPoolEngine):
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                captured.extend(payloads)
+                return super().map(fn, payloads)
+
+        run_sweep(
+            _sweep(),
+            engine=SpyPool(workers=2),
+            run_dir=tmp_path / "run",
+            warehouse=None if warehouse == "default" else False,
+        )
+        expected = ExecutionContext(
+            results_memo=(
+                tmp_path / "run" / "warehouse" / "memo"
+                if warehouse == "default"
+                else None
+            )
+        )
+        assert captured
+        for payload in captured:
+            assert payload["context"] == expected

@@ -282,7 +282,6 @@ class TestStateBudgetPacking:
         jobs, payloads = self._payloads(sweep)
         context = ExecutionContext(
             quotient="on",
-            chain_cache="cache",
             results_memo="memo",
             trace=True,
         )

@@ -48,37 +48,3 @@ class TestAgreementWithExact:
             alpha, task, t, ports, stream_seed=1, samples=SAMPLES
         )
         assert estimate.probability == pytest.approx(exact, abs=1e-2)
-
-    @pytest.mark.parametrize(
-        "sizes,port_kind,task_kind,t",
-        [REGISTRY[0], REGISTRY[3], REGISTRY[4]],
-    )
-    def test_chain_trajectories_within_1e2_of_exact(
-        self, sizes, port_kind, task_kind, t
-    ):
-        # The chain method samples a different process (state
-        # trajectories, not source bits) with the same marginals.
-        alpha, ports, task, t = _case(sizes, port_kind, task_kind, t)
-        exact = solving_probability_exact(
-            alpha, task, t, ports, backend="float"
-        )
-        estimate = sample_cell(
-            alpha, task, t, ports,
-            stream_seed=1, samples=SAMPLES, method="chain",
-        )
-        assert estimate.probability == pytest.approx(exact, abs=1e-2)
-
-    def test_chain_method_respects_quotient_compilation(self):
-        # Quotient and full chains are different state spaces with the
-        # same absorption marginals; both must land within tolerance.
-        alpha, ports, task, t = _case((1, 1, 2), None, "leader", 4)
-        exact = solving_probability_exact(
-            alpha, task, t, ports, backend="float"
-        )
-        for quotient in (False, True):
-            estimate = sample_cell(
-                alpha, task, t, ports,
-                stream_seed=2, samples=SAMPLES,
-                method="chain", quotient=quotient,
-            )
-            assert estimate.probability == pytest.approx(exact, abs=1e-2)

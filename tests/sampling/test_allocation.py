@@ -139,6 +139,22 @@ class TestCommonRandomNumbers:
         expected = (est_a.successes - est_b.successes) / 3000
         assert result["difference"] == pytest.approx(expected, abs=0)
 
+    def test_each_cell_uses_its_own_method(self):
+        # The scalar oracle reads the same words bit for bit, so a cell
+        # that names it pairs exactly like its bits twin, and an unknown
+        # method is rejected rather than silently resolved.
+        a = _cell((1, 2), leader_election(3), 4, stream_seed=0)
+        b = _cell((1, 2), leader_election(3), 2, stream_seed=0)
+        bits = paired_difference(a, b, stream_seed=5, samples=1500)
+        scalar = paired_difference(
+            a, {**b, "method": "scalar"}, stream_seed=5, samples=1500
+        )
+        assert scalar == bits
+        with pytest.raises(ValueError, match="unknown sampling method"):
+            paired_difference(
+                a, {**b, "method": "chain"}, stream_seed=5, samples=1500
+            )
+
     def test_validation(self):
         a = _cell((1, 2), leader_election(3), 2, stream_seed=0)
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.context import ExecutionContext, use_context
+from repro.context import QUOTIENT_MODES, ExecutionContext, use_context
 from repro.core import leader_election
 from repro.models import adversarial_assignment
 from repro.randomness import RandomnessConfiguration
@@ -103,6 +103,50 @@ class TestMemoizedCells:
             block_token(digest, task, t + 1, "bits", 7, 0),
         }
         assert token not in distinct and len(distinct) == 4
+
+    @pytest.mark.parametrize("model", ["blackboard", "clique"])
+    def test_cell_digest_is_the_plain_chain_digest(self, cell, model):
+        from repro.chain.engine import chain_key, key_digest
+
+        alpha = cell[0]
+        ports = adversarial_assignment((1, 2)) if model == "clique" else None
+        assert cell_digest(alpha, ports) == key_digest(chain_key(alpha, ports))
+
+    @pytest.mark.parametrize("mode", QUOTIENT_MODES)
+    def test_cell_digest_ignores_the_quotient_mode(self, mode):
+        # Sampled trials never see a compiled chain, so MC memo entries
+        # are shared whatever quotient mode the run used.
+        alpha = RandomnessConfiguration.from_group_sizes((1, 1, 2))
+        plain = cell_digest(alpha)
+        with use_context(ExecutionContext(quotient=mode)):
+            assert cell_digest(alpha) == plain
+
+    def test_the_chain_method_is_rejected(self, cell):
+        alpha, task, t = cell
+        with pytest.raises(ValueError, match="unknown sampling method"):
+            sample_cell(
+                alpha, task, t, stream_seed=1, samples=10, method="chain"
+            )
+
+    @pytest.mark.parametrize("model, digest, token", [
+        (
+            "blackboard",
+            "c3ac3e35164422fc3ca33786625692b1b6eed70ee5ee2a2e5614937e25dbfe95",
+            "a4acca3e8da5c6e52aedc26c2e8537a9a0d00be817b8c15d516fe75e47ab8aef",
+        ),
+        (
+            "clique",
+            "18ca3a2f17ce9382d32536c3b90c82c151cb04841a80dea731e032aed446061d",
+            "793cc09e0c34ec458f829aecd723a16a11c555e4b6b2978f985680a15de886e5",
+        ),
+    ])
+    def test_bits_tokens_are_pinned(self, cell, model, digest, token):
+        # Memoized MC blocks of earlier releases stay warm only while
+        # the cell digest and the block token hold.
+        alpha, task, t = cell
+        ports = adversarial_assignment((1, 2)) if model == "clique" else None
+        assert cell_digest(alpha, ports) == digest
+        assert block_token(digest, task, t, "bits", 5, 2) == token
 
     def test_warm_cell_serves_full_blocks(self, cell, memo_dir):
         alpha, task, t = cell

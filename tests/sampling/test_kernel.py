@@ -15,7 +15,6 @@ from repro.randomness import RandomnessConfiguration
 from repro.sampling import (
     BLOCK_SAMPLES,
     block_indicators,
-    chain_draws,
     philox_key,
     resolve_method,
     scalar_block_indicators,
@@ -48,12 +47,8 @@ class TestSubstreams:
         large = source_words(3, 0, 4, 3)
         assert np.array_equal(large[:, :, :1], small)
 
-    def test_chain_draw_prefix_extension(self):
-        assert np.array_equal(chain_draws(9, 2, 6)[:, :4], chain_draws(9, 2, 4))
-
     def test_shapes(self):
         assert source_words(0, 0, 5, 2).shape == (BLOCK_SAMPLES, 5, 2)
-        assert chain_draws(0, 0, 3).shape == (BLOCK_SAMPLES, 3)
         assert words_needed(1) == words_needed(64) == 1
         assert words_needed(65) == 2
         with pytest.raises(ValueError):
@@ -61,9 +56,9 @@ class TestSubstreams:
 
     def test_resolve_method(self):
         assert resolve_method("auto") == "bits"
-        assert resolve_method("chain") == "chain"
-        with pytest.raises(ValueError):
-            resolve_method("quantum")
+        for retired in ("chain", "quantum"):
+            with pytest.raises(ValueError):
+                resolve_method(retired)
 
 
 # The sharp correctness test: the vectorized solvers must reproduce the
@@ -109,6 +104,14 @@ class TestBitExactness:
             alpha, task, 3, stream_seed=1, block=0
         )
         assert np.array_equal(via_method, direct)
+
+    def test_the_chain_method_is_rejected(self):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
+        with pytest.raises(ValueError, match="unknown sampling method"):
+            block_indicators(
+                alpha, leader_election(3), 3,
+                stream_seed=1, block=0, method="chain",
+            )
 
     def test_distinct_blocks_sample_distinct_trials(self):
         alpha = RandomnessConfiguration.from_group_sizes((1, 2))

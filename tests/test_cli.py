@@ -57,24 +57,6 @@ class TestCommands:
             out = capsys.readouterr().out
             assert f"eventually solvable: {verdict}" in out
 
-    def test_chains_inspect_marks_quotient_chains(self, tmp_path, capsys):
-        """A quotient chain shows its orbit count next to the full
-        chain's state count, never as a bare ``states=``."""
-        run = tmp_path / "run"
-        argv = ["sweep", "--n", "5", "--models", "blackboard"]
-        assert main(argv + ["--run-dir", str(run)]) == 0
-        capsys.readouterr()
-        assert main(["chains", "inspect", str(run)]) == 0
-        rows = [
-            line
-            for line in capsys.readouterr().out.splitlines()
-            if "blackboard" in line
-        ]
-        assert rows
-        assert all(" states=" not in row for row in rows)
-        # (1^5): 52 source partitions fold to the 7 partitions of 5.
-        assert any("k=5 orbits=7 full_states=52 " in row for row in rows)
-
     def test_series(self, capsys):
         assert main(["series", "1,1", "--t-max", "3"]) == 0
         out = capsys.readouterr().out
@@ -208,13 +190,11 @@ class TestContextIsRestored:
     def test_main_leaves_the_context_as_it_found_it(
         self, argv, tmp_path, capsys
     ):
-        from repro.chain import disk_cache
         from repro.results.memo import query_memo
 
         before = current_context()
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
         assert current_context() is before
-        assert disk_cache() is None
         assert query_memo() is None
         capsys.readouterr()
 
@@ -262,3 +242,16 @@ class TestRetiredOptions:
             main(["chains", "calibrate", str(tmp_path)])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["list", "inspect", "prune"])
+    def test_chains_command_is_gone(self, action, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chains", action, str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'chains'" in capsys.readouterr().err
+
+    def test_estimate_chain_method_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "1,2", "--method", "chain"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'chain'" in capsys.readouterr().err
