@@ -1,10 +1,10 @@
-"""Shared helpers for the reproduction benchmarks.
+"""Shared options for the layer benchmarks.
 
-Every benchmark regenerates one figure/theorem of the paper: it times the
-experiment generator (pytest-benchmark), prints the measured table, and
-asserts the verdict (the reproduction must match the paper's prediction).
-Run with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the
-tables inline.
+Each ``bench_*.py`` measures one layer of the compute-and-cache stack
+against its baseline and asserts that both give the same answers.  Run
+with ``pytest benchmarks/ -o python_files='bench_*.py'
+-o python_functions='bench_*' --benchmark-only``; most also run as
+scripts (``python benchmarks/bench_results_store.py``).
 """
 
 from __future__ import annotations
@@ -45,25 +45,3 @@ def engine(request):
         request.config.getoption("--bench-engine"),
         workers=request.config.getoption("--bench-workers"),
     )
-
-
-@pytest.fixture
-def run_experiment(benchmark):
-    """Benchmark an experiment generator, print it, and assert PASS."""
-
-    def runner(generator, *args, rounds: int = 2, **kwargs):
-        result = benchmark.pedantic(
-            lambda: generator(*args, **kwargs),
-            rounds=rounds,
-            iterations=1,
-            warmup_rounds=0,
-        )
-        print()
-        print(result.render())
-        benchmark.extra_info["experiment"] = result.experiment_id
-        benchmark.extra_info["rows"] = len(result.rows)
-        benchmark.extra_info["verdict"] = "PASS" if result.passed else "FAIL"
-        assert result.passed, result.render()
-        return result
-
-    return runner

@@ -13,8 +13,8 @@ run             execute one runner job and print its JSON record
 estimate        Monte-Carlo Pr[S(t)] estimate (mergeable memoized substreams)
 sweep           expand and execute a sweep (parallel, resumable)
 results         query/export/stats/compact/ingest/vacuum a results warehouse
-obs             read telemetry back: explain a profile, history/diff/tiers
-                across sweeps (OBS.md)
+obs             read a --profile-out document back: span tree and
+                self-time table (OBS.md)
 
 Chain queries run through one front door (``repro.chain.run_queries``
 for one chain, ``run_group_queries`` for a whole shape axis): the
@@ -62,7 +62,7 @@ The results warehouse
 ---------------------
 Sweeps with a ``--run-dir`` feed a columnar results warehouse
 (``repro.results``, default ``<run_dir>/warehouse``, override with
-``--warehouse``): completed records ingest incrementally into typed
+``--warehouse``): completed job records ingest incrementally into typed
 numpy column pages, and the warehouse's cross-run query memo lets any
 later sweep -- same run dir or not -- skip every (chain, task, horizon,
 quantity) cell it has already answered, byte-identically.  Monte-Carlo
@@ -71,7 +71,7 @@ integer success counts per fixed substream block, so warm reruns serve
 whole cells from the memo and a larger sample budget computes only the
 increment, merged with the stored blocks into one combined estimate
 (``RUNNER.md``, "Monte-Carlo substreams and the merge law").  ``repro
-results`` serves the stored tables:
+results`` serves the records:
 
 python -m repro results stats runs/demo
 python -m repro results query runs/demo --where model=clique \\
@@ -86,13 +86,12 @@ Observability
 Every command accepts ``--profile-out FILE``: it turns span tracing on
 and writes the JSON profile (spans, metrics, aggregates; validate it
 with ``python -m repro.obs.schema FILE``) when the command finishes.
-Sweeps with a warehouse also persist the folded telemetry into a
-``telemetry`` table served by ``repro results query --table
-telemetry``.  ``repro obs`` is the one reader: ``obs explain FILE``
-prints a profile's span tree (calls, total, self time), and ``obs
-history``/``diff``/``tiers`` trend, compare and attribute the sweeps a
-warehouse holds.  ``--progress`` prints one ``progress: done/total``
-line per finished job to stderr.  See ``OBS.md`` for the
+The profile is the one place telemetry is kept: warehouses hold job
+records only.  ``repro obs explain FILE`` is the one reader: it prints
+the profile's span tree (calls, total, self time) and below it the
+per-name self-time table (self seconds, calls, share of all self
+time).  ``--progress`` prints one ``progress: done/total`` line per
+finished job to stderr.  See ``OBS.md`` for the
 instrumentation map and "From telemetry to decisions".
 """
 
@@ -519,8 +518,8 @@ def _results_store(directory: str):
 
 
 def _results_table(store, args):
-    """The selected table with where/group/sort/limit applied."""
-    table = store.table(args.table)
+    """The ``records`` table with where/group/sort/limit applied."""
+    table = store.table("records")
     predicate = _where_predicate(table, args.where)
     if predicate is not None:
         table = table.filter(predicate)
@@ -619,7 +618,7 @@ def cmd_results(args) -> int:
     if args.action == "query":
         headers, rows = table.to_table()
         if not rows:
-            print(f"no rows in table {args.table!r} match")
+            print("no records match")
             return 0
         print(format_table(headers, rows))
         print(f"{len(rows)} rows from {store.root}")
@@ -656,11 +655,16 @@ def cmd_results(args) -> int:
     return 0
 
 
-def _obs_explain(args) -> int:
-    """Print a profile's span tree (``repro obs explain PROFILE``)."""
+def cmd_obs(args) -> int:
+    """Read a ``--profile-out`` document back (``repro obs explain``).
+
+    Prints the span tree (calls, total, self time), then the per-name
+    self-time table (self seconds, calls, share of all self time) from
+    the profile's ``aggregates``: where the wall clock went, by tier.
+    """
     import json
 
-    from .obs import Span, render_span_tree
+    from .obs import Span, render_span_tree, self_time_rows
 
     try:
         with open(args.path, encoding="utf-8") as handle:
@@ -672,92 +676,19 @@ def _obs_explain(args) -> int:
             [Span.from_dict(span) for span in document["spans"]]
         )
     )
-    return 0
-
-
-def _obs_history(store, args) -> int:
-    """Trend persisted telemetry across sweeps (``repro obs history``)."""
-    from .obs.analyze import metrics_history
-
-    rows = metrics_history(
-        store, kind=args.kind, name=args.name, master_seed=args.master_seed
-    )
-    if not rows:
-        print("no persisted telemetry matches (run sweeps with "
-              "--profile-out and a warehouse first)")
-        return 0
-    print(
-        format_table(
-            ("name", "kind", "stamp", "master_seed", "value", "count"),
-            [
-                (
-                    r["name"], r["kind"], f"{r['stamp']:.6f}",
-                    r["master_seed"], f"{r['value']:.6g}", r["count"],
-                )
-                for r in rows
-            ],
-        )
-    )
-    return 0
-
-
-def cmd_obs(args) -> int:
-    """Read telemetry back: the one command group for it.
-
-    ``repro obs explain PROFILE`` prints the span tree (calls, total,
-    self time) of a ``--profile-out`` document.  Over the warehouse's
-    persisted ``telemetry`` table, ``repro obs history DIR`` trends
-    every metric across sweeps (one line per metric and stamp), ``repro
-    obs diff DIR`` compares two sweeps tier by tier (the two most
-    recent, or ``--a A --b B`` by stamp), and ``repro obs tiers DIR``
-    attributes one sweep's wall-clock by span self-time.
-    """
-    if args.action == "explain":
-        return _obs_explain(args)
-    from .obs.analyze import diff_sweeps, tier_attribution
-
-    store = _results_store(args.path)
-    if args.action == "history":
-        return _obs_history(store, args)
-    if args.action == "tiers":
-        try:
-            rows = tier_attribution(store, stamp=args.stamp)
-        except ValueError as exc:
-            raise SystemExit(f"obs tiers: {exc}")
-        if not rows:
-            print("no span telemetry persisted (run a sweep with "
-                  "--profile-out and a warehouse first)")
-            return 0
+    rows = self_time_rows(document["aggregates"])
+    if rows:
+        print()
         print(
             format_table(
-                ("tier", "self", "calls", "share"),
+                ("span", "self", "calls", "share"),
                 [
-                    (
-                        r["name"], f"{r['seconds'] * 1e3:.3f}ms",
-                        r["calls"], f"{r['share'] * 100:.1f}%",
-                    )
-                    for r in rows
+                    (name, f"{seconds * 1e3:.3f}ms", calls,
+                     f"{share * 100:.1f}%")
+                    for name, seconds, calls, share in rows
                 ],
             )
         )
-        return 0
-    try:
-        rows = diff_sweeps(store, stamp_a=args.a, stamp_b=args.b)
-    except ValueError as exc:
-        raise SystemExit(f"obs diff: {exc}")
-    print(
-        format_table(
-            ("kind", "name", "a", "b", "delta", "ratio"),
-            [
-                (
-                    r["kind"], r["name"], f"{r['a']:.6g}",
-                    f"{r['b']:.6g}", f"{r['delta']:+.6g}",
-                    "-" if r["ratio"] is None else f"{r['ratio']:.3f}",
-                )
-                for r in rows
-            ],
-        )
-    )
     return 0
 
 
@@ -787,34 +718,6 @@ def cmd_report(args) -> int:
                 file=sys.stderr,
             )
     paths = write_report(results, args.output)
-    if getattr(args, "warehouse", None) and not args.no_warehouse:
-        # Land the pass/fail history in the warehouse so `repro results
-        # query --table experiments` serves it across report runs.
-        from .obs import clock
-        from .results import ResultsStore
-        from .results.store import EXPERIMENT_COLUMNS
-
-        store = ResultsStore(args.warehouse)
-        store.append_rows(
-            "experiments",
-            [
-                {
-                    "experiment_id": result.experiment_id,
-                    "title": result.title,
-                    "passed": result.passed,
-                    "rows": len(result.rows),
-                    # When this row was appended (epoch seconds) -- an
-                    # audit field, never an input to any computation;
-                    # read through repro.obs.clock so tests can freeze
-                    # it.
-                    "stamp": clock.now(),
-                }
-                for result in results
-            ],
-            EXPERIMENT_COLUMNS,
-        )
-        print(f"ingested {len(results)} experiment outcomes into "
-              f"{args.warehouse}")
     failed = [r.experiment_id for r in results if not r.passed]
     print(f"wrote {paths['json']}")
     print(f"wrote {paths['markdown']}")
@@ -1247,14 +1150,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--table",
-        default="records",
-        help=(
-            "table to read (records | groups | experiments | telemetry; "
-            "default records)"
-        ),
-    )
-    p.add_argument(
         "--where",
         action="append",
         metavar="COL[OP]VALUE",
@@ -1300,57 +1195,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="output directory")
     _add_engine_args(p)
     _add_quotient_arg(p)
-    _add_warehouse_args(p)
     _add_progress_args(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
         "obs",
-        help=(
-            "read telemetry back: explain a profile, history/diff/tiers "
-            "across sweeps"
-        ),
+        help="read a --profile-out document back: span tree and self times",
     )
-    p.add_argument(
-        "action", choices=("explain", "history", "diff", "tiers")
-    )
-    p.add_argument(
-        "path",
-        help=(
-            "explain: a --profile-out JSON file; history/diff/tiers: "
-            "warehouse directory (or a run directory containing "
-            "warehouse/)"
-        ),
-    )
-    p.add_argument(
-        "--kind",
-        choices=("counter", "gauge", "hist", "span", "span.self"),
-        default=None,
-        help="history: only this telemetry kind",
-    )
-    p.add_argument(
-        "--name",
-        default=None,
-        help="history: only metric names containing this substring",
-    )
-    p.add_argument(
-        "--master-seed",
-        type=int,
-        default=None,
-        help="history: only sweeps run under this master seed",
-    )
-    p.add_argument(
-        "--a", type=float, default=None, metavar="STAMP",
-        help="diff: baseline sweep stamp (default: second-most-recent)",
-    )
-    p.add_argument(
-        "--b", type=float, default=None, metavar="STAMP",
-        help="diff: comparison sweep stamp (default: most recent)",
-    )
-    p.add_argument(
-        "--stamp", type=float, default=None,
-        help="tiers: sweep stamp to attribute (default: most recent)",
-    )
+    p.add_argument("action", choices=("explain",))
+    p.add_argument("path", help="a --profile-out JSON file")
     p.set_defaults(func=cmd_obs)
 
     # The one switch that turns telemetry on, on every command.

@@ -1,7 +1,7 @@
 """Knowledge evolution on anonymous port-numbered graphs.
 
 Generalizes Eq. (2) from the clique to arbitrary connected topologies,
-with a semantic switch that matters off the clique:
+with a semantic switch that matters on the clique and off it:
 
 * ``include_back_ports=False`` (the paper's Eq. 2): node ``i`` receives,
   on its port ``p``, the previous knowledge of the neighbour behind ``p``.
@@ -11,11 +11,14 @@ with a semantic switch that matters off the clique:
   sender's ports faces it*; the received item on port ``p`` becomes the
   pair ``(K_neighbour(t-1), back-port)``.
 
-On the clique the two semantics yield the same solvability
-characterization (Theorem 4.2 is robust to the switch -- tested), but on
-general graphs the back-ports are essential: e.g. the two sides of
-``K_{m,n}`` can only be broken apart by port information travelling with
-the messages.  The cited Codenotti et al. result (leader election on
+On the clique the two semantics differ too: under Eq. 2 the sorted
+port table (port ``j`` of node ``i`` leads to the ``j``-th other node)
+never separates the sources of shape (2,3) or (2,5), although their gcd
+is 1, while with back ports it does
+(``tests/core/test_theorem42_sorted_ports.py``; which one is the
+paper's clique model is ROADMAP item 1(b)).  On general graphs the
+back-ports are essential: e.g. the two sides of ``K_{m,n}`` can only be
+broken apart by port information travelling with the messages.  The cited Codenotti et al. result (leader election on
 ``K_{m,n}`` iff ``gcd(m,n) = 1``) is reproduced under the classical
 semantics.
 """

@@ -5,14 +5,12 @@ cache system (compile -> batch -> group -> memo -> warehouse): a
 low-overhead **span tracer** (:mod:`repro.obs.trace`), a mergeable
 **metrics registry** (:mod:`repro.obs.metrics`), the cross-process
 **fold protocol** and profile/rendering helpers
-(:mod:`repro.obs.profile`), a freezable **wall clock** for persisted
-stamps (:mod:`repro.obs.clock`), and the dependency-free schema
-validator for ``--profile-out`` documents (:mod:`repro.obs.schema`).
-On top of the collection substrate sits the read-back loop: cross-run
-analytics over persisted telemetry (:mod:`repro.obs.analyze`) -- see
-OBS.md, "From telemetry to decisions".  Everything here reports after
-the fact; while a sweep runs, ``--progress`` prints one stderr line per
-finished job (OBS.md, "Progress").
+(:mod:`repro.obs.profile`), and the dependency-free schema validator
+for ``--profile-out`` documents (:mod:`repro.obs.schema`).  The
+profile is the one telemetry artifact; ``repro obs explain FILE``
+reads it back (OBS.md, "From telemetry to decisions").  Everything
+here reports after the fact; while a sweep runs, ``--progress`` prints
+one stderr line per finished job (OBS.md, "Progress").
 
 The contract with the hot paths
 -------------------------------
@@ -30,8 +28,8 @@ so a disabled process pays one predictable branch per site (asserted
 at <= 2% on the batch-query benchmark by
 ``benchmarks/bench_obs_overhead.py``).  Enable with
 :func:`configure_tracing` in code, or ``--profile-out FILE`` on any CLI
-command; ``repro obs`` reads the telemetry back (``obs explain FILE``
-prints the span tree).
+command; ``repro obs explain FILE`` prints the profile's span tree and
+self-time table.
 
 Telemetry never enters job records: workers attach their drained
 snapshot *next to* the record payload, the sweep orchestrator pops and
@@ -46,7 +44,6 @@ from __future__ import annotations
 
 import os
 
-from .clock import now
 from .metrics import (
     MetricsRegistry,
     bin_edges,
@@ -59,8 +56,8 @@ from .profile import (
     drain_telemetry,
     merge_telemetry,
     render_span_tree,
+    self_time_rows,
     span_aggregates,
-    telemetry_rows,
 )
 from . import trace as _trace_module
 from .trace import Span, TRACER, Tracer, trace
@@ -158,11 +155,10 @@ __all__ = [
     "drain_telemetry",
     "histogram_percentiles",
     "merge_telemetry",
-    "now",
     "render_span_tree",
     "reset_telemetry",
+    "self_time_rows",
     "span_aggregates",
-    "telemetry_rows",
     "trace",
     "tracing_enabled",
 ]

@@ -14,16 +14,16 @@ drain-and-merge round trip nets to the unchanged registry: the same
 engine-invariant totals come out of a serial run and a pool run.
 
 :func:`build_profile` assembles the ``--profile-out`` JSON document
-(validated by the checked-in ``profile.schema.json``);
-:func:`span_aggregates` / :func:`render_span_tree` summarize its span
-forest (``repro obs explain FILE`` prints the tree); and
-:func:`telemetry_rows` flattens the live registry and span aggregates
-into the warehouse's ``telemetry`` table rows.
+(validated by the checked-in ``profile.schema.json``), the one place
+telemetry is kept; :func:`span_aggregates`, :func:`render_span_tree`
+and :func:`self_time_rows` summarize its span forest (``repro obs
+explain FILE`` prints the tree and the self-time table).
 """
 
 from __future__ import annotations
 
-from . import clock
+import time
+
 from .trace import Span, TRACER, trace  # noqa: F401  (re-export convenience)
 from .metrics import MetricsRegistry  # noqa: F401
 
@@ -141,52 +141,27 @@ def render_span_tree(spans: "list[Span] | None" = None) -> str:
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Warehouse rows and profile documents
-# ----------------------------------------------------------------------
-def telemetry_rows(registry=None, spans: "list[Span] | None" = None) -> list:
-    """The live telemetry flattened into ``telemetry``-table rows.
+def self_time_rows(aggregates: dict) -> list:
+    """Per-name self time from :func:`span_aggregates` output.
 
-    One row per instrument: counters (``value`` = ``count`` = total),
-    gauges (``value``, count 1), histograms (``value`` = observation
-    sum, ``count`` = observation count), and span aggregates (``kind``
-    ``span``: ``value`` = total seconds, ``count`` = calls; ``kind``
-    ``span.self``: the self-time split).  Values are process-cumulative
-    at flatten time.  The caller supplies run-scoped columns (``stamp``,
-    ``master_seed``).
+    Returns ``(name, self seconds, calls, share)`` tuples sorted by
+    descending self time, ``share`` normalized over the total self time
+    of every span, so the shares sum to 1: where the wall clock went,
+    tier by tier, without double-counting nested spans.
     """
-    from . import OBS
-
-    registry = OBS.metrics if registry is None else registry
-    snap = registry.snapshot()
-    rows = []
-    for name, value in sorted(snap["counters"].items()):
-        rows.append(
-            {"kind": "counter", "name": name, "value": float(value),
-             "count": int(value)}
-        )
-    for name, value in sorted(snap["gauges"].items()):
-        rows.append(
-            {"kind": "gauge", "name": name, "value": float(value),
-             "count": 1}
-        )
-    for name, hist in sorted(snap["histograms"].items()):
-        rows.append(
-            {"kind": "hist", "name": name, "value": float(hist["sum"]),
-             "count": int(hist["count"])}
-        )
-    for name, entry in sorted(span_aggregates(spans).items()):
-        rows.append(
-            {"kind": "span", "name": name, "value": float(entry["total"]),
-             "count": int(entry["calls"])}
-        )
-        rows.append(
-            {"kind": "span.self", "name": name,
-             "value": float(entry["self"]), "count": int(entry["calls"])}
-        )
+    total = sum(entry["self"] for entry in aggregates.values())
+    rows = [
+        (name, entry["self"], entry["calls"],
+         entry["self"] / total if total > 0.0 else 0.0)
+        for name, entry in aggregates.items()
+    ]
+    rows.sort(key=lambda row: (-row[1], row[0]))
     return rows
 
 
+# ----------------------------------------------------------------------
+# Profile documents
+# ----------------------------------------------------------------------
 #: Version of the ``--profile-out`` document layout.  2 added per-
 #: histogram ``percentiles`` (p50/p90/p99 derived from the log2
 #: buckets) and this version marker itself.
@@ -213,7 +188,7 @@ def build_profile(command: str = "", argv=()) -> dict:
         "meta": {
             "command": str(command),
             "argv": [str(arg) for arg in argv],
-            "stamp": clock.now(),
+            "stamp": time.time(),
             "schema_version": PROFILE_SCHEMA_VERSION,
         },
         "metrics": snapshot,
@@ -228,6 +203,6 @@ __all__ = [
     "drain_telemetry",
     "merge_telemetry",
     "render_span_tree",
+    "self_time_rows",
     "span_aggregates",
-    "telemetry_rows",
 ]

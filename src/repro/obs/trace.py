@@ -15,7 +15,7 @@ is on), it just builds no span objects.  Hot paths with their own
 
 Enable with :func:`repro.obs.configure_tracing`, or ``--profile-out
 FILE`` on any CLI command.  Durations come from ``time.perf_counter`` --
-monotonic, never the freezable wall clock of :mod:`repro.obs.clock`.
+monotonic, never the wall clock.
 """
 
 from __future__ import annotations

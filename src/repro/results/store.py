@@ -71,43 +71,6 @@ RECORD_COLUMNS: dict[str, str] = {
     "extra": "str",
 }
 
-#: Fixed schema of the ``groups`` table (per-group sweep diagnostics).
-GROUP_COLUMNS: dict[str, str] = {
-    "master_seed": "int",
-    "jobs": "int",
-    "chains": "int",
-    "states": "int",
-    "transitions": "int",
-    "density": "float",
-    "evolution": "str",
-    "memo_hits": "int",
-    "elapsed": "float",
-}
-
-#: Fixed schema of the ``experiments`` table (report outcomes).
-EXPERIMENT_COLUMNS: dict[str, str] = {
-    "experiment_id": "str",
-    "title": "str",
-    "passed": "bool",
-    "rows": "int",
-    "stamp": "float",
-}
-
-#: Fixed schema of the ``telemetry`` table (persisted sweep telemetry:
-#: counters, gauges, histogram totals, and span aggregates -- see
-#: ``repro.obs.telemetry_rows``).  ``stamp`` is wall-clock append time
-#: via :func:`repro.obs.clock.now`; ``value``/``count`` carry the
-#: kind-specific magnitude (counter total, gauge level, histogram sum,
-#: span seconds) and occurrence count.
-TELEMETRY_COLUMNS: dict[str, str] = {
-    "stamp": "float",
-    "master_seed": "int",
-    "kind": "str",
-    "name": "str",
-    "value": "float",
-    "count": "int",
-}
-
 _DEFAULTS = {"int": 0, "float": float("nan"), "bool": False, "str": ""}
 
 _SPEC_FIELDS = (
@@ -782,11 +745,8 @@ def _nan_safe(value: float) -> object:
 
 
 __all__ = [
-    "EXPERIMENT_COLUMNS",
-    "GROUP_COLUMNS",
     "KINDS",
     "RECORD_COLUMNS",
-    "TELEMETRY_COLUMNS",
     "ResultsStore",
     "SegmentInfo",
     "flatten_record",

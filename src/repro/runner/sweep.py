@@ -21,7 +21,7 @@ import math
 import pathlib
 from dataclasses import dataclass, field
 
-from ..obs import OBS, merge_telemetry, trace
+from ..obs import merge_telemetry, trace
 from .engines import ExecutionEngine, SerialEngine
 from .persistence import RunDirectory
 from .spec import SweepSpec, derive_seed, make_ports
@@ -162,9 +162,8 @@ class SweepOutcome:
     executed: int
     #: How many jobs were skipped because the run directory had them.
     resumed: int
-    #: Per-group diagnostics from grouped dispatch (total size,
-    #: density, arithmetic that ran, memo hits); lands in the warehouse's
-    #: ``groups`` table, never in the job records.
+    #: Per-group diagnostics from grouped dispatch (chains compiled,
+    #: total size, memo hits); kept in memory, never in the job records.
     group_stats: list[dict] = field(default_factory=list)
     #: Fields like the aggregate are derived; see :meth:`result`.
     _result: "object | None" = field(default=None, repr=False)
@@ -367,9 +366,7 @@ def run_sweep(
                 if telemetry is not None:
                     merge_telemetry(telemetry)
                 if grouped is not None and "group" in result:
-                    group_stats.append(
-                        {**result["group"], "master_seed": sweep.master_seed}
-                    )
+                    group_stats.append(result["group"])
                 for record in (
                     (result,) if grouped is None else result["records"]
                 ):
@@ -380,37 +377,12 @@ def run_sweep(
                     if progress is not None:
                         progress(record, len(prior) + executed, len(jobs))
     finally:
-        if store is not None:
-            # Land what this invocation produced: the fresh job records
-            # (watermarked -- only the new JSONL bytes are read) and the
-            # grouped-dispatch diagnostics.
+        if store is not None and directory is not None:
+            # Land the fresh job records (watermarked -- only the new
+            # JSONL bytes are read).
             try:
                 with trace("sweep.ingest"):
-                    if directory is not None:
-                        store.ingest_run_directory(directory)
-                    if group_stats:
-                        from ..results.store import GROUP_COLUMNS
-
-                        store.append_rows(
-                            "groups", group_stats, GROUP_COLUMNS
-                        )
-                if OBS.enabled:
-                    # Land the folded sweep telemetry as queryable rows
-                    # (``repro results query --table telemetry``).  The
-                    # snapshot is taken *after* the ingest above so the
-                    # store's own counters are included.
-                    from ..obs import clock, telemetry_rows
-                    from ..results.store import TELEMETRY_COLUMNS
-
-                    rows = telemetry_rows()
-                    stamp = clock.now()
-                    for row in rows:
-                        row["stamp"] = stamp
-                        row["master_seed"] = sweep.master_seed
-                    if rows:
-                        store.append_rows(
-                            "telemetry", rows, TELEMETRY_COLUMNS
-                        )
+                    store.ingest_run_directory(directory)
             except OSError:
                 pass  # the warehouse is derived state; never fail a sweep
     records = sorted(prior + fresh, key=lambda r: r["index"])

@@ -232,10 +232,9 @@ def execute_run_group(payload: dict) -> dict:
     With a cross-run query memo configured, jobs whose cell is already
     answered never even compile their chain; only the misses enter the
     grouped pass.  The result additionally carries a ``"group"``
-    diagnostics dict -- total chain size and density, the arithmetic
-    that ran (``"exact"``, or ``"memo"`` when every job was a memo hit),
-    plus the memo hit count -- which the sweep orchestrator lands in the
-    warehouse's ``groups`` table for perf forensics (deliberately
+    diagnostics dict -- chains compiled, their total size, and the
+    memo hit count -- which the sweep orchestrator hands back in
+    :attr:`~repro.runner.sweep.SweepOutcome.group_stats` (deliberately
     *outside* the job records, whose bytes stay engine- and
     warmth-independent).
     """
@@ -286,15 +285,11 @@ def execute_run_group(payload: dict) -> dict:
             for job, spec, seed, alpha, handle, limit in prepared
         ]
     chains = [items[cid][0] for cid in order]
-    states = sum(chain.num_states for chain in chains)
-    transitions = sum(chain.num_transitions for chain in chains)
     group = {
         "jobs": len(prepared),
         "chains": len(chains),
-        "states": states,
-        "transitions": transitions,
-        "density": transitions / (states * states) if states else 0.0,
-        "evolution": "exact" if chains else "memo",
+        "states": sum(chain.num_states for chain in chains),
+        "transitions": sum(chain.num_transitions for chain in chains),
         "memo_hits": memo_hits,
         "elapsed": elapsed_total,
     }

@@ -1,5 +1,5 @@
-"""CLI observability round-trips: --profile-out, obs explain/history/
-diff/tiers, stamps, --progress, and the retired spellings."""
+"""CLI observability round-trips: --profile-out, obs explain (span tree
+and self-time table), --progress, and the retired spellings."""
 
 import argparse
 import json
@@ -12,7 +12,6 @@ import pytest
 
 from repro.chain import clear_memo
 from repro.cli import _stderr_progress, build_parser, main
-from repro.obs import clock
 from repro.obs.schema import validate_profile
 from repro.results import ResultsStore
 
@@ -32,17 +31,6 @@ def _subparsers(parser):
         action for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     ).choices
-
-
-def _traced_sweep(*argv):
-    """``main(["sweep", *argv, "--profile-out", <tmp>])``; returns status.
-
-    The profile goes to a throwaway file next to the run: these callers
-    want the tracing and the persisted telemetry, not the document.
-    """
-    run_dir = argv[argv.index("--run-dir") + 1]
-    profile = f"{run_dir}.profile.json"
-    return main(["sweep", *argv, "--profile-out", profile])
 
 
 class TestExplain:
@@ -69,6 +57,39 @@ class TestExplain:
         assert "runner.job" in tree
         assert "job.compile" in tree or "job.evolve" in tree
 
+    def test_explain_of_a_pooled_sweep_prints_the_self_time_table(
+        self, tmp_path, capsys
+    ):
+        profile = tmp_path / "sweep.json"
+        clear_memo()
+        assert main(
+            ["sweep", "--n", "4", "--engine", "process", "--workers", "2",
+             "--run-dir", str(tmp_path / "run"),
+             "--profile-out", str(profile)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["obs", "explain", str(profile)]) == 0
+        tree, _, table = capsys.readouterr().out.partition("\n\n")
+        assert tree.splitlines()[0].split() == [
+            "span", "calls", "total", "self",
+        ]
+        assert "sweep.execute" in tree and "runner.group" in tree
+        assert table.splitlines()[0].split() == [
+            "span", "self", "calls", "share",
+        ]
+        rows = {row[0]: row for row in _table_rows(table)}
+        assert {"repro.sweep", "sweep.execute", "runner.group"} <= set(rows)
+        shares = [float(row[3].rstrip("%")) for row in rows.values()]
+        # Each share is rounded to 0.1%, so the printed sum may miss 100
+        # by at most half a digit per row.
+        assert abs(sum(shares) - 100.0) <= 0.05 * len(shares) + 1e-9
+        # The table is the profile's aggregates, reordered by self time.
+        aggregates = json.loads(profile.read_text())["aggregates"]
+        assert set(rows) == set(aggregates)
+        assert [row[2] for row in rows.values()] == [
+            str(aggregates[name]["calls"]) for name in rows
+        ]
+
     def test_explain_of_a_missing_profile_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit, match="obs explain"):
             main(["obs", "explain", str(tmp_path / "nope.json")])
@@ -82,9 +103,7 @@ class TestExplain:
 
 
 class TestProfileOut:
-    def test_sweep_profile_validates_and_telemetry_lands(
-        self, tmp_path, capsys
-    ):
+    def test_sweep_profile_validates(self, tmp_path, capsys):
         run = tmp_path / "run"
         profile_path = tmp_path / "profile.json"
         assert main(
@@ -100,18 +119,26 @@ class TestProfileOut:
         assert "repro.sweep" in document["aggregates"]
         assert document["metrics"]["counters"]["runner.jobs"] == 10
 
-        store = ResultsStore(run / "warehouse")
-        assert "telemetry" in store.tables()
-        rows = store.table("telemetry").to_rows()
-        assert {row["kind"] for row in rows} >= {"counter", "span"}
-
-        # And the table is reachable through the ordinary query CLI.
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_sweep_warehouse_holds_records_and_memo_only(
+        self, traced, tmp_path, capsys
+    ):
+        run = tmp_path / "run"
+        profile = ["--profile-out", str(tmp_path / "p.json")]
         assert main(
-            ["results", "query", str(run), "--table", "telemetry",
-             "--where", "kind=counter"]
+            ["sweep", "--n", "4", "--run-dir", str(run),
+             *(profile if traced else [])]
         ) == 0
-        queried = capsys.readouterr().out
-        assert "runner.jobs" in queried
+        capsys.readouterr()
+        warehouse = run / "warehouse"
+        assert sorted(path.name for path in warehouse.iterdir()) == [
+            "memo", "segments",
+        ]
+        segments = list((warehouse / "segments").iterdir())
+        assert segments
+        assert all(path.name.startswith("records-") for path in segments)
+        assert ResultsStore(warehouse).tables() == ["records"]
 
     def test_solve_profile_validates(self, tmp_path, capsys):
         profile_path = tmp_path / "solve.json"
@@ -123,146 +150,6 @@ class TestProfileOut:
         assert validate_profile(document) == []
         assert document["meta"]["command"] == "solve"
         assert "repro.solve" in document["aggregates"]
-
-    def test_results_export_writes_telemetry_json_rows(
-        self, tmp_path, capsys
-    ):
-        run = tmp_path / "run"
-        clear_memo()
-        assert _traced_sweep("--n", "4", "--run-dir", str(run)) == 0
-        capsys.readouterr()
-        out_path = tmp_path / "telemetry.json"
-        assert main(
-            ["results", "export", str(run), "--table", "telemetry",
-             "--format", "json", "-o", str(out_path)]
-        ) == 0
-        rows = json.loads(out_path.read_text())
-        assert all(
-            {"kind", "name", "value", "count"} <= set(row) for row in rows
-        )
-        assert any(row["name"] == "runner.jobs" for row in rows)
-
-    def test_untraced_sweep_persists_no_telemetry(self, tmp_path, capsys):
-        run = tmp_path / "run"
-        assert main(["sweep", "--n", "4", "--run-dir", str(run)]) == 0
-        capsys.readouterr()
-        store = ResultsStore(run / "warehouse")
-        assert "telemetry" not in store.tables()
-
-
-class TestFrozenStamps:
-    def test_frozen_clock_pins_telemetry_stamps(self, tmp_path, capsys):
-        run = tmp_path / "run"
-        with clock.frozen(1234.5):
-            assert main(
-                ["sweep", "--n", "4", "--run-dir", str(run),
-                 "--profile-out", str(tmp_path / "p.json")]
-            ) == 0
-        capsys.readouterr()
-        rows = ResultsStore(run / "warehouse").table("telemetry").to_rows()
-        assert rows
-        assert {row["stamp"] for row in rows} == {1234.5}
-        assert {row["master_seed"] for row in rows} == {0}
-
-
-class TestCrossRunAnalyticsCLI:
-    """Satellite coverage: several traced sweeps in one warehouse stay
-    distinguishable and drive history/diff/tiers read-back."""
-
-    @pytest.fixture
-    def run(self, tmp_path, capsys):
-        """Two traced sweeps (distinct specs, hence distinct run dirs)
-        feeding one shared warehouse; returns the warehouse path."""
-        from repro.obs import reset_telemetry
-
-        warehouse = tmp_path / "warehouse"
-        clear_memo()
-        with clock.frozen(100.0):
-            assert _traced_sweep(
-                "--n", "4", "--run-dir", str(tmp_path / "first"),
-                "--warehouse", str(warehouse),
-            ) == 0
-        # A fresh registry between sweeps: each persisted profile is one
-        # sweep's telemetry, not the process's running total.
-        reset_telemetry()
-        clear_memo()
-        with clock.frozen(200.0):
-            assert _traced_sweep(
-                "--n", "4", "--master-seed", "7",
-                "--run-dir", str(tmp_path / "second"),
-                "--warehouse", str(warehouse),
-            ) == 0
-        reset_telemetry()
-        capsys.readouterr()
-        return warehouse
-
-    def test_sweeps_stay_distinguishable_by_stamp_and_seed(self, run):
-        from repro.obs.analyze import sweep_stamps
-
-        assert sweep_stamps(ResultsStore(run)) == [(100.0, 0), (200.0, 7)]
-
-    def test_obs_history_trends_across_sweeps(self, run, capsys):
-        assert main(["obs", "history", str(run)]) == 0
-        out = capsys.readouterr().out
-        jobs = [
-            line for line in out.splitlines()
-            if line.startswith("runner.jobs")
-        ]
-        assert len(jobs) == 2  # one line per sweep, trend-ordered
-        assert "100.000000" in jobs[0] and "200.000000" in jobs[1]
-
-    def test_obs_history_filters_by_master_seed(self, run, capsys):
-        assert main(
-            ["obs", "history", str(run),
-             "--master-seed", "7", "--kind", "counter"]
-        ) == 0
-        out = capsys.readouterr().out
-        rows = _table_rows(out)
-        assert rows
-        assert all(parts[2] == "200.000000" for parts in rows)
-
-    def test_results_query_serves_persisted_telemetry(self, run, capsys):
-        # The live registry is empty (reset after the sweeps); the rows
-        # shown all come from the warehouse.
-        assert main(
-            ["results", "query", str(run), "--table", "telemetry",
-             "--where", "name=runner.jobs"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert out.count("runner.jobs") == 2  # one row per sweep
-
-    def test_obs_diff_compares_the_two_sweeps(self, run, capsys):
-        assert main(["obs", "diff", str(run)]) == 0
-        out = capsys.readouterr().out
-        jobs = next(
-            line for line in out.splitlines() if "runner.jobs" in line
-        )
-        # Identical sweep specs: 10 jobs on both sides, ratio 1.
-        assert "1.000" in jobs
-        assert main(
-            ["obs", "diff", str(run), "--a", "100.0", "--b", "200.0"]
-        ) == 0
-
-    def test_obs_diff_needs_two_sweeps(self, tmp_path, capsys):
-        run = tmp_path / "one"
-        with clock.frozen(50.0):
-            assert _traced_sweep("--n", "4", "--run-dir", str(run)) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit):
-            main(["obs", "diff", str(run)])
-
-    def test_obs_tiers_attributes_wall_clock(self, run, capsys):
-        assert main(["obs", "tiers", str(run)]) == 0
-        out = capsys.readouterr().out
-        assert "sweep.execute" in out
-        assert "%" in out
-        assert main(["obs", "tiers", str(run), "--stamp", "100.0"]) == 0
-        assert "sweep.execute" in capsys.readouterr().out
-
-    def test_obs_tiers_unknown_stamp_names_the_available_ones(self, run):
-        with pytest.raises(SystemExit, match="obs tiers: .*available "
-                           r"stamps: 100\.0, 200\.0"):
-            main(["obs", "tiers", str(run), "--stamp", "123.0"])
 
 
 class TestProgressFlag:
@@ -415,41 +302,6 @@ class TestProgressFlag:
         ]
 
 
-class TestObsDiffStamps:
-    def test_a_and_b_select_both_sides(self, tmp_path, capsys):
-        clear_memo()
-        warehouse = tmp_path / "warehouse"
-        from repro.obs import reset_telemetry
-
-        with clock.frozen(100.0):
-            assert _traced_sweep(
-                "--n", "4", "--run-dir", str(tmp_path / "first"),
-                "--warehouse", str(warehouse),
-            ) == 0
-        reset_telemetry()
-        clear_memo()
-        with clock.frozen(200.0):
-            assert _traced_sweep(
-                "--n", "4", "--master-seed", "7",
-                "--run-dir", str(tmp_path / "second"),
-                "--warehouse", str(warehouse),
-            ) == 0
-        reset_telemetry()
-        capsys.readouterr()
-        assert main(
-            ["obs", "diff", str(warehouse), "--a", "100.0", "--b", "200.0"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "runner.jobs" in out
-
-        # An unknown stamp names the ones that do exist.
-        with pytest.raises(SystemExit, match="available stamps"):
-            main(
-                ["obs", "diff", str(warehouse),
-                 "--a", "123.0", "--b", "200.0"]
-            )
-
-
 class TestOneTelemetrySpelling:
     """``--profile-out`` is the only switch and ``repro obs`` the only
     reader; the retired spellings are argparse errors."""
@@ -473,13 +325,12 @@ class TestOneTelemetrySpelling:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_obs_reads_the_four_warehouse_views(self):
+    def test_obs_reads_the_profile_only(self):
         obs = _subparsers(build_parser())["obs"]
         action = next(
             action for action in obs._actions if action.dest == "action"
         )
-        assert set(action.choices) == {"explain", "history", "diff",
-                                       "tiers"}
+        assert set(action.choices) == {"explain"}
 
     def test_every_subcommand_accepts_profile_out(self):
         parser = build_parser()

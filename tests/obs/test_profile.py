@@ -1,4 +1,4 @@
-"""Folding, rendering, rows, and the profile schema validator."""
+"""Folding, rendering, self-time rows, and the profile schema validator."""
 
 import json
 import os
@@ -6,7 +6,6 @@ import subprocess
 import sys
 
 from repro.obs import (
-    MetricsRegistry,
     OBS,
     Span,
     build_profile,
@@ -14,8 +13,8 @@ from repro.obs import (
     drain_telemetry,
     merge_telemetry,
     render_span_tree,
+    self_time_rows,
     span_aggregates,
-    telemetry_rows,
     trace,
 )
 from repro.obs.schema import main as schema_main
@@ -75,25 +74,26 @@ class TestRenderSpanTree:
         ]
 
 
-class TestTelemetryRows:
-    def test_row_kinds_and_values(self):
-        registry = MetricsRegistry()
-        registry.inc("jobs", 3)
-        registry.gauge("entries", 7)
-        registry.observe("lat", 2.0)
-        registry.observe("lat", 4.0)
-        spans = [_span("phase", 1.5)]
-        rows = telemetry_rows(registry, spans)
-        by_key = {(r["kind"], r["name"]): r for r in rows}
-        assert by_key[("counter", "jobs")]["value"] == 3.0
-        assert by_key[("counter", "jobs")]["count"] == 3
-        assert by_key[("gauge", "entries")] == {
-            "kind": "gauge", "name": "entries", "value": 7.0, "count": 1,
-        }
-        assert by_key[("hist", "lat")]["value"] == 6.0
-        assert by_key[("hist", "lat")]["count"] == 2
-        assert by_key[("span", "phase")]["value"] == 1.5
-        assert by_key[("span.self", "phase")]["value"] == 1.5
+class TestSelfTimeRows:
+    def test_rows_sort_by_self_time_and_shares_sum_to_one(self):
+        forest = [
+            _span("sweep", 2.0, [
+                _span("job", 0.5, [_span("evolve", 0.25)]),
+                _span("job", 0.5, [_span("evolve", 0.25)]),
+            ]),
+        ]
+        rows = self_time_rows(span_aggregates(forest))
+        assert rows == [
+            ("sweep", 1.0, 1, 0.5),
+            ("evolve", 0.5, 2, 0.25),
+            ("job", 0.5, 2, 0.25),
+        ]
+        assert sum(share for *_, share in rows) == 1.0
+
+    def test_zero_self_time_has_zero_shares(self):
+        rows = self_time_rows(span_aggregates([_span("idle", 0.0)]))
+        assert rows == [("idle", 0.0, 1, 0.0)]
+        assert self_time_rows({}) == []
 
 
 class TestDrainMerge:

@@ -30,7 +30,7 @@ class TestStats:
     def test_stats_lists_tables_and_memo(self, run_dir, capsys):
         assert main(["results", "stats", str(run_dir)]) == 0
         out = capsys.readouterr().out
-        assert "records" in out and "groups" in out
+        assert "records" in out
         assert "memo:" in out and "entries" in out
 
     def test_missing_warehouse_is_an_error(self, tmp_path):
@@ -73,15 +73,6 @@ class TestQuery:
         assert "k-leader:2" in out and "leader" in out
         assert "mean_limit_float" in out
         assert "2 rows" in out
-
-    def test_groups_table_has_forensics_columns(self, run_dir, capsys):
-        assert (
-            main(["results", "query", str(run_dir), "--table", "groups"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        for column in ("states", "density", "evolution", "memo_hits"):
-            assert column in out
 
     def test_bad_where_clause(self, run_dir):
         with pytest.raises(SystemExit, match="bad --where"):

@@ -40,7 +40,6 @@ class TestWarehouseWiring:
         outcome = run_sweep(sweep, run_dir=tmp_path / "run")
         store = ResultsStore(tmp_path / "run" / "warehouse")
         assert store.total_rows("records") == outcome.total
-        assert store.total_rows("groups") == len(outcome.group_stats) > 0
 
     def test_warehouse_false_opts_out(self, tmp_path, sweep):
         run_sweep(sweep, run_dir=tmp_path / "run", warehouse=False)
@@ -103,9 +102,9 @@ class TestGroupForensics:
         outcome = run_sweep(sweep, run_dir=tmp_path / "run")
         assert sum(g["jobs"] for g in outcome.group_stats) == outcome.total
         for stats in outcome.group_stats:
-            assert stats["evolution"] == "exact"
+            assert stats["chains"] > 0
             assert stats["states"] > 0
-            assert 0.0 < stats["density"] <= 1.0
+            assert stats["transitions"] > 0
 
     def test_fully_memoized_groups_record_memo(self, tmp_path, sweep):
         warehouse = tmp_path / "shared"
@@ -115,10 +114,8 @@ class TestGroupForensics:
                          warehouse=warehouse)
         assert warm.group_stats
         for stats in warm.group_stats:
-            assert stats["evolution"] == "memo"
             assert stats["memo_hits"] == stats["jobs"]
             assert stats["chains"] == stats["states"] == 0
-            assert stats["density"] == 0.0
 
     def test_group_stats_stay_out_of_job_records(self, tmp_path, sweep):
         run_sweep(sweep, run_dir=tmp_path / "run")

@@ -250,6 +250,25 @@ class TestRetiredOptions:
         assert excinfo.value.code == 2
         assert "invalid choice: 'chains'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "history", "DIR"],
+            ["obs", "diff", "DIR"],
+            ["obs", "tiers", "DIR"],
+            ["report", "OUT", "--warehouse", "W"],
+            ["report", "OUT", "--no-warehouse"],
+            ["results", "query", "DIR", "--table", "groups"],
+        ],
+        ids=["obs-history", "obs-diff", "obs-tiers", "report-warehouse",
+             "report-no-warehouse", "results-table"],
+    )
+    def test_persisted_telemetry_spellings_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_estimate_chain_method_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["estimate", "1,2", "--method", "chain"])
