@@ -17,10 +17,13 @@ measures its reach:
   *fibrations* (Boldi et al.) rather than automorphisms for the
   deterministic characterization.
 
-The census never compiles a chain of its own: it reads
-:func:`~repro.analysis.worst_case_search.port_orbit_table`, whose
-orbit-weighted counts are exact because anonymity makes the limit
-constant on every orbit of source-preserving node relabelings.  The
+The census compiles no chain: it reads
+:func:`~repro.analysis.worst_case_search.port_orbit_table`, which takes
+each orbit representative's limit from the eventual partition
+(:func:`~repro.core.eventual.eventual_partition`, the stable port-aware
+refinement of the source partition).  Its orbit-weighted counts are
+exact because anonymity makes the limit constant on every orbit of
+source-preserving node relabelings.  The
 symmetry flag is orbit-constant too: if ``g`` is an automorphism of
 ``T`` that fixes every source and ``r`` relabels nodes (and sources by
 ``h``), then ``r g r^-1`` is an automorphism of ``r.T`` with

@@ -14,6 +14,14 @@ the exact eventual-solvability limit for each, and check that
 The sweep also measures how adversarial the worst case is: the fraction
 of assignments that keep leader election solvable (footnote 5 territory).
 
+Each limit comes from :func:`~repro.core.eventual.eventual_partition`:
+the consistency partition almost surely settles at the stable port-aware
+refinement of the source partition, so the limit is 1 exactly when that
+partition elects a leader (Lemma 3.2's zero-one law with its value
+named).  No chain is compiled per assignment; the Lemma 4.3 limit in
+:func:`worst_case_port_search` is still an exact chain limit, so the
+``Lemma 4.3 limit == min limit`` check compares two independent methods.
+
 Orbits instead of assignments
 -----------------------------
 The system is anonymous.  Let ``G`` be the node permutations ``g`` that
@@ -24,13 +32,12 @@ sources.  ``g`` turns a port table ``T`` into ``g.T`` with
 rename the nodes by ``g`` and the i.i.d. source outcomes by ``h``.
 Leader election only looks at knowledge-class sizes, so it is solved on
 one exactly when it is solved on the other, and the limit is constant
-on every ``G``-orbit.  :func:`port_orbit_table` therefore compiles one
+on every ``G``-orbit.  :func:`port_orbit_table` therefore refines one
 representative per orbit and weights it by the orbit size: the number
 of (solvable) assignments is an exact sum of orbit sizes, and the
 min/max limits range over the representatives.  For ``n = 4`` that is
-60 to 333 compiles per shape instead of 1296.
+60 to 333 refinements per shape instead of 1296.
 """
-
 from __future__ import annotations
 
 import functools
@@ -41,8 +48,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ..core.leader_election import leader_election
 from ..chain import Query, compile_chain, run_queries
+from ..core.eventual import eventual_partition
+from ..core.leader_election import leader_election
 from ..chain.quotient import _is_source_relabeling
 from ..models.ports import PortAssignment, adversarial_assignment
 from ..randomness.configuration import RandomnessConfiguration
@@ -91,7 +99,7 @@ def port_orbit_table(shape: tuple[int, ...]) -> tuple[PortOrbit, ...]:
     Each table is coded as its base-``n`` digit string, which orders
     codes like the enumeration, so an orbit's minimum code is its first
     member.  One numpy pass per ``g in G`` takes that minimum and the
-    strict-symmetry flag; only the representatives are compiled.
+    strict-symmetry flag; only the representatives are refined.
     Memoized per shape: the rows depend on nothing else.
     """
     alpha = RandomnessConfiguration.from_group_sizes(shape)
@@ -120,10 +128,8 @@ def port_orbit_table(shape: tuple[int, ...]) -> tuple[PortOrbit, ...]:
     rows = []
     for index, size in zip(first, sizes):
         ports = PortAssignment(tables[index].tolist())
-        # One-shot chains: compile unmemoized to bound memo growth.
-        (limit,) = run_queries(
-            compile_chain(alpha, ports, use_memo=False), [Query.limit(task)]
-        )
+        blocks = eventual_partition(alpha, ports)
+        limit = Fraction(int(task.solvable_from_sizes(map(len, blocks))))
         rows.append(PortOrbit(ports, int(size), limit, bool(symmetric[index])))
     return tuple(rows)
 

@@ -5,12 +5,13 @@
 Per item it scans the current context's query memo, answers only the
 misses through one per-chain :class:`~repro.chain.batch.QueryPlan`
 (exact or float, see :meth:`QueryPlan.execute
-<repro.chain.batch.QueryPlan.execute>`), and records what it computed.
+<repro.chain.batch.QueryPlan.execute>`), and records what it computed
+(:func:`answer_misses`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..obs import OBS, trace
 from .backends import validate_backend
@@ -31,39 +32,59 @@ def run_group_queries(
     """
     validate_backend(backend)
     results: list = []
-    #: (item index, chain, miss queries, miss positions, tokens)
-    pending: list[tuple] = []
+    #: (answers, miss positions) and the matching answer_misses items.
+    slots: list[tuple] = []
+    missed: list[tuple] = []
     for chain, queries in items:
         queries = list(queries)
         answers, tokens, misses = memoized_answers(chain, queries, backend)
         if misses:
-            pending.append((len(results), chain,
-                            [queries[i] for i in misses], misses, tokens))
+            slots.append((answers, misses))
+            missed.append((chain, [queries[i] for i in misses],
+                           [tokens[i] for i in misses]))
         elif OBS.enabled:
             OBS.metrics.inc("chain.multi.items_memoized")
         results.append(answers)
     if OBS.enabled:
-        OBS.metrics.inc("chain.multi.items", len(results))
-    if not pending:
-        return results
+        OBS.metrics.inc("chain.multi.items", len(results) - len(missed))
+    for (answers, misses), values in zip(
+        slots, answer_misses(missed, backend)
+    ):
+        for i, value in zip(misses, values):
+            answers[i] = value
+    return results
+
+
+def answer_misses(items: Sequence[tuple], backend: str = "exact") -> list[list]:
+    """Compute and record queries already known to miss the memo.
+
+    ``items`` holds ``(chain, queries, tokens)`` triples, ``tokens``
+    being the queries' memo tokens (``None`` where unmemoizable).  One
+    :class:`~repro.chain.batch.QueryPlan` per chain answers them, and
+    each answer is recorded under its token.  :func:`run_group_queries`
+    ends here after its memo scan; a caller that has already looked its
+    cells up (the sweep worker does, to skip compiling warm chains)
+    calls it directly, so no cell is looked up twice.
+    """
+    if OBS.enabled:
+        OBS.metrics.inc("chain.multi.items", len(items))
+    if not items:
+        return []
 
     def execute() -> list[list]:
         return [
             QueryPlan(chain, queries).execute(backend)
-            for _, chain, queries, _, _ in pending
+            for chain, queries, _ in items
         ]
 
     if OBS.enabled:
-        with trace("chain.multi.execute", items=len(pending)):
+        with trace("chain.multi.execute", items=len(items)):
             computed = execute()
     else:
         computed = execute()
-    for (index, _, _, misses, tokens), values in zip(pending, computed):
-        answers = results[index]
-        for i, value in zip(misses, values):
-            answers[i] = value
-        record_answers(tokens, misses, answers)
-    return results
+    for (_, _, tokens), values in zip(items, computed):
+        record_answers(tokens, range(len(values)), values)
+    return computed
 
 
-__all__ = ["run_group_queries"]
+__all__ = ["answer_misses", "run_group_queries"]

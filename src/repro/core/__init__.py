@@ -15,6 +15,7 @@ from .anonymous_graphs import (
     randomized_worst_case_solvable,
     worst_case_deterministic_solvable,
 )
+from .eventual import eventual_partition
 from .hitting_time import (
     expected_solving_time,
     expected_time_table,
@@ -144,6 +145,7 @@ __all__ = [
     "randomized_worst_case_solvable",
     "iter_labeling_verdicts",
     "deterministic_solvable",
+    "eventual_partition",
     "color_refinement_fixpoint",
     "eventually_solvable",
     "expected_solving_time",

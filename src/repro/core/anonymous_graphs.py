@@ -24,14 +24,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..chain import (
-    back_port_tables,
-    blocks_from_labels,
-    neighbour_tables,
-    refine_labels,
-)
 from ..models.graph import GraphTopology
 from ..randomness.configuration import RandomnessConfiguration
+from .eventual import eventual_partition
 from .markov import PartitionState
 from .tasks import SymmetryBreakingTask
 
@@ -43,23 +38,14 @@ def color_refinement_fixpoint(
 
     This is the deterministic (``k = 1``) limit of the consistency
     partition: what an anonymous network can distinguish without usable
-    randomness.  Runs directly on the engine's integer label vectors
-    (one :func:`~repro.chain.refine_labels` call per round, no facade
-    partition objects) and converts to the canonical
-    :data:`PartitionState` only at the fixpoint.
+    randomness -- the eventual partition of a single-source
+    configuration.
     """
-    n = topology.n
-    neigh = neighbour_tables(topology)
-    back = back_port_tables(topology) if include_back_ports else None
-    # k = 1: every node sees the same (trivial) bit, so refinement is
-    # deterministic and stabilizes within n - 1 rounds.
-    bits = (0,) * n
-    labels = (0,) * n
-    while True:
-        nxt = refine_labels(labels, bits, neigh, back)
-        if nxt == labels:
-            return blocks_from_labels(labels)
-        labels = nxt
+    return eventual_partition(
+        RandomnessConfiguration.from_group_sizes((topology.n,)),
+        topology,
+        back_ports=include_back_ports,
+    )
 
 
 def deterministic_solvable(

@@ -18,15 +18,9 @@ import functools
 from dataclasses import replace
 from fractions import Fraction
 
-from ..chain import (
-    CompiledChain,
-    Query,
-    compile_chain,
-    run_group_queries,
-    run_queries,
-)
+from ..chain import CompiledChain, Query, compile_chain
+from ..chain.multi import answer_misses
 from ..context import ExecutionContext, current_context, use_context
-from ..core.tasks import SymmetryBreakingTask
 from ..obs import (
     OBS,
     configure_tracing,
@@ -37,18 +31,6 @@ from ..obs import (
 from ..randomness.configuration import RandomnessConfiguration
 from ..sampling import sample_cell, sample_range
 from .spec import RunSpec, derive_seed, make_ports, make_task
-
-
-def exact_limit_value(
-    chain: CompiledChain, task: SymmetryBreakingTask
-) -> Fraction:
-    """The one exact chain evaluation every worker path shares.
-
-    Per-job exact runs route their chain evaluation through this one
-    helper over the query front door, which keeps the evaluation
-    semantics (and any future instrumentation) in one place.
-    """
-    return run_queries(chain, [Query.limit(task)])[0]
 
 
 def payload_context(**changes) -> ExecutionContext:
@@ -91,8 +73,10 @@ def _runs_in_payload_context(execute):
 _FAMILY_DIGESTS: dict[tuple, str] = {}
 
 
-def _memoized_exact_limit(spec: RunSpec, alpha, ports) -> "Fraction | None":
-    """The job's exact limit straight from the cross-run memo, or ``None``.
+def _memo_lookup(spec: RunSpec, alpha, ports) -> tuple:
+    """``(limit, token)``: the job's exact limit straight from the
+    cross-run memo (``None`` on a miss) and its memo token (``None``
+    without a memo).
 
     The memo key needs only the chain's *effective* key -- the
     structural key plus the quotient tag the context's quotient mode
@@ -100,8 +84,9 @@ def _memoized_exact_limit(spec: RunSpec, alpha, ports) -> "Fraction | None":
     compiling -- so a warm cell skips chain compilation entirely, not
     just the evolution pass.  The token is the very one
     :func:`repro.chain.run_queries` records under (``compile_chain``
-    keys the chain by the same effective key), so worker-level hits and
-    query-level recording always agree.
+    keys the chain by the same effective key), so a miss is computed
+    and recorded through :func:`~repro.chain.multi.answer_misses`
+    under it, without a second lookup.
     """
     from ..chain import effective_chain_key
     from ..chain.engine import key_digest
@@ -109,7 +94,7 @@ def _memoized_exact_limit(spec: RunSpec, alpha, ports) -> "Fraction | None":
 
     memo = query_memo()
     if memo is None:
-        return None
+        return None, None
     if spec.ports == "random":
         digest = key_digest(effective_chain_key(alpha, ports))
     else:
@@ -123,7 +108,7 @@ def _memoized_exact_limit(spec: RunSpec, alpha, ports) -> "Fraction | None":
     task = make_task(spec.task, alpha.n)
     token = query_token(digest, "limit", task, None, "exact")
     hit = memo.lookup(token)
-    return None if hit is MISS else hit
+    return (None if hit is MISS else hit), token
 
 
 def _exact_value(limit: Fraction) -> dict:
@@ -172,12 +157,14 @@ def execute_run(payload: dict) -> dict:
         ports = make_ports(spec.ports, spec.sizes,
                            derive_seed(seed, "ports"))
         if spec.kind == "exact":
-            limit = _memoized_exact_limit(spec, alpha, ports)
+            limit, token = _memo_lookup(spec, alpha, ports)
             if limit is None:
                 with trace("job.compile"):
                     chain = compile_chain(alpha, ports)
                 with trace("job.evolve"):
-                    limit = exact_limit_value(chain, task)
+                    ((limit,),) = answer_misses(
+                        [(chain, [Query.limit(task)], [token])]
+                    )
             value = _exact_value(limit)
         else:  # sample
             # The substream is keyed by the spec's *stream key* -- the
@@ -217,7 +204,7 @@ def execute_run(payload: dict) -> dict:
 
 @_runs_in_payload_context
 def execute_run_group(payload: dict) -> dict:
-    """Execute a whole group of exact jobs in one front-door call.
+    """Execute a whole group of exact jobs in one grouped query pass.
 
     ``payload`` is ``{"jobs": [<execute_run payloads>...]}`` plus the
     ``"context"`` the whole group runs in.  The
@@ -240,7 +227,8 @@ def execute_run_group(payload: dict) -> dict:
     """
     with trace("runner.group", jobs=len(payload["jobs"])) as timer:
         prepared = []
-        items: dict[int, tuple[CompiledChain, list]] = {}
+        #: id(chain) -> (chain, queries, memo tokens)
+        items: dict[int, tuple[CompiledChain, list, list]] = {}
         order: list[int] = []
         memo_hits = 0
         with trace("group.prepare"):
@@ -252,7 +240,7 @@ def execute_run_group(payload: dict) -> dict:
                 task = make_task(spec.task, alpha.n)
                 ports = make_ports(spec.ports, spec.sizes,
                                    derive_seed(seed, "ports"))
-                limit = _memoized_exact_limit(spec, alpha, ports)
+                limit, token = _memo_lookup(spec, alpha, ports)
                 if limit is not None:
                     memo_hits += 1
                     prepared.append((job, spec, seed, alpha, None, limit))
@@ -260,30 +248,36 @@ def execute_run_group(payload: dict) -> dict:
                 chain = compile_chain(alpha, ports)
                 entry = items.get(id(chain))
                 if entry is None:
-                    entry = items[id(chain)] = (chain, [])
+                    entry = items[id(chain)] = (chain, [], [])
                     order.append(id(chain))
-                queries = entry[1]
+                _, queries, tokens = entry
                 prepared.append(
                     (job, spec, seed, alpha, (id(chain), len(queries)), None)
                 )
                 queries.append(Query.limit(task))
+                tokens.append(token)
         with trace("group.evolve"):
             answers = dict(
-                zip(order, run_group_queries([items[cid] for cid in order]))
+                zip(order, answer_misses([items[cid] for cid in order]))
             )
+        with trace("group.serialize"):
+            # ``elapsed`` is the group's wall clock, known only once this
+            # span closes: filled in below, in place.
+            records = [
+                _job_record(
+                    job, spec, seed, alpha,
+                    _exact_value(
+                        limit if handle is None
+                        else answers[handle[0]][handle[1]]
+                    ),
+                    0.0,
+                )
+                for job, spec, seed, alpha, handle, limit in prepared
+            ]
     elapsed_total = timer.duration
     elapsed = elapsed_total / max(1, len(prepared))
-    with trace("group.serialize"):
-        records = [
-            _job_record(
-                job, spec, seed, alpha,
-                _exact_value(
-                    limit if handle is None else answers[handle[0]][handle[1]]
-                ),
-                elapsed,
-            )
-            for job, spec, seed, alpha, handle, limit in prepared
-        ]
+    for record in records:
+        record["elapsed"] = elapsed
     chains = [items[cid][0] for cid in order]
     group = {
         "jobs": len(prepared),
@@ -359,7 +353,6 @@ def execute_sample_batch(payload: dict) -> dict:
 
 
 __all__ = [
-    "exact_limit_value",
     "execute_experiment",
     "execute_run",
     "execute_run_group",

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -15,10 +16,9 @@ from repro.analysis import (
     worst_case_port_search,
 )
 from repro.chain import compile_chain
-from repro.context import ExecutionContext, use_context
 from repro.core import ConsistencyChain, leader_election
 from repro.models import PortAssignment, adversarial_assignment
-from repro.randomness import RandomnessConfiguration
+from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
 
 
 def _relabel(ports, g):
@@ -137,7 +137,10 @@ class TestExperiment:
             assert (row[4] == 1.0) == (math.gcd(*shape) == 1)
 
 
-ORACLE_SHAPES = ((1, 2), (3,), (1, 1, 1), (2, 2), (4,))
+#: Every shape with n <= 4: the whole domain of the orbit table.
+ORACLE_SHAPES = tuple(
+    shape for n in range(1, 5) for shape in enumerate_size_shapes(n)
+)
 
 
 class TestPortOrbitTable:
@@ -187,12 +190,22 @@ class TestPortOrbitTable:
                 row.ports
             ]
 
-    def test_rows_are_independent_of_the_quotient_mode(self):
-        tables = []
-        for mode in ("on", "off"):
-            port_orbit_table.cache_clear()
-            with use_context(ExecutionContext(quotient=mode)):
-                tables.append(port_orbit_table((2, 2)))
+    def test_rows_compile_no_chain(self):
+        """Limits come from the eventual-partition oracle, so the
+        per-assignment loop in ``_reference`` is a chain-against-oracle
+        check; no ``compile_chain`` frame runs while the table builds."""
+        compiled = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "compile_chain":
+                compiled.append(frame.f_code.co_filename)
+
         port_orbit_table.cache_clear()
-        assert tables[0] == tables[1]
-        assert len(tables[0]) == 177
+        sys.setprofile(profile)
+        try:
+            table = port_orbit_table((2, 2))
+        finally:
+            sys.setprofile(None)
+            port_orbit_table.cache_clear()
+        assert len(table) == 177
+        assert compiled == []

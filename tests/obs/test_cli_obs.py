@@ -102,6 +102,41 @@ class TestExplain:
         assert "repro.run" not in out
 
 
+class TestGroupedSweepProfile:
+    """A cold traced 2-worker sweep: span nesting and memo accounting."""
+
+    @pytest.fixture
+    def profile(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        clear_memo()
+        assert main(
+            ["sweep", "--n", "4", "--engine", "process", "--workers", "2",
+             "--run-dir", str(tmp_path / "run"),
+             "--profile-out", str(path)]
+        ) == 0
+        capsys.readouterr()
+        return json.loads(path.read_text())
+
+    def test_serialize_nests_under_its_group(self, profile):
+        parents: dict[str, set] = {}
+
+        def walk(span, parent):
+            parents.setdefault(span["name"], set()).add(parent)
+            for child in span["children"]:
+                walk(child, span["name"])
+
+        for span in profile["spans"]:
+            walk(span, None)
+        assert parents["group.serialize"] == {"runner.group"}
+
+    def test_each_cold_cell_is_looked_up_once(self, profile):
+        counters = profile["metrics"]["counters"]
+        assert counters["chain.batch.queries"] > 0
+        assert counters["results.memo.miss"] == counters[
+            "chain.batch.queries"
+        ]
+
+
 class TestProfileOut:
     def test_sweep_profile_validates(self, tmp_path, capsys):
         run = tmp_path / "run"
