@@ -22,11 +22,8 @@ time horizon, per experiment -- compiles it exactly once.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import weakref
-from collections import Counter
 from fractions import Fraction
-from operator import add
 
 import numpy as np
 
@@ -538,52 +535,160 @@ class CompiledChain:
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
-def _source_bit_rows(assignment, k: int) -> tuple[tuple[int, ...], ...]:
-    """Per-node bits of each of the ``2^(k-1)`` enumerated source-bit
+#: Rows (chunk states x ``2^(k-1)`` source-bit vectors) :func:`explore`
+#: refines in one numpy pass.  A chunk holds at least one state; the
+#: bound keeps the pass's arrays to a few hundred kilobytes.
+CHUNK_ROWS = 4096
+
+#: Bits per packed field: a node label (``< n``), the pad sentinel of a
+#: missing neighbour, or a back-port class.
+FIELD_BITS = 4
+
+#: The all-ones field: the pad of a ragged neighbour table (no label
+#: takes it while ``n <= PAD``; labels are node indices below ``n``) and
+#: the mask of one field.
+PAD = (1 << FIELD_BITS) - 1
+
+
+def _source_bits(assignment, k: int) -> np.ndarray:
+    """Per-node bits ``(n, 2^(k-1))`` of the enumerated source-bit
     vectors.  Bit vectors and their complements refine identically, so
     the first source's bit is fixed to 0 (halving the enumeration)."""
-    return tuple(
-        tuple(bits[source] for source in assignment)
-        for bits in (
-            (0, *rest) for rest in itertools.product((0, 1), repeat=k - 1)
-        )
+    vectors = np.arange(2 ** (k - 1), dtype=np.int64)
+    # Source s >= 1 reads bit k-1-s; source 0 reads bit k-1, always 0.
+    shifts = k - 1 - np.asarray(assignment, dtype=np.int64)
+    return (vectors >> shifts[:, None]) & 1
+
+
+def _signature_fields(neigh, back, n: int):
+    """``(pick, base, weights)``: how states' signatures are packed.
+
+    A chunk of states is laid out with one row per node label, one
+    column per state, and an all-zero row ``n``.  Node ``i``'s fields
+    are the rows ``pick[i]`` plus the constants ``base[i]``, packed
+    :data:`FIELD_BITS` each by ``weights``: its own label, then (message
+    passing) the label behind each port and :data:`PAD` past its degree,
+    then (back ports) the class of its sender-side port tuple -- two
+    nodes agree on their ``(label, port)`` pairs iff they agree on their
+    neighbour labels and on that class.  Equal packed values are equal
+    :func:`refinement_signature` keys.
+    """
+    fields = [[(node, 0)] for node in range(n)]
+    if neigh is not None:
+        width = max(map(len, neigh), default=0)
+        for row, nbrs in zip(fields, neigh):
+            row += [(nbr, 0) for nbr in nbrs]
+            row += [(n, PAD)] * (width - len(nbrs))
+        if back is not None:
+            for row, cls in zip(fields, canonical_labels(back)):
+                row.append((n, cls))
+    width = len(fields[0])
+    weights = np.array(
+        [1 << FIELD_BITS * (width - 1 - f) for f in range(width)],
+        dtype=np.int64,
     )
+    pick = np.array([[r for r, _ in row] for row in fields], dtype=np.intp)
+    base = np.array([[c for _, c in row] for row in fields], dtype=np.int64)
+    return pick, base @ weights, weights
+
+
+def _lowest_equal(rows: np.ndarray) -> np.ndarray:
+    """Per column of ``rows`` ``(n, R)``, the lowest node equal to each
+    node: ``(n, R)`` uint8, a canonical form of the column's partition.
+
+    ``eq[j, i]`` marks nodes ``j`` and ``i`` equal; weighted by ``n - j``
+    its maximum over ``j`` picks the lowest such ``j`` (``j = i`` always
+    qualifies) in one broadcast pass, whatever ``n``.
+    """
+    n = rows.shape[0]
+    eq = (rows[:, None, :] == rows[None, :, :]).view(np.uint8)
+    eq *= np.arange(n, 0, -1, dtype=np.uint8)[:, None, None]
+    return n - eq.max(axis=0)
 
 
 def explore(key: ChainKey, k: int, fold=None):
     """Explore the reachable space of ``key`` once: ``(labels, out)``.
 
     The one exploration loop behind both the full and the quotient
-    compile.  Per state it computes the :func:`refinement_signature`
-    once, canonicalizes ``2*sig + bit`` for each source-bit vector of
-    :func:`_source_bit_rows`, tallies the refined vectors, and then
-    folds (``fold(labels) -> representative``, for the quotient) and
-    interns each *distinct* vector once.  States are reindexed
-    topologically: ascending block count (refinement strictly increases
-    it except for self-loops), ties broken by label vector for
-    determinism; ``out[sid]`` holds sorted ``(dst, count)`` pairs.
+    compile.  It takes the discovered states a chunk at a time (at most
+    :data:`CHUNK_ROWS` rows of state x source-bit vector) and, in
+    numpy, packs each state's :func:`refinement_signature` fields
+    (:func:`_signature_fields`), canonicalizes ``2*sig + bit`` of every
+    row by :func:`_lowest_equal` (node ``i`` -> the lowest node equal to
+    it), packs that vector beside the chunk-local state index, and
+    tallies the rows per state by sorting the keys.  Only distinct
+    vectors are turned into restricted-growth labels, folded
+    (``fold(labels) -> representative``, for the quotient) and
+    interned.  States are reindexed topologically: ascending block
+    count (refinement strictly increases it except for self-loops), ties
+    broken by label vector, so the result does not depend on the
+    discovery order; ``out[sid]`` holds sorted ``(dst, count)`` pairs.
+
+    Raises ``ValueError`` when a signature or a tally key of ``key``
+    does not fit 63 bits of :data:`FIELD_BITS`-wide fields.
     """
     assignment, neigh, back = key[:3]
-    rows = _source_bit_rows(assignment, k)
-    start = (0,) * len(assignment)
+    n = len(assignment)
+    pick, base, sig_weights = _signature_fields(neigh, back, n)
+    fields = len(sig_weights)
+    per_state = 2 ** (k - 1)
+    per_chunk = max(1, CHUNK_ROWS // per_state)
+    label_bits = FIELD_BITS * n
+    if (
+        n > PAD
+        or FIELD_BITS * fields + 1 > 63
+        or label_bits + (per_chunk - 1).bit_length() > 63
+    ):
+        raise ValueError(
+            f"cannot pack a chain of {n} nodes and {fields} signature "
+            f"fields into 63 bits of {FIELD_BITS}-bit fields"
+        )
+    bits = _source_bits(assignment, k)
+    label_shifts = [FIELD_BITS * (n - 1 - node) for node in range(n)]
+    label_weights = np.array(
+        [1 << shift for shift in label_shifts], dtype=np.int64
+    )
+    state_keys = np.arange(per_chunk, dtype=np.int64)[:, None] << label_bits
+    label_mask = (1 << label_bits) - 1
+    zero = (0,)  # the all-zero row n of :func:`_signature_fields`
+    start = (0,) * n
     table = StateTable()
     table.intern(start if fold is None else fold(start))
+    #: Packed refined vector -> id of its (folded) state.
+    dst_of: dict[int, int] = {}
     transitions: list[dict[int, int]] = []
-    # Ids are handed out in discovery order, so scanning them in order
-    # is a breadth-first walk that ends when no new state appears.
-    sid = 0
-    while sid < len(table):
-        sig = refinement_signature(table.labels_of(sid), neigh, back)
-        doubled = [s + s for s in sig]
-        tally = Counter(
-            canonical_labels(map(add, doubled, row)) for row in rows
-        )
-        counts: dict[int, int] = {}
-        for nxt, cnt in tally.items():
-            dst = table.intern(nxt if fold is None else fold(nxt))
-            counts[dst] = counts.get(dst, 0) + cnt
-        transitions.append(counts)
-        sid += 1
+    # Ids are handed out in discovery order, so taking them in order is
+    # a breadth-first walk that ends when no new state appears.
+    while len(transitions) < len(table):
+        done = len(transitions)
+        chunk = range(done, min(len(table), done + per_chunk))
+        labels = np.array(
+            [table.labels_of(sid) + zero for sid in chunk], dtype=np.int64
+        ).T
+        sig = sig_weights @ labels[pick] + base[:, None]
+        rows = ((sig << 1)[:, :, None] | bits[:, None, :]).reshape(n, -1)
+        keys = label_weights @ _lowest_equal(rows)
+        keys.reshape(len(chunk), per_state)[:] += state_keys[: len(chunk)]
+        keys.sort()
+        # Each run of equal keys is one (state, refined vector) tally.
+        ends = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
+        tallies: list[dict[int, int]] = [{} for _ in chunk]
+        previous = -1
+        for packed, end in zip(keys[ends].tolist(), ends.tolist()):
+            cnt = end - previous
+            previous = end
+            code = packed & label_mask
+            dst = dst_of.get(code)
+            if dst is None:
+                nxt = canonical_labels(
+                    (code >> shift) & PAD for shift in label_shifts
+                )
+                dst = dst_of[code] = table.intern(
+                    nxt if fold is None else fold(nxt)
+                )
+            tally = tallies[packed >> label_bits]
+            tally[dst] = tally.get(dst, 0) + cnt
+        transitions.extend(tallies)
     order = sorted(
         range(len(table)),
         key=lambda sid: (block_count(table.labels_of(sid)), table.labels_of(sid)),

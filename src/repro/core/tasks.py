@@ -30,12 +30,19 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from ..topology import Simplex, SimplicialComplex, Vertex
 
-Partition = Sequence[frozenset[int]]
+#: Blocks of node indices: frozensets, or any iterables such as the
+#: node tuples of a canonical ``PartitionState``.
+Partition = Iterable[Iterable[int]]
 
 
-def _validate_partition(partition: Partition, n: int) -> None:
+def _validate_partition(
+    partition: Partition, n: int
+) -> tuple[frozenset[int], ...]:
+    """The blocks of ``partition`` as frozensets, checked to partition
+    ``{0..n-1}`` (non-empty, disjoint, covering)."""
+    blocks = tuple(frozenset(block) for block in partition)
     seen: set[int] = set()
-    for block in partition:
+    for block in blocks:
         if not block:
             raise ValueError("partition blocks must be non-empty")
         if seen & block:
@@ -45,6 +52,7 @@ def _validate_partition(partition: Partition, n: int) -> None:
         raise ValueError(
             f"partition covers {sorted(seen)}, expected all of 0..{n - 1}"
         )
+    return blocks
 
 
 class SymmetryBreakingTask(abc.ABC):
@@ -136,15 +144,17 @@ class OutputComplexTask(SymmetryBreakingTask):
         return self._complex
 
     def solvable_from_partition(self, partition: Partition) -> bool:
-        _validate_partition(partition, self.n)
+        blocks = _validate_partition(partition, self.n)
         for facet in self._complex.facets:
             value_blocks = facet.value_partition()
-            if _refines(partition, value_blocks):
+            if _refines(blocks, value_blocks):
                 return True
         return False
 
 
-def _refines(fine: Partition, coarse: Sequence[frozenset[int]]) -> bool:
+def _refines(
+    fine: Sequence[frozenset[int]], coarse: Sequence[frozenset[int]]
+) -> bool:
     """Every block of ``fine`` is contained in some block of ``coarse``."""
     return all(
         any(block <= coarse_block for coarse_block in coarse)
@@ -206,8 +216,8 @@ class CountTask(SymmetryBreakingTask):
         return SimplicialComplex(facets)
 
     def solvable_from_partition(self, partition: Partition) -> bool:
-        _validate_partition(partition, self.n)
-        sizes = tuple(sorted(len(block) for block in partition))
+        blocks = _validate_partition(partition, self.n)
+        sizes = tuple(sorted(len(block) for block in blocks))
         return any(
             _can_pack(sizes, targets) for targets in self.count_multisets()
         )

@@ -9,8 +9,9 @@ all-pairs generator set (or, for the fully symmetric ``(1^n)``
 shapes, by the closed form of an ``S_n`` orbit).  It shares no
 refinement or folding code with :mod:`repro.chain`, so identical
 ``labels``, ``out_table()``, ``orbit_sizes`` and ``group_order`` pin the
-signature-once loop, the explicit-group port fold and the closed-form
-blackboard fold to the semantics of Eqs. 1/2.
+chunked numpy loop (its packed signatures, pad and back-port fields
+included), the explicit-group port fold and the closed-form blackboard
+fold to the semantics of Eqs. 1/2.
 """
 
 import itertools
@@ -19,7 +20,7 @@ import math
 import pytest
 
 from repro.chain import chain_key, compile_chain, quotient_key
-from repro.chain.engine import _build_chain
+from repro.chain.engine import _build_chain, explore
 from repro.chain.quotient import _port_automorphisms
 from repro.models.graph import GraphTopology
 from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
@@ -276,3 +277,56 @@ def test_n9_random_port_chain_matches_reference():
     labels, out, _ = _reference_compile(key, alpha.k)
     assert chain.labels == labels
     assert chain.out_table() == out
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3, 4), (1,) * 10])
+def test_n10_back_port_chain_matches_reference(shape):
+    """The widest packed signature: n = 10 clique ports give nine
+    neighbour fields, and random back ports make every node's port tuple
+    its own class, so the back-class field reaches 9 as the labels do."""
+    alpha = RandomnessConfiguration.from_group_sizes(shape)
+    ports = runner_spec.make_ports("random", shape, 1)
+    key = chain_key(alpha, ports, include_back_ports=True)
+    assert len(set(key[2])) == 10
+    _assert_matches_reference(alpha, key)
+    chain = compile_chain(
+        alpha, ports, include_back_ports=True, use_memo=False, quotient=False
+    )
+    assert max(max(labels) for labels in chain.labels) == 9
+
+
+@pytest.mark.parametrize("back", [False, True])
+@pytest.mark.parametrize("topology", ["star", "path"])
+def test_ragged_degrees_at_n8_match_reference(topology, back):
+    """Ragged degrees pad the neighbour fields with a sentinel no label
+    takes: a star's leaves carry six pad fields beside the hub's seven
+    labels, a path's ends one beside its inner nodes' two."""
+    n = 8
+    graph = getattr(GraphTopology, topology)(n)
+    for shape in ((n,), (1,) * n, (2, n - 2), (2, 3, 3)):
+        alpha = RandomnessConfiguration.from_group_sizes(shape)
+        key = chain_key(alpha, graph, include_back_ports=back)
+        _assert_matches_reference(alpha, key)
+
+
+def _clique(n):
+    return tuple(tuple(j for j in range(n) if j != i) for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "key, k",
+    [
+        # 16 labels leave no 4-bit value free for the pad.
+        (((0,) * 16, None, None), 1),
+        # Own label, 14 neighbours and the back class: 16 fields.
+        (((0,) * 15, _clique(15), ((0,) * 14,) * 15), 1),
+        # 15 labels (60 bits) beside a 4096-state chunk index.
+        (((0,) * 15, None, None), 1),
+    ],
+    ids=["labels", "signature", "tally"],
+)
+def test_explore_refuses_what_63_bits_cannot_pack(key, k):
+    """Past ``MAX_NODES`` the packed keys would collide; ``explore``
+    must refuse instead of compiling a wrong chain."""
+    with pytest.raises(ValueError, match="63 bits"):
+        explore(key, k)

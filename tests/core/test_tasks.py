@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.core import CountTask, OutputComplexTask, leader_election
+from repro.core import (
+    CountTask,
+    OutputComplexTask,
+    eventual_partition,
+    leader_election,
+)
 from repro.core.leader_election import leader_election_complex
+from repro.randomness import RandomnessConfiguration
 from repro.topology import Simplex, SimplicialComplex
 
 
@@ -55,6 +61,39 @@ class TestOutputComplexTask:
             task.solvable_from_partition(blocks({0}, {1}))  # misses node 2
         with pytest.raises(ValueError):
             task.solvable_from_partition(blocks({0, 1}, {1, 2}))  # overlap
+
+
+class TestCanonicalPartitionStates:
+    """``solvable_from_partition`` takes the package's own canonical
+    ``PartitionState`` (a tuple of node tuples) as well as frozensets."""
+
+    def test_eventual_partition_at_1_2(self):
+        alpha = RandomnessConfiguration.from_group_sizes((1, 2))
+        state = eventual_partition(alpha)
+        assert state == ((0,), (1, 2))
+        assert leader_election(3).solvable_from_partition(state)
+
+    @pytest.mark.parametrize(
+        "task",
+        [leader_election(3), OutputComplexTask(leader_election_complex(3))],
+        ids=["count", "complex"],
+    )
+    def test_tuple_blocks_agree_with_frozensets(self, task):
+        for state in (((0,), (1,), (2,)), ((0, 1), (2,)), ((0, 1, 2),)):
+            assert task.solvable_from_partition(
+                state
+            ) == task.solvable_from_partition(blocks(*state))
+
+    @pytest.mark.parametrize(
+        "task",
+        [leader_election(3), OutputComplexTask(leader_election_complex(3))],
+        ids=["count", "complex"],
+    )
+    def test_tuple_blocks_still_validated(self, task):
+        with pytest.raises(ValueError, match="overlap"):
+            task.solvable_from_partition(((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="covers"):
+            task.solvable_from_partition(((0,), (1,)))
 
 
 class TestCountTask:
