@@ -303,8 +303,7 @@ def record_answers(tokens: Sequence, indices: Sequence[int],
     memo = query_memo()
     if memo is None:
         return
-    for i in indices:
-        memo.record(tokens[i], results[i])
+    memo.record((tokens[i], results[i]) for i in indices)
 
 
 def run_queries(

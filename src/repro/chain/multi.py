@@ -61,10 +61,11 @@ def answer_misses(items: Sequence[tuple], backend: str = "exact") -> list[list]:
     ``items`` holds ``(chain, queries, tokens)`` triples, ``tokens``
     being the queries' memo tokens (``None`` where unmemoizable).  One
     :class:`~repro.chain.batch.QueryPlan` per chain answers them, and
-    each answer is recorded under its token.  :func:`run_group_queries`
-    ends here after its memo scan; a caller that has already looked its
-    cells up (the sweep worker does, to skip compiling warm chains)
-    calls it directly, so no cell is looked up twice.
+    the answers are recorded under their tokens in one memo append.
+    :func:`run_group_queries` ends here after its memo scan; a caller
+    that has already looked its cells up (the sweep worker does, to skip
+    compiling warm chains) calls it directly, so no cell is looked up
+    twice.
     """
     if OBS.enabled:
         OBS.metrics.inc("chain.multi.items", len(items))
@@ -82,8 +83,9 @@ def answer_misses(items: Sequence[tuple], backend: str = "exact") -> list[list]:
             computed = execute()
     else:
         computed = execute()
-    for (_, _, tokens), values in zip(items, computed):
-        record_answers(tokens, range(len(values)), values)
+    tokens = [token for _, _, item_tokens in items for token in item_tokens]
+    values = [value for item_values in computed for value in item_values]
+    record_answers(tokens, range(len(values)), values)
     return computed
 
 

@@ -7,11 +7,17 @@ silently drop one worker's update.
 
 :class:`AppendLog` keeps it exact with one primitive:
 
-* **append** -- one event is one JSON line written with a *single*
-  ``os.write`` to an ``O_APPEND`` descriptor.  POSIX guarantees the
-  offset update and the write are atomic, so concurrent writers
-  interleave whole lines and no event is ever lost or torn (events here
-  are far below the pipe-buffer atomicity bound).
+* **append** -- a batch of events is written as whole JSON lines, one
+  per event, in as few ``os.write`` calls to an ``O_APPEND`` descriptor
+  as keep each write at most ``select.PIPE_BUF`` bytes.  POSIX
+  guarantees the offset update and each write are atomic, so concurrent
+  writers interleave whole lines and no event is ever lost or torn
+  (events here are far below that bound; a single line above it goes
+  down alone).  A writer killed mid-batch loses only the lines it had
+  not written yet; a torn last line is skipped on read.  Callers batch
+  what one call produces: ``sample_range`` records its fresh blocks in
+  one append at the end, so a killed call records none of them -- the
+  memo is a cache, and the records it feeds are unaffected.
 * **replay** -- readers fold the snapshot state plus every event not yet
   folded into it; the answer is exact whatever writers are doing.
 * **compact** -- the live log rotates to an immutable segment file, all
@@ -29,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import select
 import tempfile
 import time
 
@@ -65,16 +72,29 @@ class AppendLog:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def append(self, event: dict) -> bool:
-        """Durably append one event; ``False`` if the write failed.
+    def append(self, events: "list[dict]") -> bool:
+        """Durably append a batch of events; ``False`` if a write failed.
 
-        The whole line goes down in one ``os.write`` on an ``O_APPEND``
-        descriptor opened per call, so concurrent appenders -- including
-        ones racing a compaction's rotation -- never lose or tear an
-        event.  Best-effort like every sidecar here: a full disk or a
-        vanished directory degrades to ``False``, never an exception.
+        The lines go down whole, packed into as few ``os.write`` calls
+        as keep each write at most ``PIPE_BUF`` bytes, on one
+        ``O_APPEND`` descriptor opened per call, so concurrent appenders
+        -- including ones racing a compaction's rotation -- never lose
+        or tear an event.  Best-effort like every sidecar here: a full
+        disk or a vanished directory degrades to ``False``, never an
+        exception.
         """
-        line = json.dumps(event, sort_keys=True) + "\n"
+        writes: list[bytes] = []
+        pending = b""
+        for event in events:
+            line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+            if pending and len(pending) + len(line) > select.PIPE_BUF:
+                writes.append(pending)
+                pending = b""
+            pending += line
+        if pending:
+            writes.append(pending)
+        if not writes:
+            return True
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd = os.open(
@@ -85,7 +105,8 @@ class AppendLog:
         except OSError:
             return False
         try:
-            os.write(fd, line.encode("utf-8"))
+            for chunk in writes:
+                os.write(fd, chunk)
         except OSError:
             return False
         finally:

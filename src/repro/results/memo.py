@@ -193,19 +193,23 @@ class QueryMemo:
         except (KeyError, ValueError, TypeError):
             return MISS
 
-    def record(self, token: "str | None", value) -> None:
-        """Durably append one answer (and serve it locally at once)."""
-        if token is None or token in self._entries:
-            return
-        try:
-            encoded = encode_value(value)
-        except TypeError:
-            return
-        self._entries[token] = encoded
-        if OBS.enabled:
-            OBS.metrics.inc("results.memo.records")
-            OBS.metrics.inc("results.memo.bytes", len(json.dumps(encoded)))
-        if self._log.append({"k": token, "v": encoded}):
+    def record(self, entries) -> None:
+        """Durably append answers, given as ``(token, value)`` pairs, in
+        one log append (and serve them locally at once)."""
+        events = []
+        for token, value in entries:
+            if token is None or token in self._entries:
+                continue
+            try:
+                encoded = encode_value(value)
+            except TypeError:
+                continue
+            self._entries[token] = encoded
+            if OBS.enabled:
+                OBS.metrics.inc("results.memo.records")
+                OBS.metrics.inc("results.memo.bytes", len(json.dumps(encoded)))
+            events.append({"k": token, "v": encoded})
+        if events and self._log.append(events):
             # Keep the refresh fast path honest: our own append must
             # not read as "someone else grew the log" next job.
             self._loaded_tail = self._log.tail_bytes()

@@ -104,10 +104,13 @@ def sample_range(
 ) -> MCEstimate:
     """Successes over samples ``[start, stop)`` of a cell's substream.
 
-    Full blocks inside the range are served from (and recorded to) the
-    configured cross-run memo; edge blocks are computed fresh.  The
-    result is a pure function of the cell and the range -- independent
-    of memo state, worker count, and how callers partition the range.
+    Full blocks inside the range are served from the configured
+    cross-run memo, and the fresh ones are recorded to it in one append
+    once the range is done (a call killed before that records none of
+    its blocks: the memo is a cache, and the records it feeds are
+    unaffected); edge blocks are computed fresh.  The result is a pure
+    function of the cell and the range -- independent of memo state,
+    worker count, and how callers partition the range.
     """
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got [{start}, {stop})")
@@ -117,6 +120,8 @@ def sample_range(
     successes = 0
     hits = 0
     fresh = 0
+    # ``(token, successes)`` of the fresh full blocks, recorded at the end.
+    computed: list[tuple[str, int]] = []
     for block in range(start // BLOCK_SAMPLES, (stop - 1) // BLOCK_SAMPLES + 1):
         lo = max(start, block * BLOCK_SAMPLES)
         hi = min(stop, (block + 1) * BLOCK_SAMPLES)
@@ -152,7 +157,9 @@ def sample_range(
             OBS.metrics.inc("mc.blocks")
             OBS.metrics.inc("mc.samples", hi - lo)
         if token is not None:
-            memo.record(token, int(indicators.sum()))
+            computed.append((token, int(indicators.sum())))
+    if computed:
+        memo.record(computed)
     if hits and fresh and OBS.enabled:
         # A warm cell extended by fresh increments: the merge the memo
         # exists for.

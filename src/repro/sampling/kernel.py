@@ -116,16 +116,25 @@ def _first_equal_labels(units: np.ndarray) -> np.ndarray:
     """First-occurrence class labels ``(m, B)`` of ``units`` ``(w, m, B)``.
 
     Units ``i`` and ``j`` of one trial are equal when all ``w`` of their
-    words are; each unit's label is the lowest index equal to it.  The
-    pairwise compares run over ``B``-long rows, one earlier unit at a
-    time from the last down, so the lowest equal index is written last.
+    words are; each unit's label is the lowest index equal to it.  One
+    broadcast compare gives the ``(m, m, B)`` equality cube; weighting
+    row ``j`` by ``m - j`` and taking the maximum over ``j`` picks the
+    lowest equal index (``j = i`` always qualifies), in a fixed number
+    of numpy calls whatever ``m``.  Weights and labels share the dtype
+    ``np.min_scalar_type(m)``, so no width limit appears.
+
+    The chain engine's ``_lowest_equal`` has the same form; this copy
+    stays separate on purpose, since the sampling tier's estimates are
+    checked against exact chain values.
     """
-    m, batch = units.shape[1:]
-    labels = np.empty((m, batch), dtype=np.min_scalar_type(m))
-    labels[:] = np.arange(m, dtype=labels.dtype)[:, None]
-    for j in range(m - 2, -1, -1):
-        same = (units[:, j + 1 :] == units[:, j : j + 1]).all(axis=0)
-        labels[j + 1 :][same] = j
+    m = units.shape[1]
+    dtype = np.min_scalar_type(m)
+    same = units[:, :, None, :] == units[:, None, :, :]
+    same = same.all(axis=0) if len(units) > 1 else same[0]
+    eq = same.view(np.uint8) if dtype == np.uint8 else same.astype(dtype)
+    eq *= np.arange(m, 0, -1, dtype=dtype)[:, None, None]
+    labels = eq.max(axis=0)
+    np.subtract(m, labels, out=labels)
     return labels
 
 

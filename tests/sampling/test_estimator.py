@@ -183,3 +183,23 @@ class TestMemoizedCells:
             alpha, task, t, ports, stream_seed=4, samples=2500, use_memo=False
         )
         assert with_memo == without
+
+    def test_fresh_blocks_are_recorded_in_one_append(
+        self, cell, memo_dir, monkeypatch
+    ):
+        from repro.results.log import AppendLog
+
+        alpha, task, t = cell
+        batches = []
+        append = AppendLog.append
+
+        def counting(log, events):
+            batches.append(list(events))
+            return append(log, events)
+
+        monkeypatch.setattr(AppendLog, "append", counting)
+        sample_cell(alpha, task, t, stream_seed=6, samples=10 * BLOCK_SAMPLES)
+        assert [len(batch) for batch in batches] == [10]
+        # The warm rerun reads every block and appends nothing.
+        sample_cell(alpha, task, t, stream_seed=6, samples=10 * BLOCK_SAMPLES)
+        assert len(batches) == 1
