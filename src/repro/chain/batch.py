@@ -12,14 +12,17 @@ recording step.
 each item.  It groups queries per distinct solvability mask, records
 which kernels they need, and :meth:`~QueryPlan.execute` runs them under
 either backend.  Exact: the chain's cached task-independent
-distributions are shared across all probability/series queries, and
-each distinct mask pays for at most one absorption/expected sweep.
-Float: one scatter-add evolution to the deepest horizon covers every
-mass row, and one batched reverse level sweep each covers the limit and
-expected-time masks.  These are the very kernels the scalar
+distributions are shared across all probability/series queries; each
+distinct mask pays for at most one expected sweep; and limits are
+decided on the chain's support (:func:`exact_limit`), paying for a
+``Fraction`` absorption sweep only when the support leaves the limit
+strictly between 0 and 1.  Float: one scatter-add evolution to the
+deepest horizon covers every mass row, and one batched reverse level
+sweep each covers the limit and expected-time masks.  Apart from the
+support pass these are the very kernels the scalar
 :class:`~repro.chain.engine.CompiledChain` methods use, so exact
-answers are byte-identical to the scalar ones by construction; the
-scalar methods stay as the reference the tests compare against.
+answers equal the scalar ones by construction; the scalar methods stay
+as the reference the tests compare against.
 
 :func:`memoized_answers` / :func:`record_answers` are the query-memo
 scan and write-back the front door wraps around every execution.
@@ -158,10 +161,11 @@ class QueryPlan:
         if validate_backend(backend) == "float":
             return self._execute_float()
         chain = self.chain
-        absorption: dict[int, list[Fraction]] = {}
+        limits = {
+            slot: exact_limit(chain, self._masks[slot])
+            for slot in self._limit_slots | self._solvable_slots
+        }
         expected: dict[int, list] = {}
-        for slot in self._limit_slots | self._solvable_slots:
-            absorption[slot] = absorption_exact(chain, self._masks[slot])
         for slot in self._expected_slots:
             expected[slot] = expected_exact(chain, self._masks[slot])
         results = []
@@ -176,11 +180,9 @@ class QueryPlan:
             elif query.quantity == "series":
                 results.append(series_exact(chain, mask, query.horizon))
             elif query.quantity == "limit":
-                results.append(absorption[slot][chain.start])
+                results.append(limits[slot])
             elif query.quantity == "solvable":
-                results.append(
-                    _assert_zero_one(chain, absorption[slot][chain.start])
-                )
+                results.append(_assert_zero_one(chain, limits[slot]))
             else:  # expected
                 results.append(expected[slot][chain.start])
         return results
@@ -222,7 +224,7 @@ class QueryPlan:
         # law is asserted on exact limits.
         verdicts = {
             slot: _assert_zero_one(
-                chain, absorption_exact(chain, self._masks[slot])[start]
+                chain, exact_limit(chain, self._masks[slot])
             )
             for slot in self._solvable_slots
         }
@@ -246,6 +248,43 @@ class QueryPlan:
                 value = expected[expected_row[slot]]
                 results.append(None if np.isinf(value) else float(value))
         return results
+
+
+def exact_limit(chain, mask: Sequence[bool]) -> Fraction:
+    """The exact limit of ``Pr[S(t)]``: absorption into ``mask`` from
+    the start state, decided on the chain's support when it can be.
+
+    One reverse pass over the ``(dst, count)`` table (states are
+    topologically sorted, so every edge but a self-loop points to a
+    later state) tracks two facts per state: it can reach the mask, and
+    it can reach a non-mask absorbing state while avoiding the mask.
+    Every trajectory ends in an absorbing state, so a start that cannot
+    reach the mask has limit 0 and one that cannot avoid it has limit 1.
+    Only when both facts hold -- never for a mask closed under
+    refinement, by the zero-one law -- does the limit lie strictly
+    between, and then the exact ``Fraction`` sweep
+    (:func:`~repro.chain.backends.absorption_exact`) computes it.  The
+    pass reads only the support, never the edge weights.
+    """
+    out = chain.out_table()
+    reach = [False] * chain.num_states
+    avoid = [False] * chain.num_states
+    for sid in range(chain.num_states - 1, -1, -1):
+        if mask[sid]:
+            reach[sid] = True
+            continue
+        absorbing = True
+        for dst, _ in out[sid]:
+            if dst != sid:
+                absorbing = False
+                reach[sid] = reach[sid] or reach[dst]
+                avoid[sid] = avoid[sid] or avoid[dst]
+        avoid[sid] = avoid[sid] or absorbing
+    if not reach[chain.start]:
+        return Fraction(0)
+    if not avoid[chain.start]:
+        return Fraction(1)
+    return absorption_exact(chain, mask)[chain.start]
 
 
 def _assert_zero_one(chain, limit: Fraction) -> bool:
@@ -325,6 +364,7 @@ __all__ = [
     "QUANTITIES",
     "Query",
     "QueryPlan",
+    "exact_limit",
     "memoized_answers",
     "record_answers",
     "run_queries",

@@ -14,7 +14,10 @@ silently drop one worker's update.
   writers interleave whole lines and no event is ever lost or torn
   (events here are far below that bound; a single line above it goes
   down alone).  A writer killed mid-batch loses only the lines it had
-  not written yet; a torn last line is skipped on read.  Callers batch
+  not written yet; a torn last line is skipped on read, and the next
+  append ends it with a newline before writing (appenders hold an
+  exclusive ``flock`` while they check the tail and write, so a live
+  writer's line is never mistaken for a torn one).  Callers batch
   what one call produces: ``sample_range`` records its fresh blocks in
   one append at the end, so a killed call records none of them -- the
   memo is a cache, and the records it feeds are unaffected.
@@ -32,6 +35,7 @@ silently drop one worker's update.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import pathlib
@@ -79,9 +83,14 @@ class AppendLog:
         as keep each write at most ``PIPE_BUF`` bytes, on one
         ``O_APPEND`` descriptor opened per call, so concurrent appenders
         -- including ones racing a compaction's rotation -- never lose
-        or tear an event.  Best-effort like every sidecar here: a full
-        disk or a vanished directory degrades to ``False``, never an
-        exception.
+        or tear an event.  A file that ends mid-line (a writer died
+        there) gets a newline before the batch, so only the fragment is
+        lost; a healthy log's bytes are untouched.  The descriptor holds
+        an exclusive ``flock`` for the call, so appenders write their
+        batches one at a time and that tail check never sees another
+        writer's write in progress.  Best-effort like
+        every sidecar here: a full disk or a vanished directory degrades
+        to ``False``, never an exception.
         """
         writes: list[bytes] = []
         pending = b""
@@ -99,12 +108,24 @@ class AppendLog:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd = os.open(
                 self.log_path,
-                os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                os.O_RDWR | os.O_CREAT | os.O_APPEND,
                 0o644,
             )
         except OSError:
             return False
         try:
+            # A writer that died mid-line left a fragment: end it first,
+            # or the batch's first line would be glued onto it and lost.
+            # Appenders take turns, so the last byte read here is never
+            # inside a line another writer is still copying in (a
+            # file's size grows page by page during one write).
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            end = os.fstat(fd).st_size
+            if end and os.pread(fd, 1, end - 1) != b"\n":
+                if len(writes[0]) < select.PIPE_BUF:
+                    writes[0] = b"\n" + writes[0]
+                else:
+                    writes.insert(0, b"\n")
             for chunk in writes:
                 os.write(fd, chunk)
         except OSError:

@@ -38,19 +38,20 @@ MAX_GROUP_STATES = 1 << 15
 _BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
 
 
-def _family_state_weight(spec) -> int:
-    """Estimated compiled-state count of one job family's chain.
+def _family_chain(spec) -> tuple:
+    """``(effective chain key, estimated compiled-state count)`` of one
+    job family's chain.
 
-    An already-compiled chain (process memo, under the key the active
-    quotient mode would compile to) reports its true ``num_states``;
-    otherwise the Bell number of ``n`` -- the number of partitions of
-    the node set, an upper bound on reachable consistency states --
-    stands in, divided by the automorphism group's order when the
-    quotient backend will fold this family (orbit counts are bounded
-    below by ``Bell(n) / |G|``), and capped at the group budget so one
-    huge family cannot zero out everyone else's bin space.  Random-port
-    families draw a fresh chain per job, so they always use the
-    estimate.
+    The key is the one ``compile_chain`` will use under the active
+    quotient mode (:func:`~repro.chain.effective_chain_key`); random-port
+    families draw a fresh chain per job, so theirs is ``None``.  An
+    already-compiled chain (process memo) reports its true
+    ``num_states``; otherwise the Bell number of ``n`` -- the number of
+    partitions of the node set, an upper bound on reachable consistency
+    states -- stands in, divided by the automorphism group's order when
+    the quotient backend will fold this family (orbit counts are
+    bounded below by ``Bell(n) / |G|``), and capped at the group budget
+    so one huge family cannot zero out everyone else's bin space.
     """
     from ..chain import (
         automorphism_count,
@@ -67,33 +68,36 @@ def _family_state_weight(spec) -> int:
         key = effective_chain_key(alpha, ports)
         chain = memoized_chain(key)
         if chain is not None:
-            return chain.num_states
+            return key, chain.num_states
     n = spec.n
     estimate = _BELL[n] if n < len(_BELL) else _BELL[-1]
     if key is not None and is_quotient_key(key):
         estimate = max(1, math.ceil(estimate / automorphism_count(key)))
-    return min(estimate, MAX_GROUP_STATES)
+    return key, min(estimate, MAX_GROUP_STATES)
 
 
 def _group_job_payloads(jobs, payloads, engine):
     """Pack contiguous chain families into group payloads, or ``None``.
 
     The sweep grammar expands tasks (and replicates) innermost, so jobs
-    sharing one compiled chain -- same sizes/model/ports/replicate --
-    are contiguous index runs; packing whole runs into bins keeps each
-    bin a contiguous index range, which is what makes grouped run
-    directories byte-identical to serial ungrouped ones (records land
-    in index order either way).
+    of one family -- same sizes/model/ports/replicate -- are contiguous
+    index runs.  Adjacent families whose chains share one effective key
+    (adversarial and round-robin ports give the same table on most
+    shapes) join one run, so no two bins -- which may land on different
+    pool workers -- compile the same chain.  Packing whole runs into
+    bins keeps each bin a contiguous index range, which is what makes
+    grouped run directories byte-identical to serial ungrouped ones
+    (records land in index order either way).
 
     Bins are budgeted by **chain states**, not job count: each run
-    weighs its family's (estimated) compiled-state count
-    (:func:`_family_state_weight`), the per-bin budget is the total
-    weight split over four bins per pool worker, and no bin ever
-    exceeds :data:`MAX_GROUP_STATES`.  The cap can leave many more bins
-    than that (83 on the n=9 grid), and the heavy families sit next to
-    each other in the grid, so the pool dispatches one bin per task
-    (:func:`_bin_engine`) rather than re-chunking adjacent bins onto one
-    worker.
+    weighs its chain's (estimated) compiled-state count, once however
+    many families share it (:func:`_family_chain`), the per-bin budget
+    is the total weight split over four bins per pool worker, and no
+    bin ever exceeds :data:`MAX_GROUP_STATES`.  The cap can leave many
+    more bins than that (57 on the n=9 grid), and the heavy families
+    sit next to each other in the grid, so the pool dispatches one bin
+    per task (:func:`_bin_engine`) rather than re-chunking adjacent
+    bins onto one worker.
     Returns ``None`` -- dispatch one payload per job -- when the sweep
     is sampling-kind (Monte-Carlo jobs gain nothing from a shared chain
     pass) or there is at most one job.
@@ -104,14 +108,17 @@ def _group_job_payloads(jobs, payloads, engine):
         return None
     runs: list[list[dict]] = []
     weights: list[int] = []
-    marker = None
+    family = marker = None
     for payload in payloads:
         spec = jobs[payload["index"]]
-        family = (spec.sizes, spec.model, spec.ports, spec.replicate)
-        if family != marker:
-            marker = family
-            runs.append([])
-            weights.append(_family_state_weight(spec))
+        current = (spec.sizes, spec.model, spec.ports, spec.replicate)
+        if current != family:
+            family = current
+            key, weight = _family_chain(spec)
+            if key is None or key != marker:
+                runs.append([])
+                weights.append(weight)
+            marker = key
         runs[-1].append(payload)
     workers = getattr(engine, "workers", 1) or 1
     bins = max(1, min(len(runs), workers * 4))

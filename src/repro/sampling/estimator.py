@@ -14,7 +14,9 @@ budget, and any partition of a sample range across workers reassembles
 the same totals.  Full blocks land in the cross-run
 :class:`~repro.results.memo.QueryMemo` as plain integers under
 ``mc``-prefixed tokens; partial blocks at range edges are computed fresh
-(one vectorized kernel pass) and never stored.
+and never stored.  Whatever the memo does not serve -- fresh full blocks
+and edge blocks alike -- goes to the kernel in one call, which refines
+all of their trials in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -105,12 +107,14 @@ def sample_range(
     """Successes over samples ``[start, stop)`` of a cell's substream.
 
     Full blocks inside the range are served from the configured
-    cross-run memo, and the fresh ones are recorded to it in one append
-    once the range is done (a call killed before that records none of
-    its blocks: the memo is a cache, and the records it feeds are
-    unaffected); edge blocks are computed fresh.  The result is a pure
-    function of the cell and the range -- independent of memo state,
-    worker count, and how callers partition the range.
+    cross-run memo; every other block (fresh full blocks and the edge
+    blocks) is computed in one :func:`block_indicators` call, and the
+    fresh full blocks are recorded to the memo in one append once the
+    range is done (a call killed before that records none of its
+    blocks: the memo is a cache, and the records it feeds are
+    unaffected).  The result is a pure function of the cell and the
+    range -- independent of memo state, worker count, and how callers
+    partition the range.
     """
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got [{start}, {stop})")
@@ -119,9 +123,8 @@ def sample_range(
     digest = cell_digest(alpha, ports) if memo is not None else None
     successes = 0
     hits = 0
-    fresh = 0
-    # ``(token, successes)`` of the fresh full blocks, recorded at the end.
-    computed: list[tuple[str, int]] = []
+    # ``(block, lo, hi, token)`` of every block the memo did not serve.
+    pending: list[tuple[int, int, int, "str | None"]] = []
     for block in range(start // BLOCK_SAMPLES, (stop - 1) // BLOCK_SAMPLES + 1):
         lo = max(start, block * BLOCK_SAMPLES)
         hi = min(stop, (block + 1) * BLOCK_SAMPLES)
@@ -139,28 +142,34 @@ def sample_range(
                 if OBS.enabled:
                     OBS.metrics.inc("mc.memo.hit")
                 continue
+        pending.append((block, lo, hi, token))
+    # ``(token, successes)`` of the fresh full blocks, recorded at the end.
+    computed: list[tuple[str, int]] = []
+    if pending:
+        # One kernel call for every fresh block, full or edge.
         indicators = block_indicators(
             alpha,
             task,
             t,
             ports,
             stream_seed=stream_seed,
-            block=block,
+            block=[block for block, _, _, _ in pending],
             method=resolved,
-        )
-        successes += int(
-            indicators[lo - block * BLOCK_SAMPLES : hi - block * BLOCK_SAMPLES]
-            .sum()
-        )
-        fresh += 1
+        ).reshape(len(pending), BLOCK_SAMPLES)
+        for row, (block, lo, hi, token) in zip(indicators, pending):
+            offset = block * BLOCK_SAMPLES
+            count = int(row[lo - offset : hi - offset].sum())
+            successes += count
+            if token is not None:
+                computed.append((token, count))
         if OBS.enabled:
-            OBS.metrics.inc("mc.blocks")
-            OBS.metrics.inc("mc.samples", hi - lo)
-        if token is not None:
-            computed.append((token, int(indicators.sum())))
+            OBS.metrics.inc("mc.blocks", len(pending))
+            OBS.metrics.inc(
+                "mc.samples", sum(hi - lo for _, lo, hi, _ in pending)
+            )
     if computed:
         memo.record(computed)
-    if hits and fresh and OBS.enabled:
+    if hits and pending and OBS.enabled:
         # A warm cell extended by fresh increments: the merge the memo
         # exists for.
         OBS.metrics.inc("mc.memo.merge")

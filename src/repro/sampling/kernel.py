@@ -24,14 +24,18 @@ Two solvers decide whole blocks:
 * ``bits`` -- draw source-bit matrices, intern knowledge classes by
   pairwise-equality refinement (bit-string grouping on the blackboard,
   per-round refinement of one packed signature per node on the
-  port-numbered clique), and reduce each block to its distinct
-  class-size multisets, found by a ``lexsort`` and an adjacent-row diff.
-  That partition comes from the protocol complex alone, so it is
-  computed once per ``(configuration, ports, t, stream, block)`` and
-  reused by every task on the same trials (common random numbers make
-  a sweep's tasks of one stream share it); only the verdict per
-  distinct multiset depends on the task.  Bit-exact equal to the
-  per-trajectory scalar oracle on the same words.
+  port-numbered clique), and reduce the trials to their distinct
+  class-size multisets, found by one sort of the rows packed into words
+  and an adjacent-row diff.  One call decides a whole range of blocks
+  in one pass: the blocks' words are concatenated along the trial axis
+  (each block still drawn from its own key), refined together, and the
+  task is asked once per distinct multiset of the range.  That
+  partition comes from the protocol complex alone, so it is computed
+  once per ``(configuration, ports, t, stream, blocks)`` and reused by
+  every task on the same trials (common random numbers make a sweep's
+  tasks of one stream share it); only the verdict per distinct
+  multiset depends on the task.  Bit-exact equal to the per-trajectory
+  scalar oracle on the same words, block by block.
 * ``scalar`` -- the legacy per-trajectory Python loop over the *same*
   Philox words; kept as the test oracle and benchmark baseline.
 """
@@ -39,6 +43,8 @@ Two solvers decide whole blocks:
 from __future__ import annotations
 
 import hashlib
+import numbers
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -55,6 +61,12 @@ BLOCK_SAMPLES = 1000
 
 #: Methods accepted by :func:`block_indicators`.
 METHODS = ("auto", "bits", "scalar")
+
+#: Most blocks the ``bits`` solver refines in one label pass.  Longer
+#: ranges run in passes of this many blocks, which bounds the pass's
+#: temporaries (memory grows with the trials refined at once) and keeps
+#: a pass's trial-to-multiset index within ``uint16``.
+PASS_BLOCKS = 10
 
 
 def philox_key(stream_seed: int, block: int) -> np.ndarray:
@@ -110,7 +122,7 @@ def resolve_method(method: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Bit-level solver: one task-free knowledge partition per block
+# Bit-level solver: one task-free knowledge partition per pass
 # ----------------------------------------------------------------------
 def _first_equal_labels(units: np.ndarray) -> np.ndarray:
     """First-occurrence class labels ``(m, B)`` of ``units`` ``(w, m, B)``.
@@ -138,6 +150,26 @@ def _first_equal_labels(units: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _compact_words(words: np.ndarray, t: int) -> np.ndarray:
+    """Round-major ``words`` with every bit past round ``t`` cleared.
+
+    Raw ``uint64`` words of one word per source (``t <= 64``) shrink to
+    the narrowest unsigned dtype holding ``t`` bits -- one byte per
+    source and trial at the sweeps' small horizons -- so a pass over
+    many blocks keeps its source words, and every compare on them,
+    small.  Words that are already compact are returned as they are.
+    """
+    if words.dtype != np.uint64:
+        return words
+    if len(words) == 1:
+        mask = (1 << t) - 1
+        return (words & np.uint64(mask)).astype(np.min_scalar_type(mask))
+    if t % 64:
+        words = words.copy()
+        words[-1] &= np.uint64((1 << (t % 64)) - 1)
+    return words
+
+
 def _blackboard_labels(words: np.ndarray, t: int) -> np.ndarray:
     """Source labels ``(k, B)`` from round-major ``words``: sources whose
     first ``t`` bits agree.
@@ -148,20 +180,7 @@ def _blackboard_labels(words: np.ndarray, t: int) -> np.ndarray:
     the partition is taken over sources, ``k x k`` instead of ``n x n``,
     and weighted by group sizes.
     """
-    if t % 64:
-        words = words.copy()
-        words[-1] &= np.uint64((1 << (t % 64)) - 1)
-    return _first_equal_labels(words)
-
-
-def _bit_planes(
-    alpha: RandomnessConfiguration, words: np.ndarray, t: int
-) -> np.ndarray:
-    """Per-node round bits ``(t, n, B)`` (uint8) from round-major words."""
-    rounds = np.arange(t)
-    shifts = (rounds % 64).astype(np.uint64)[:, None, None]
-    planes = (words[rounds // 64] >> shifts) & np.uint64(1)
-    return planes.astype(np.uint8)[:, list(alpha.assignment), :]
+    return _first_equal_labels(_compact_words(words, t))
 
 
 def _clique_labels(
@@ -178,50 +197,51 @@ def _clique_labels(
     interner recursion of
     :class:`~repro.models.message_passing.MessagePassingModel`.
 
-    Each round packs all of that into one signature per node: the
+    Each round writes all of that into one signature per node: the
     columns ``2*label + bit``, a degree-class id and the labels behind
     each port, stored in ``np.min_scalar_type(2n+1)`` (every column is
     below ``2n``), zero-padded to whole ``uint64`` words and viewed as
-    those words.  The signatures are compared word by word and the new
-    labels are the first-occurrence indices of
-    :func:`_first_equal_labels`.  Labels stay node indices and no
-    mixed-radix product is formed, so no overflow at any ``n``.
+    those words.  The signatures live trial-major in one buffer, written
+    column by column in place, so the word view needs no transposed
+    copy.  The signatures are compared word by word and the new labels
+    are the first-occurrence indices of :func:`_first_equal_labels`.
+    Labels stay node indices and no mixed-radix product is formed, so no
+    overflow at any ``n``.
     """
     n = alpha.n
     batch = words.shape[2]
-    bits = _bit_planes(alpha, words, t)
+    words = _compact_words(words, t)
+    assignment = list(alpha.assignment)
     degrees = [len(ports.neighbours(node)) for node in range(n)]
-    degree_ids = np.unique(degrees, return_inverse=True)[1]
     width = max(degrees)
     dtype = np.min_scalar_type(2 * n + 1)
-    columns = 2 + width
     per_word = 8 // dtype.itemsize
-    # Rows of ``slots``: the labels, the ``2*label + bit`` values, one
-    # constant row per degree class, and a zero row for the padding.
-    # ``pick[i]`` lists the slot behind each signature column of node i.
-    classes = int(degree_ids.max()) + 1
-    slots = np.zeros((2 * n + classes + 1, batch), dtype=dtype)
-    slots[2 * n : 2 * n + classes] = np.arange(classes)[:, None]
-    pick = np.full(
-        (n, -(-columns // per_word) * per_word), len(slots) - 1, dtype=np.intp
+    # ``signature[i, s]``: node i's columns in trial s.  The degree
+    # column never changes and the padding stays zero.
+    signature = np.zeros(
+        (n, batch, -(-(2 + width) // per_word) * per_word), dtype=dtype
     )
-    pick[:, 0] = n + np.arange(n)
-    pick[:, 1] = 2 * n + degree_ids
+    signature[:, :, 1] = np.unique(degrees, return_inverse=True)[1][:, None]
+    # ``behind[p, i]``: the node behind port p of node i, or ``n`` -- a
+    # row of ``labels`` that stays zero -- past i's degree (the degree
+    # column already separates nodes of unequal degree).
+    behind = np.full((width, n), n, dtype=np.intp)
     for node in range(n):
-        # Short rows keep the zero slot: the degree column already
-        # separates nodes of unequal degree.
-        pick[node, 2 : 2 + degrees[node]] = ports.neighbours(node)
-    labels = np.zeros((n, batch), dtype=dtype)
+        behind[: degrees[node], node] = ports.neighbours(node)
+    labels = np.zeros((n + 1, batch), dtype=dtype)
+    # ``(words, n, B)``: a view, contiguous for one word per signature.
+    units = signature.view(np.uint64).transpose(2, 0, 1)
     for r in range(t):
-        slots[:n] = labels
-        np.multiply(slots[:n], 2, out=slots[n : 2 * n])
-        slots[n : 2 * n] += bits[r]
-        signature = np.ascontiguousarray(slots[pick].transpose(0, 2, 1))
-        packed = signature.view(np.uint64)  # (n, B, words)
-        labels = _first_equal_labels(
-            np.ascontiguousarray(packed.transpose(2, 0, 1))
-        )
-    return labels
+        # Round ``r``'s bit of every source, then of every node: one
+        # ``(k, B)`` plane at a time, never all ``t`` rounds at once.
+        plane = (words[r // 64] >> (r % 64)) & 1
+        own = signature[:, :, 0]
+        np.multiply(labels[:n], 2, out=own)
+        own += plane.astype(dtype, copy=False)[assignment]
+        for port in range(width):
+            signature[:, :, 2 + port] = labels[behind[port]]
+        labels[:n] = _first_equal_labels(units)
+    return labels[:n]
 
 
 def _size_multisets(
@@ -231,53 +251,88 @@ def _size_multisets(
 
     ``labels[j, s]`` is the first unit of ``j``'s class in trial ``s``
     and ``weights[j]`` how many nodes unit ``j`` carries (one each when
-    ``None``).  One offset ``bincount`` sums each class onto its first
-    unit; every other slot stays zero.
+    ``None``).  One broadcast compare marks the units of each class on
+    its first unit, and a (weighted) sum over the units gives the class
+    sizes there; every other slot stays zero.  Sizes are held in the
+    narrowest dtype that holds ``n``, so a pass over many blocks makes
+    no wide temporaries.
     """
-    m, batch = labels.shape
-    flat = (labels + np.arange(batch) * m).ravel()
-    if weights is None:
-        sizes = np.bincount(flat, minlength=batch * m)
-    else:
-        sizes = np.bincount(
-            flat, weights=np.repeat(weights, batch), minlength=batch * m
-        ).astype(np.int64)
-    sizes = sizes.reshape(batch, m)
+    m = labels.shape[0]
+    dtype = np.min_scalar_type(m if weights is None else sum(weights))
+    # ``member[j, i, s]``: unit i's class starts at unit j in trial s.
+    member = labels == np.arange(m, dtype=labels.dtype)[:, None, None]
+    if weights is not None:
+        member = (
+            member.view(np.uint8) if dtype == np.uint8 else member.astype(dtype)
+        )
+        member *= np.asarray(weights, dtype=dtype)[:, None]
+    sizes = np.ascontiguousarray(member.sum(axis=1, dtype=dtype).T)
     sizes.sort(axis=1)
     return sizes[:, ::-1]
 
 
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(distinct rows in lexicographic order, per-row index into them)``
-    by one ``lexsort`` and an adjacent-row diff."""
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    starts = np.empty(len(keys), dtype=bool)
+    """``(distinct rows, per-row index into them)`` by one ``lexsort``
+    and an adjacent-row diff.
+
+    Each row's bytes are zero-padded to whole ``uint64`` words first, so
+    the sort and the diff run over one word per row (a row of up to
+    eight byte-sized class sizes) instead of one column per class.  The
+    distinct rows come out in the order of those words; callers only
+    map each row to its verdict, so any fixed order serves.
+    """
+    rows = len(keys)
+    raw = np.ascontiguousarray(keys).view(np.uint8)
+    padded = np.zeros((rows, -(-raw.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, : raw.shape[1]] = raw
+    words = padded.view(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    starts = np.empty(rows, dtype=bool)
     starts[:1] = True
     starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    index = np.empty(len(keys), dtype=np.uint16)
+    index = np.empty(rows, dtype=np.uint16)
     index[order] = np.cumsum(starts) - 1
-    return ranked[starts], index
+    return keys[order[starts]], index
 
 
-# Cells of one stream run back to back (a sweep walks tasks per stream),
-# so a small window of blocks catches every reuse.
-@lru_cache(maxsize=128)
+def _range_words(
+    stream_seed: int, blocks: tuple[int, ...], k: int, t: int
+) -> np.ndarray:
+    """Compact round-major words of ``blocks``, concatenated along the
+    trial axis in the order given: ``(words, k, len(blocks) *
+    BLOCK_SAMPLES)``.  Each block keeps its own ``Philox`` key."""
+    words = words_needed(t)
+    return np.concatenate(
+        [
+            _compact_words(_round_major_words(stream_seed, block, k, words), t)
+            for block in blocks
+        ],
+        axis=2,
+    )
+
+
+# Cells of one stream run back to back (a sweep walks tasks per stream,
+# and a cell hands all its fresh blocks over at once), so a small window
+# of block ranges catches every reuse.
+@lru_cache(maxsize=16)
 def _block_classes(
     alpha: RandomnessConfiguration,
     ports: PortAssignment | None,
     t: int,
     stream_seed: int,
-    block: int,
+    blocks: tuple[int, ...],
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The block's knowledge partitions, reduced to what a task reads.
+    """The knowledge partitions of a range of blocks, reduced to what a
+    task reads: one label pass over all their trials.
 
     Returns the distinct class-size multisets (descending, zeros dropped)
-    and a read-only ``uint16`` index from each trial to its multiset.
-    Task-free: the partition comes from the protocol complex alone, so
-    every task on the same ``(stream_seed, block)`` reuses it.
+    and a read-only ``uint16`` index from each trial to its multiset,
+    trials in the order of ``blocks``.  Task-free: the partition comes
+    from the protocol complex alone, so every task on the same
+    ``(stream_seed, blocks)`` reuses it.
     """
-    words = _round_major_words(stream_seed, block, alpha.k, words_needed(t))
+    words = _range_words(stream_seed, blocks, alpha.k, t)
     if ports is None:
         keys = _size_multisets(
             _blackboard_labels(words, t), alpha.group_sizes
@@ -340,10 +395,19 @@ def block_indicators(
     ports: PortAssignment | None = None,
     *,
     stream_seed: int,
-    block: int,
+    block: "int | Sequence[int]",
     method: str = "auto",
 ) -> np.ndarray:
-    """Per-sample success indicators of one substream block.
+    """Per-sample success indicators of one substream block, or of a
+    range of them.
+
+    ``block`` is one block index, or a sequence of indices (a ``range``,
+    or the fresh blocks left between memo hits) whose indicators come
+    back concatenated in that order, :data:`BLOCK_SAMPLES` per block.
+    The ``bits`` solver refines all of their trials in one label pass
+    (:data:`PASS_BLOCKS` blocks at most) and asks the task once per
+    distinct class-size multiset of the whole range; each trial's
+    indicator is the one its own block would give alone.
 
     A pure function of ``(stream_seed, block)`` and the cell parameters:
     the foundation of the merge law, worker-count independence, and
@@ -351,20 +415,35 @@ def block_indicators(
     """
     if t < 1:
         raise ValueError("need t >= 1")
+    blocks = (
+        (int(block),) if isinstance(block, numbers.Integral) else tuple(block)
+    )
     if resolve_method(method) == "scalar":
-        return scalar_block_indicators(
-            alpha, task, t, ports, stream_seed=stream_seed, block=block
-        )
+        return np.concatenate([
+            scalar_block_indicators(
+                alpha, task, t, ports, stream_seed=stream_seed, block=b
+            )
+            for b in blocks
+        ] or [np.zeros(0, dtype=bool)])
     # Valid for every symmetric output complex -- the package contract --
     # where solvability depends only on the multiset of knowledge-class
     # sizes (see :meth:`SymmetryBreakingTask.solvable_from_sizes`).
-    classes, index = _block_classes(alpha, ports, t, stream_seed, block)
-    verdicts = np.fromiter(
-        (task.solvable_from_sizes(sizes) for sizes in classes),
-        dtype=bool,
-        count=len(classes),
-    )
-    return verdicts[index]
+    verdict: dict[tuple[int, ...], bool] = {}
+    parts = []
+    for first in range(0, len(blocks), PASS_BLOCKS):
+        classes, index = _block_classes(
+            alpha, ports, t, stream_seed, blocks[first : first + PASS_BLOCKS]
+        )
+        for sizes in classes:
+            if sizes not in verdict:
+                verdict[sizes] = task.solvable_from_sizes(sizes)
+        verdicts = np.fromiter(
+            (verdict[sizes] for sizes in classes),
+            dtype=bool,
+            count=len(classes),
+        )
+        parts.append(verdicts[index])
+    return np.concatenate(parts or [np.zeros(0, dtype=bool)])
 
 
 __all__ = [

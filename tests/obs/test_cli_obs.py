@@ -12,6 +12,7 @@ import pytest
 
 from repro.chain import clear_memo
 from repro.cli import _stderr_progress, build_parser, main
+from repro.obs import reset_telemetry
 from repro.obs.schema import validate_profile
 from repro.results import ResultsStore
 
@@ -135,6 +136,39 @@ class TestGroupedSweepProfile:
         assert counters["results.memo.miss"] == counters[
             "chain.batch.queries"
         ]
+
+
+class TestPooledSweepCompiles:
+    """The pooled n = 9 exact-sweep grid (both models, three port kinds,
+    as the benchmark runs it) compiles each chain in one worker only."""
+
+    def _compile_misses(self, tmp_path, capsys, name, engine):
+        path = tmp_path / f"{name}.json"
+        clear_memo()  # forked workers inherit the parent's memo
+        reset_telemetry()
+        assert main(
+            ["sweep", "--n", "9", "--models", "blackboard", "clique",
+             "--ports", "adversarial", "round-robin", "random",
+             *engine, "--master-seed", "1",
+             "--run-dir", str(tmp_path / f"{name}-run"),
+             "--warehouse", str(tmp_path / f"{name}-warehouse"),
+             "--profile-out", str(path)]
+        ) == 0
+        capsys.readouterr()
+        counters = json.loads(path.read_text())["metrics"]["counters"]
+        return counters["chain.compile.miss"]
+
+    def test_two_workers_compile_what_a_serial_run_does(
+        self, tmp_path, capsys
+    ):
+        serial = self._compile_misses(
+            tmp_path, capsys, "serial", ["--engine", "serial"]
+        )
+        pooled = self._compile_misses(
+            tmp_path, capsys, "pooled",
+            ["--engine", "process", "--workers", "2"],
+        )
+        assert serial == pooled == 92
 
 
 class TestProfileOut:

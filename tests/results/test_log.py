@@ -41,9 +41,10 @@ class TestAppend:
     def test_interleaved_batched_writers_in_two_processes_never_lose_events(
         self, tmp_path
     ):
-        # Each batch spans more than one PIPE_BUF-sized write, so the
-        # two writers' writes interleave inside batches too; every line
-        # on disk must still be whole.
+        # Each batch spans more than one PIPE_BUF-sized write, and the
+        # two writers race; every line on disk must still be whole, and
+        # none blank (neither writer may take the other's write in
+        # progress for a torn line).
         context = multiprocessing.get_context("spawn")
         start = context.Barrier(2)
         writers = [
@@ -86,6 +87,43 @@ class TestAppend:
         monkeypatch.setattr(log_module.os, "write", killed_mid_line)
         assert not log.append([{"k": "b"}, {"k": "c"}, {"k": "d"}])
         assert log.load(fold_counts) == {"a": 1, "b": 1, "c": 1}
+        monkeypatch.setattr(log_module.os, "write", write)
+        assert log.append([{"k": "e"}])
+        assert log.load(fold_counts) == {"a": 1, "b": 1, "c": 1, "e": 1}
+
+    def test_append_after_a_torn_fragment_loses_only_the_fragment(
+        self, tmp_path
+    ):
+        log = AppendLog(tmp_path, "events")
+        log.append([{"k": "a"}])
+        with log.log_path.open("a") as handle:
+            handle.write('{"k": "tor')  # killed writer
+        assert log.append([{"k": "b"}, {"k": "c"}])
+        assert log.load(fold_counts) == {"a": 1, "b": 1, "c": 1}
+        assert log.log_path.read_text().splitlines()[1] == '{"k": "tor'
+
+
+class TestTornFragments:
+    def test_healthy_log_gets_no_extra_bytes(self, tmp_path, writes):
+        log = AppendLog(tmp_path, "events")
+        assert log.append([{"k": "a"}])
+        assert log.append([{"k": "b"}, {"k": "c"}])
+        assert writes == [b'{"k": "a"}\n', b'{"k": "b"}\n{"k": "c"}\n']
+        assert log.log_path.read_bytes() == b"".join(writes)
+
+    def test_the_ending_newline_rides_the_first_write(self, tmp_path, writes):
+        log = AppendLog(tmp_path, "events")
+        log.log_path.write_bytes(b'{"k": "tor')
+        assert log.append([{"k": "b"}])
+        assert writes == [b'\n{"k": "b"}\n']
+
+    def test_a_full_first_write_sends_the_newline_alone(self, tmp_path, writes):
+        log = AppendLog(tmp_path, "events")
+        log.log_path.write_bytes(b'{"k": "tor')
+        big = {"k": "big", "pad": "x" * select.PIPE_BUF}
+        assert log.append([big])
+        assert writes[0] == b"\n" and len(writes) == 2
+        assert log.load(fold_counts) == {"big": 1}
 
 
 @pytest.fixture

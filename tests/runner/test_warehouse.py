@@ -14,7 +14,7 @@ from repro.runner import ProcessPoolEngine, SerialEngine, SweepSpec, run_sweep
 from repro.runner.sweep import (
     MAX_GROUP_STATES,
     _bin_engine,
-    _family_state_weight,
+    _family_chain,
     _group_job_payloads,
 )
 
@@ -152,23 +152,25 @@ class TestStateBudgetPacking:
             jobs, payloads, ProcessPoolEngine(workers=2)
         )
         for group in groups:
-            families = {}
+            chains = {}
             for payload in group["jobs"]:
                 spec = jobs[payload["index"]]
-                families.setdefault(
-                    (spec.sizes, spec.model, spec.ports, spec.replicate),
-                    _family_state_weight(spec),
-                )
-            total = sum(families.values())
-            # Either the bin fits the budget or it is a single family
+                key, weight = _family_chain(spec)
+                family = (spec.sizes, spec.model, spec.ports, spec.replicate)
+                chains.setdefault(key or family, weight)
+            total = sum(chains.values())
+            # Either the bin fits the budget or it is a single chain
             # too big to split.
-            assert total <= MAX_GROUP_STATES or len(families) == 1
+            assert total <= MAX_GROUP_STATES or len(chains) == 1
 
     def test_exact_sweep_grid_bins_are_pinned(self):
         # The pooled n=9 benchmark grid (both models, three port kinds,
-        # two workers, quotient "auto" as the CLI runs it) packs into 83
+        # two workers, quotient "auto" as the CLI runs it) packs into 57
         # bins starting at these job indices; a drift in the state
-        # budget or the weight estimate moves them.
+        # budget, the weight estimate or the chain marks moves them.
+        # Adversarial and round-robin ports (indices 4s + 1 and 4s + 2
+        # of shape s) share a chain on all shapes but (3, 3, 3) and
+        # (3, 6), so they share a bin everywhere else.
         sweep = SweepSpec(
             shapes=tuple(enumerate_size_shapes(9)),
             models=("blackboard", "clique"),
@@ -182,23 +184,55 @@ class TestStateBudgetPacking:
             )
         assert len(jobs) == 120
         assert [group["jobs"][0]["index"] for group in groups] == [
-            0, 5, 6, 7, 9, 10, 11, 13, 14, 15, 17, 18, 19, 21, 22, 23, 25,
-            26, 27, 29, 30, 31, 33, 34, 35, 37, 38, 39, 41, 42, 43, 45, 46,
-            47, 49, 50, 51, 53, 54, 55, 57, 58, 59, 61, 62, 63, 65, 66, 67,
-            69, 70, 71, 73, 74, 75, 77, 78, 79, 81, 82, 83, 85, 86, 87, 89,
-            90, 91, 93, 94, 95, 97, 98, 99, 101, 102, 103, 107, 110, 111,
-            113, 114, 115, 119,
+            0, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33, 35,
+            37, 39, 41, 43, 45, 47, 49, 51, 53, 55, 57, 59, 61, 63, 65, 67,
+            69, 71, 73, 75, 77, 79, 81, 83, 85, 87, 89, 91, 93, 95, 97, 99,
+            101, 103, 107, 110, 111, 113, 115, 119,
+        ]
+
+    def test_families_sharing_a_chain_share_a_bin(self, monkeypatch):
+        import repro.runner.sweep
+
+        # A one-state cap leaves every run alone in its bin: each bin is
+        # then exactly one chain (or one random-port family).
+        monkeypatch.setattr(repro.runner.sweep, "MAX_GROUP_STATES", 1)
+        sweep = SweepSpec(
+            shapes=((1, 2), (2, 2), (1, 1, 2)),
+            models=("clique",),
+            ports=("adversarial", "round-robin", "random"),
+            tasks=("leader", "k-leader:2"),
+        )
+        jobs, payloads = self._payloads(sweep)
+        with use_context(ExecutionContext(quotient="auto")):
+            groups = _group_job_payloads(
+                jobs, payloads, ProcessPoolEngine(workers=2)
+            )
+        bins = [
+            [(jobs[p["index"]].sizes, jobs[p["index"]].ports)
+             for p in group["jobs"][::2]]
+            for group in groups
+        ]
+        # (2, 2) is the one shape whose adversarial and round-robin
+        # tables differ; the other two share a chain and so a bin.
+        assert bins == [
+            [((1, 2), "adversarial"), ((1, 2), "round-robin")],
+            [((1, 2), "random")],
+            [((2, 2), "adversarial")],
+            [((2, 2), "round-robin")],
+            [((2, 2), "random")],
+            [((1, 1, 2), "adversarial"), ((1, 1, 2), "round-robin")],
+            [((1, 1, 2), "random")],
         ]
 
     def test_weight_uses_compiled_states_when_available(self):
         shape = (2, 3)
         spec = SweepSpec(shapes=(shape,), models=("clique",)).expand()[0]
-        estimated = _family_state_weight(spec)
+        _, estimated = _family_chain(spec)
         chain = compile_chain(
             RandomnessConfiguration.from_group_sizes(shape),
             adversarial_assignment(shape),
         )
-        assert _family_state_weight(spec) == chain.num_states
+        assert _family_chain(spec) == (chain.key, chain.num_states)
         assert estimated >= chain.num_states  # Bell bound from above
 
     def test_heavy_families_split_across_bins(self):

@@ -184,5 +184,5 @@ class TestBlockClassesCache:
         first[:] = ~first
         again = block_indicators(alpha, task, 3, stream_seed=4, block=0)
         assert np.array_equal(again, expected)
-        _, index = _block_classes(alpha, None, 3, 4, 0)
+        _, index = _block_classes(alpha, None, 3, 4, (0,))
         assert index.dtype == np.uint16 and not index.flags.writeable
