@@ -88,7 +88,7 @@ def raw_sweep() -> list:
     chain = _chain()
     queries = _queries()
     validate_backend("float")
-    results, tokens, misses = memoized_answers(chain, queries, "float")
+    results, tokens, misses = memoized_answers(chain.key, queries, "float")
     if misses:
         subset = [queries[i] for i in misses]
         answers = QueryPlan(chain, subset).execute(backend="float")

@@ -296,18 +296,21 @@ def _assert_zero_one(chain, limit: Fraction) -> bool:
     return limit == 1
 
 
-def memoized_answers(chain, queries: Sequence[Query], backend: str):
-    """Split ``queries`` into memo hits and misses for one chain.
+def memoized_answers(key, queries: Sequence[Query], backend: str):
+    """Split ``queries`` into memo hits and misses for the chain ``key``.
 
-    Returns ``(results, tokens, miss_indices)``: ``results`` has the
-    decoded answer at every hit position and ``None`` at every miss,
-    ``tokens`` the per-query memo keys (``None`` where unmemoizable),
-    and ``miss_indices`` the positions still to compute.  With no memo
-    configured every query is a miss with a ``None`` token, so callers
-    need no separate code path.  Exact hits decode to the very
-    ``Fraction`` objects a fresh pass would produce -- byte-identical
-    downstream records -- which is what lets warm sweeps skip evolution
-    passes (and chain compilation) entirely.
+    ``key`` is the chain's effective key (``chain.key``, or
+    :func:`~repro.chain.quotient.effective_chain_key` before anything
+    is compiled), so a caller can look a chain's cells up without
+    compiling it.  Returns ``(results, tokens, miss_indices)``:
+    ``results`` has the decoded answer at every hit position and
+    ``None`` at every miss, ``tokens`` the per-query memo keys (``None``
+    where unmemoizable), and ``miss_indices`` the positions still to
+    compute.  With no memo configured every query is a miss with a
+    ``None`` token, so callers need no separate code path.  Exact hits
+    decode to the very ``Fraction`` objects a fresh pass would produce
+    -- byte-identical downstream records -- which is what lets warm
+    sweeps skip evolution passes (and chain compilation) entirely.
     """
     from ..results.memo import MISS, query_memo, query_token
 
@@ -316,7 +319,7 @@ def memoized_answers(chain, queries: Sequence[Query], backend: str):
         return [None] * len(queries), [None] * len(queries), list(
             range(len(queries))
         )
-    digest = key_digest(chain.key)
+    digest = key_digest(key)
     results: list = [None] * len(queries)
     tokens: list = []
     misses: list[int] = []

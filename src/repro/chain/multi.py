@@ -37,7 +37,9 @@ def run_group_queries(
     missed: list[tuple] = []
     for chain, queries in items:
         queries = list(queries)
-        answers, tokens, misses = memoized_answers(chain, queries, backend)
+        answers, tokens, misses = memoized_answers(
+            chain.key, queries, backend
+        )
         if misses:
             slots.append((answers, misses))
             missed.append((chain, [queries[i] for i in misses],
@@ -63,9 +65,9 @@ def answer_misses(items: Sequence[tuple], backend: str = "exact") -> list[list]:
     :class:`~repro.chain.batch.QueryPlan` per chain answers them, and
     the answers are recorded under their tokens in one memo append.
     :func:`run_group_queries` ends here after its memo scan; a caller
-    that has already looked its cells up (the sweep worker does, to skip
-    compiling warm chains) calls it directly, so no cell is looked up
-    twice.
+    that has already looked its cells up by chain key (the sweep worker
+    does, to skip compiling warm chains) calls it directly, so no cell
+    is looked up twice.
     """
     if OBS.enabled:
         OBS.metrics.inc("chain.multi.items", len(items))

@@ -1225,9 +1225,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .obs import OBS, configure_tracing, trace
+    from .obs import OBS, configure_tracing, reset_telemetry, trace
 
     if args.profile_out:
+        # A profile covers this command alone, not what an earlier
+        # command in the same interpreter left in the tracer.
+        reset_telemetry()
         configure_tracing(True)
     changes = {"trace": OBS.enabled}
     if hasattr(args, "quotient"):

@@ -5,7 +5,7 @@ A run directory's record of truth is two files:
 * ``manifest.json`` -- the sweep spec (including master seed) and the
   expanded job-key list, written once when the directory is first used;
 * ``records.jsonl`` -- one JSON object per *completed* job, appended and
-  flushed as each job finishes.
+  flushed as each job (or each group of jobs) finishes.
 
 Resume is a pure set difference: re-running a sweep against an existing
 directory skips every job whose key already appears in the log.  A
@@ -104,11 +104,21 @@ class RunDirectory:
             if "key" in record
         }
 
-    def append(self, record: dict) -> None:
-        """Append one record and flush; appended records survive a crash."""
-        with self.records_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
+    def append(self, *records: dict) -> None:
+        """Append records in one write and flush; appended records
+        survive a crash (a torn last line is skipped on load)."""
+        data = "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in records
+        ).encode("utf-8")
+        with self.records_path.open("a+b") as handle:
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    # A killed writer's fragment: end it, so it is
+                    # skipped alone instead of swallowing our first line.
+                    data = b"\n" + data
+            handle.write(data)
             handle.flush()
 
 

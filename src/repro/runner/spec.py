@@ -309,9 +309,10 @@ class SweepSpec:
                 samples=self.samples,
                 replicate=rep,
             )
-            if spec.job_key in seen:
+            key = spec.job_key
+            if key in seen:
                 continue
-            seen.add(spec.job_key)
+            seen.add(key)
             jobs.append(spec)
         return tuple(jobs)
 

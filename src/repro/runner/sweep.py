@@ -287,6 +287,7 @@ def run_sweep(
     """
     engine = engine or SerialEngine()
     jobs = sweep.expand()
+    keys = [spec.job_key for spec in jobs]
     payloads = [
         {"spec": spec.to_dict(), "master_seed": sweep.master_seed, "index": i}
         for i, spec in enumerate(jobs)
@@ -305,17 +306,9 @@ def run_sweep(
         changes["results_memo"] = str(store.memo_dir)
     if run_dir is not None:
         directory = RunDirectory(run_dir)
-        directory.write_manifest(
-            {
-                "sweep": sweep.to_dict(),
-                "jobs": [spec.job_key for spec in jobs],
-            }
-        )
-        valid = {
-            spec.job_key: derive_seed(sweep.master_seed, spec.job_key)
-            for spec in jobs
-        }
-        key_to_index = {spec.job_key: i for i, spec in enumerate(jobs)}
+        directory.write_manifest({"sweep": sweep.to_dict(), "jobs": keys})
+        valid = {key: derive_seed(sweep.master_seed, key) for key in keys}
+        key_to_index = {key: i for i, key in enumerate(keys)}
         done = set()
         existing: "list[dict] | None" = None
         if store is not None:
@@ -340,9 +333,7 @@ def run_sweep(
                 # Re-anchor the index to THIS sweep's expansion: a
                 # hand-copied record may carry another sweep's position.
                 prior.append({**record, "index": key_to_index[key]})
-        payloads = [
-            p for p in payloads if jobs[p["index"]].job_key not in done
-        ]
+        payloads = [p for p in payloads if keys[p["index"]] not in done]
     context = payload_context(**changes)
     for payload in payloads:
         payload["context"] = context
@@ -374,11 +365,10 @@ def run_sweep(
                     merge_telemetry(telemetry)
                 if grouped is not None and "group" in result:
                     group_stats.append(result["group"])
-                for record in (
-                    (result,) if grouped is None else result["records"]
-                ):
-                    if directory is not None:
-                        directory.append(record)
+                batch = (result,) if grouped is None else result["records"]
+                if directory is not None:
+                    directory.append(*batch)
+                for record in batch:
                     fresh.append(record)
                     executed += 1
                     if progress is not None:

@@ -18,7 +18,8 @@ import functools
 from dataclasses import replace
 from fractions import Fraction
 
-from ..chain import CompiledChain, Query, compile_chain
+from ..chain import CompiledChain, Query, compile_chain, effective_chain_key
+from ..chain.batch import memoized_answers
 from ..chain.multi import answer_misses
 from ..context import ExecutionContext, current_context, use_context
 from ..obs import (
@@ -66,51 +67,6 @@ def _runs_in_payload_context(execute):
     return run
 
 
-#: Structural chain digests by deterministic job family: the digest is
-#: a pure function of ``(sizes, port kind)`` for non-random ports, and
-#: hashing the structural key (neighbour tables) per job would otherwise
-#: dominate a fully memo-served sweep.
-_FAMILY_DIGESTS: dict[tuple, str] = {}
-
-
-def _memo_lookup(spec: RunSpec, alpha, ports) -> tuple:
-    """``(limit, token)``: the job's exact limit straight from the
-    cross-run memo (``None`` on a miss) and its memo token (``None``
-    without a memo).
-
-    The memo key needs only the chain's *effective* key -- the
-    structural key plus the quotient tag the context's quotient mode
-    would compile under, computable from ``(alpha, ports)`` without
-    compiling -- so a warm cell skips chain compilation entirely, not
-    just the evolution pass.  The token is the very one
-    :func:`repro.chain.run_queries` records under (``compile_chain``
-    keys the chain by the same effective key), so a miss is computed
-    and recorded through :func:`~repro.chain.multi.answer_misses`
-    under it, without a second lookup.
-    """
-    from ..chain import effective_chain_key
-    from ..chain.engine import key_digest
-    from ..results.memo import MISS, query_memo, query_token
-
-    memo = query_memo()
-    if memo is None:
-        return None, None
-    if spec.ports == "random":
-        digest = key_digest(effective_chain_key(alpha, ports))
-    else:
-        # Pool workers outlive sweeps: the quotient mode is part of the
-        # family key so a mode flip never serves a stale digest.
-        family = (spec.sizes, spec.ports, current_context().quotient)
-        digest = _FAMILY_DIGESTS.get(family)
-        if digest is None:
-            digest = key_digest(effective_chain_key(alpha, ports))
-            _FAMILY_DIGESTS[family] = digest
-    task = make_task(spec.task, alpha.n)
-    token = query_token(digest, "limit", task, None, "exact")
-    hit = memo.lookup(token)
-    return (None if hit is MISS else hit), token
-
-
 def _exact_value(limit: Fraction) -> dict:
     """The value fields of an exact-job record (one shape, every path)."""
     return {
@@ -120,19 +76,129 @@ def _exact_value(limit: Fraction) -> dict:
     }
 
 
-def _job_record(payload: dict, spec: RunSpec, seed: int, alpha,
-                value: dict, elapsed: float) -> dict:
-    """One job record; grouped and per-job execution share this shape,
-    so the grouped dispatch can never silently drift from serial."""
+def _job_record(payload: dict, spec: RunSpec, key: str, seed: int,
+                gcd: int, value: dict) -> dict:
+    """One job record, ``elapsed`` left at 0.0 for the caller to fill
+    in; exact and sampled jobs, grouped or not, share this shape."""
     return {
-        "key": spec.job_key,
+        "key": key,
         "index": int(payload.get("index", 0)),
         "spec": spec.to_dict(),
         "seed": seed,
-        "gcd": alpha.gcd,
+        "gcd": gcd,
         "value": value,
-        "elapsed": elapsed,
+        "elapsed": 0.0,
     }
+
+
+def _exact_records(jobs: list[dict], specs: list[RunSpec]) -> tuple:
+    """``(records, stats)`` of exact jobs: one record per job, in order.
+
+    A *family* -- a run of adjacent jobs with equal ``(sizes, ports)``,
+    or one random-port job -- shares one chain, so alpha, the port
+    table and the effective chain key (computable without compiling)
+    are built once per family, and its cells are looked up through the
+    query front door's :func:`~repro.chain.batch.memoized_answers`.
+    Only families with a miss compile; all misses are answered and
+    recorded in one :func:`~repro.chain.multi.answer_misses` pass.
+    """
+    with trace("group.prepare"):
+        keys = [spec.job_key for spec in specs]
+        seeds = [
+            derive_seed(int(job.get("master_seed", 0)), key)
+            for job, key in zip(jobs, keys)
+        ]
+        runs: list[list[int]] = []
+        previous = None
+        for i, spec in enumerate(specs):
+            family = (spec.sizes, spec.ports)
+            if family != previous or spec.ports == "random":
+                runs.append([])
+            runs[-1].append(i)
+            previous = family
+        #: (job indices, gcd, limits) per family; misses filled below.
+        families: list[tuple] = []
+        #: id(chain) -> (chain, queries and memo tokens of the misses,
+        #: (family limits, position) each answer goes to).
+        items: dict[int, tuple[CompiledChain, list, list, list]] = {}
+        memo_hits = 0
+        for run in runs:
+            head = specs[run[0]]
+            alpha = RandomnessConfiguration.from_group_sizes(head.sizes)
+            # Random ports get a stream split off the job seed, disjoint
+            # from any other use of it.
+            ports = make_ports(head.ports, head.sizes,
+                               derive_seed(seeds[run[0]], "ports"))
+            queries = [
+                Query.limit(make_task(specs[i].task, alpha.n)) for i in run
+            ]
+            limits, tokens, misses = memoized_answers(
+                effective_chain_key(alpha, ports), queries, "exact"
+            )
+            memo_hits += len(run) - len(misses)
+            if misses:
+                chain = compile_chain(alpha, ports)
+                _, chain_queries, chain_tokens, slots = items.setdefault(
+                    id(chain), (chain, [], [], [])
+                )
+                chain_queries += [queries[i] for i in misses]
+                chain_tokens += [tokens[i] for i in misses]
+                slots += [(limits, i) for i in misses]
+            families.append((run, alpha.gcd, limits))
+    with trace("group.evolve"):
+        answered = answer_misses([item[:3] for item in items.values()])
+        for (*_, slots), answers in zip(items.values(), answered):
+            for (limits, i), limit in zip(slots, answers):
+                limits[i] = limit
+    with trace("group.serialize"):
+        records = [
+            _job_record(jobs[i], specs[i], keys[i], seeds[i], gcd,
+                        _exact_value(limit))
+            for run, gcd, limits in families
+            for i, limit in zip(run, limits)
+        ]
+    chains = [chain for chain, *_ in items.values()]
+    stats = {
+        "jobs": len(jobs),
+        "chains": len(chains),
+        "states": sum(chain.num_states for chain in chains),
+        "transitions": sum(chain.num_transitions for chain in chains),
+        "memo_hits": memo_hits,
+    }
+    return records, stats
+
+
+def _sample_record(payload: dict, spec: RunSpec) -> dict:
+    """The record of one Monte-Carlo job.
+
+    The substream is keyed by the spec's *stream key* -- the cell axes
+    minus samples/task/t -- so a rerun at a larger budget extends (and
+    memo-merges with) this run's blocks, and cells differing only in
+    task or horizon share trials (common random numbers).  Random ports
+    draw from the same stream-stable root for the same reason: the
+    cell identity must not change when only the budget does.
+    """
+    master_seed = int(payload.get("master_seed", 0))
+    key = spec.job_key
+    alpha = RandomnessConfiguration.from_group_sizes(spec.sizes)
+    stream = derive_seed(master_seed, "mc\x1f" + spec.stream_key)
+    ports = make_ports(spec.ports, spec.sizes, derive_seed(stream, "ports"))
+    with trace("job.sample", samples=spec.samples):
+        estimate = sample_cell(
+            alpha,
+            make_task(spec.task, alpha.n),
+            spec.t,
+            ports,
+            stream_seed=stream,
+            samples=spec.samples,
+        )
+    value = {
+        "estimate": estimate.probability,
+        "successes": estimate.successes,
+        "samples": estimate.samples,
+    }
+    return _job_record(payload, spec, key, derive_seed(master_seed, key),
+                       alpha.gcd, value)
 
 
 @_runs_in_payload_context
@@ -142,57 +208,16 @@ def execute_run(payload: dict) -> dict:
     ``payload`` is ``{"spec": <RunSpec dict>, "master_seed": int,
     "index": int}`` plus an optional ``"context"``; the
     result record echoes the spec, its key and index (aggregation
-    order), the derived seed, and the job's value fields.
+    order), the derived seed, and the job's value fields.  An exact job
+    is a group of one through the grouped path's preparation.
     """
     spec = RunSpec.from_dict(payload["spec"])
-    master_seed = int(payload.get("master_seed", 0))
-    seed = derive_seed(master_seed, spec.job_key)
-    value: dict
     with trace("runner.job", key=spec.job_key, kind=spec.kind) as timer:
-        alpha = RandomnessConfiguration.from_group_sizes(spec.sizes)
-        task = make_task(spec.task, alpha.n)
-        # Random ports and Monte-Carlo sampling get *disjoint* streams
-        # split off the job seed; sharing one seed would correlate the
-        # sampled realizations with the randomly drawn port assignment.
-        ports = make_ports(spec.ports, spec.sizes,
-                           derive_seed(seed, "ports"))
         if spec.kind == "exact":
-            limit, token = _memo_lookup(spec, alpha, ports)
-            if limit is None:
-                with trace("job.compile"):
-                    chain = compile_chain(alpha, ports)
-                with trace("job.evolve"):
-                    ((limit,),) = answer_misses(
-                        [(chain, [Query.limit(task)], [token])]
-                    )
-            value = _exact_value(limit)
-        else:  # sample
-            # The substream is keyed by the spec's *stream key* -- the
-            # cell axes minus samples/task/t -- so a rerun at a larger
-            # budget extends (and memo-merges with) this run's blocks,
-            # and cells differing only in task or horizon share trials
-            # (common random numbers).  Random ports draw from the same
-            # stream-stable root for the same reason: the cell identity
-            # must not change when only the budget does.
-            stream = derive_seed(master_seed, "mc\x1f" + spec.stream_key)
-            if spec.ports == "random":
-                ports = make_ports(spec.ports, spec.sizes,
-                                   derive_seed(stream, "ports"))
-            with trace("job.sample", samples=spec.samples):
-                estimate = sample_cell(
-                    alpha,
-                    task,
-                    spec.t,
-                    ports,
-                    stream_seed=stream,
-                    samples=spec.samples,
-                )
-            value = {
-                "estimate": estimate.probability,
-                "successes": estimate.successes,
-                "samples": estimate.samples,
-            }
-    record = _job_record(payload, spec, seed, alpha, value, timer.duration)
+            (record,), _ = _exact_records([payload], [spec])
+        else:
+            record = _sample_record(payload, spec)
+    record["elapsed"] = timer.duration
     if OBS.enabled:
         OBS.metrics.inc("runner.jobs")
         # Telemetry rides *next to* the record fields under a key the
@@ -216,81 +241,28 @@ def execute_run_group(payload: dict) -> dict:
     (``elapsed`` is the group's wall clock split evenly -- per-job
     timing has no meaning inside a shared pass).
 
-    With a cross-run query memo configured, jobs whose cell is already
-    answered never even compile their chain; only the misses enter the
-    grouped pass.  The result additionally carries a ``"group"``
-    diagnostics dict -- chains compiled, their total size, and the
-    memo hit count -- which the sweep orchestrator hands back in
+    The result additionally carries a ``"group"`` diagnostics dict --
+    chains compiled, their total size, and the memo hit count -- which
+    the sweep orchestrator hands back in
     :attr:`~repro.runner.sweep.SweepOutcome.group_stats` (deliberately
     *outside* the job records, whose bytes stay engine- and
     warmth-independent).
     """
-    with trace("runner.group", jobs=len(payload["jobs"])) as timer:
-        prepared = []
-        #: id(chain) -> (chain, queries, memo tokens)
-        items: dict[int, tuple[CompiledChain, list, list]] = {}
-        order: list[int] = []
-        memo_hits = 0
-        with trace("group.prepare"):
-            for job in payload["jobs"]:
-                spec = RunSpec.from_dict(job["spec"])
-                master_seed = int(job.get("master_seed", 0))
-                seed = derive_seed(master_seed, spec.job_key)
-                alpha = RandomnessConfiguration.from_group_sizes(spec.sizes)
-                task = make_task(spec.task, alpha.n)
-                ports = make_ports(spec.ports, spec.sizes,
-                                   derive_seed(seed, "ports"))
-                limit, token = _memo_lookup(spec, alpha, ports)
-                if limit is not None:
-                    memo_hits += 1
-                    prepared.append((job, spec, seed, alpha, None, limit))
-                    continue
-                chain = compile_chain(alpha, ports)
-                entry = items.get(id(chain))
-                if entry is None:
-                    entry = items[id(chain)] = (chain, [], [])
-                    order.append(id(chain))
-                _, queries, tokens = entry
-                prepared.append(
-                    (job, spec, seed, alpha, (id(chain), len(queries)), None)
-                )
-                queries.append(Query.limit(task))
-                tokens.append(token)
-        with trace("group.evolve"):
-            answers = dict(
-                zip(order, answer_misses([items[cid] for cid in order]))
-            )
-        with trace("group.serialize"):
-            # ``elapsed`` is the group's wall clock, known only once this
-            # span closes: filled in below, in place.
-            records = [
-                _job_record(
-                    job, spec, seed, alpha,
-                    _exact_value(
-                        limit if handle is None
-                        else answers[handle[0]][handle[1]]
-                    ),
-                    0.0,
-                )
-                for job, spec, seed, alpha, handle, limit in prepared
-            ]
-    elapsed_total = timer.duration
-    elapsed = elapsed_total / max(1, len(prepared))
+    jobs = payload["jobs"]
+    with trace("runner.group", jobs=len(jobs)) as timer:
+        records, group = _exact_records(
+            jobs, [RunSpec.from_dict(job["spec"]) for job in jobs]
+        )
+    # ``elapsed`` is the group's wall clock, known only once its span
+    # has closed.
+    group["elapsed"] = timer.duration
+    elapsed = timer.duration / max(1, len(records))
     for record in records:
         record["elapsed"] = elapsed
-    chains = [items[cid][0] for cid in order]
-    group = {
-        "jobs": len(prepared),
-        "chains": len(chains),
-        "states": sum(chain.num_states for chain in chains),
-        "transitions": sum(chain.num_transitions for chain in chains),
-        "memo_hits": memo_hits,
-        "elapsed": elapsed_total,
-    }
     result = {"records": records, "group": group}
     if OBS.enabled:
         OBS.metrics.inc("runner.groups")
-        OBS.metrics.inc("runner.jobs", len(prepared))
+        OBS.metrics.inc("runner.jobs", len(records))
         result["telemetry"] = drain_telemetry()
     return result
 

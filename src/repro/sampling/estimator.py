@@ -86,8 +86,15 @@ def block_token(
     token = task_token(task)
     if token is None:
         return None
+    return _block_token(digest, token, t, method, stream_seed, block)
+
+
+def _block_token(digest: str, task_tok: str, t: int, method: str,
+                 stream_seed: int, block: int) -> str:
+    """:func:`block_token` from a task's already built
+    :func:`~repro.results.memo.task_token`."""
     return sha256(
-        f"mc|{digest}|{token}|t={t}|m={method}|s={stream_seed}"
+        f"mc|{digest}|{task_tok}|t={t}|m={method}|s={stream_seed}"
         f"|b={block}|bs={BLOCK_SAMPLES}".encode()
     ).hexdigest()
 
@@ -120,7 +127,11 @@ def sample_range(
         raise ValueError(f"need 0 <= start < stop, got [{start}, {stop})")
     resolved = resolve_method(method)
     memo = query_memo() if use_memo else None
-    digest = cell_digest(alpha, ports) if memo is not None else None
+    # Built once per call: only the block index varies between tokens.
+    digest = task_tok = None
+    if memo is not None:
+        digest = cell_digest(alpha, ports)
+        task_tok = task_token(task)
     successes = 0
     hits = 0
     # ``(block, lo, hi, token)`` of every block the memo did not serve.
@@ -130,8 +141,8 @@ def sample_range(
         hi = min(stop, (block + 1) * BLOCK_SAMPLES)
         full = hi - lo == BLOCK_SAMPLES
         token = (
-            block_token(digest, task, t, resolved, stream_seed, block)
-            if full and memo is not None
+            _block_token(digest, task_tok, t, resolved, stream_seed, block)
+            if full and task_tok is not None
             else None
         )
         if token is not None:

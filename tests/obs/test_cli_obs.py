@@ -56,7 +56,7 @@ class TestExplain:
         ]
         assert "repro.run" in tree
         assert "runner.job" in tree
-        assert "job.compile" in tree or "job.evolve" in tree
+        assert "group.evolve" in tree
 
     def test_explain_of_a_pooled_sweep_prints_the_self_time_table(
         self, tmp_path, capsys
@@ -172,6 +172,25 @@ class TestPooledSweepCompiles:
 
 
 class TestProfileOut:
+    def test_a_profile_counts_only_its_own_command(self, tmp_path, capsys):
+        pooled = ["sweep", "--n", "5", "--engine", "process",
+                  "--workers", "2"]
+
+        def misses(argv, name):
+            # Each command starts from an empty chain memo, so it
+            # compiles the same chains alone or after another command.
+            clear_memo()
+            path = tmp_path / name
+            assert main([*argv, "--profile-out", str(path)]) == 0
+            capsys.readouterr()
+            counters = json.loads(path.read_text())["metrics"]["counters"]
+            return counters["chain.compile.miss"]
+
+        alone = misses(pooled, "alone.json")
+        assert alone > 0
+        misses(["sweep", "--n", "5"], "serial.json")
+        assert misses(pooled, "after.json") == alone
+
     def test_sweep_profile_validates(self, tmp_path, capsys):
         run = tmp_path / "run"
         profile_path = tmp_path / "profile.json"

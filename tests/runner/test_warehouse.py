@@ -327,3 +327,94 @@ class TestStateBudgetPacking:
         for group in groups:
             assert set(group) == {"jobs", "context"}
             assert group["context"] is context
+
+
+def _families(jobs) -> int:
+    """Runs of adjacent jobs sharing ``(sizes, ports)``: one chain each."""
+    return sum(
+        1
+        for i, spec in enumerate(jobs)
+        if i == 0 or (spec.sizes, spec.ports) != (
+            jobs[i - 1].sizes, jobs[i - 1].ports
+        )
+    )
+
+
+class TestFamilyPreparation:
+    def test_warm_sweep_prepares_each_family_once(
+        self, tmp_path, sweep, monkeypatch
+    ):
+        import repro.chain.batch
+        import repro.runner.worker
+
+        warehouse = tmp_path / "shared"
+        run_sweep(sweep, run_dir=tmp_path / "cold", warehouse=warehouse)
+        clear_memo()
+        calls = {"make_ports": 0, "key_digest": 0}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(repro.runner.worker, "make_ports")
+        count(repro.chain.batch, "key_digest")
+        warm = run_sweep(sweep, run_dir=tmp_path / "warm",
+                         warehouse=warehouse)
+        jobs = sweep.expand()
+        families = _families(jobs)
+        assert warm.group_stats and warm.executed == len(jobs) > families
+        assert sum(g["memo_hits"] for g in warm.group_stats) == len(jobs)
+        assert calls == {"make_ports": families, "key_digest": families}
+
+    def test_a_quotient_mode_flip_misses_instead_of_serving_stale_hits(
+        self, tmp_path
+    ):
+        from repro.chain import effective_chain_key
+        from repro.runner import make_ports
+
+        sweep = SweepSpec(
+            shapes=((2, 2), (1, 1, 2), (1, 3), (1, 2)),
+            models=("blackboard", "clique"),
+            ports=("round-robin",),
+            tasks=("leader", "k-leader:2"),
+        )
+        jobs = sweep.expand()
+        # Jobs whose effective chain key is the same under both modes:
+        # only those may be served from memo entries written under "off".
+        unchanged = 0
+        for spec in jobs:
+            alpha = RandomnessConfiguration.from_group_sizes(spec.sizes)
+            ports = make_ports(spec.ports, spec.sizes, 0)
+            unchanged += effective_chain_key(
+                alpha, ports, quotient="off"
+            ) == effective_chain_key(alpha, ports, quotient="auto")
+        assert 0 < unchanged < len(jobs)
+
+        warehouse = tmp_path / "shared"
+        modes = {"off": ExecutionContext(quotient="off"),
+                 "auto": ExecutionContext(quotient="auto")}
+        for mode, context in modes.items():
+            clear_memo()
+            with use_context(context):
+                run_sweep(
+                    sweep,
+                    run_dir=tmp_path / f"cold-{mode}",
+                    warehouse=warehouse if mode == "off"
+                    else tmp_path / "cold-auto-warehouse",
+                )
+        clear_memo()
+        hits = {}
+        for mode, context in modes.items():
+            with use_context(context):
+                warm = run_sweep(sweep, run_dir=tmp_path / f"warm-{mode}",
+                                 warehouse=warehouse)
+            hits[mode] = sum(g["memo_hits"] for g in warm.group_stats)
+            assert stripped(tmp_path / f"warm-{mode}" / "records.jsonl") == (
+                stripped(tmp_path / f"cold-{mode}" / "records.jsonl")
+            )
+        assert hits == {"off": len(jobs), "auto": unchanged}
