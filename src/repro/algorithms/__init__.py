@@ -5,6 +5,8 @@ this package contains the protocols that *solve* it: leader election on
 the blackboard (Theorem 4.1), the Euclid-style election on the clique
 (Theorem 4.2), the literal ``CreateMatching`` of Algorithm 1, and the
 Theorem C.1 reduction of name-independent tasks to leader election.
+:mod:`repro.algorithms.batched_election` runs the two elections over many
+seeds at once for the round-complexity experiment.
 """
 
 from .blackboard_leader import BlackboardLeaderNode, choose_classes

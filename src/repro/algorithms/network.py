@@ -21,8 +21,13 @@ bit together with the messages the other nodes composed, producing its
 state at time ``r``.  This matches Eqs. (1)/(2), where ``K_i(t)`` contains
 the other nodes' time-``t-1`` knowledge.
 
-Hot path: protocol experiments run thousands of short executions, so each
-round does the least work that gives the same deliveries.  A run resolves
+Hot path: the protocol experiments (``euclid-protocol``, ``theorem-C1``)
+and ``repro protocol`` run many short executions, so each round does the
+least work that gives the same deliveries.  The round-complexity
+experiment, which reads only each seed's decision round, runs 400 seeds
+per shape in one batched pass instead
+(:mod:`repro.algorithms.batched_election`); this simulator is the
+reference that pass is tested against, seed by seed.  A run resolves
 every node's source index once and reads each source's bit once per round.
 The blackboard orders the whole board by ``repr`` once per round (a stable
 sort of node indices); each inbox is that board with the node's own slot

@@ -6,6 +6,7 @@ the full reproduction sweep (used by ``examples/reproduce_paper.py``); the
 individual generators back one benchmark file each.
 """
 
+from ..obs import trace
 from .convergence import convergence_rates, exact_tail_ratio, fitted_decay_rate
 from .extensions import extension_expected_times, extension_task_zoo
 from .graphs import extension_anonymous_graphs, ring_labeling_census
@@ -92,10 +93,15 @@ def iter_all_experiments(engine=None):
     them in-process exactly as before.  Yielding lazily lets callers
     (like the ``experiments`` CLI command) stream output as each
     experiment finishes instead of waiting for the whole registry.
+    In-process, each generator runs inside an ``analysis.experiment``
+    span tagged with its name; pooled, inside its worker's
+    ``runner.experiment`` span.
     """
     if engine is None or getattr(engine, "name", "serial") == "serial":
         for generator in ALL_EXPERIMENTS:
-            yield generator()
+            with trace("analysis.experiment", generator=generator.__name__):
+                result = generator()
+            yield result
         return
     from ..runner.worker import execute_experiment, payload_context
 

@@ -10,12 +10,23 @@ shape with ``n <= 6`` and seeds 0-9.  The leader protocols only count
 what they receive, so a node that outputs its whole inbox trace checks
 the deliveries themselves, order included.  The reference uses only the
 public node protocol, never a helper of the simulator itself.
+
+The simulator is in turn the reference for the batched election
+(``election_rounds``): on the same shapes, with ``k`` up to 3 and seeds
+0-63, its decision round must equal ``network.run().rounds`` seed by
+seed, an undecided run reading as ``-1``.  Its per-round labels must be
+the partition of the nodes' knowledge, and its matching move must pick
+the port ``EuclidLeaderNode`` picks.
 """
 
 from __future__ import annotations
 
+import collections
+import math
+import random
 from collections.abc import Mapping
 
+import numpy as np
 import pytest
 
 from repro.algorithms import (
@@ -25,6 +36,13 @@ from repro.algorithms import (
     EuclidLeaderNode,
     NodeContext,
     NodeProtocol,
+)
+from repro.algorithms.batched_election import (
+    TABLE_ROUNDS,
+    _partitions,
+    _requests,
+    draw_bits,
+    election_rounds,
 )
 from repro.models import (
     adversarial_assignment,
@@ -202,3 +220,193 @@ def test_reference_elects_somewhere():
         alpha, DictComposeEuclid, 0, adversarial_assignment((2, 2))
     )
     assert not decided
+
+
+def network_rounds(network, max_rounds=MAX_ROUNDS):
+    """The decision round of a node run, ``-1`` when it did not decide."""
+    result = network.run(max_rounds=max_rounds)
+    return result.rounds if result.all_decided else -1
+
+
+def node_network(alpha, k, ports, seed):
+    if ports is None:
+        return BlackboardNetwork(
+            alpha, lambda: BlackboardLeaderNode(k=k), seed=seed
+        )
+    return CliqueNetwork(
+        alpha, ports, lambda: EuclidLeaderNode(k=k), seed=seed
+    )
+
+
+BATCH_SEEDS = range(64)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", ["blackboard", *sorted(PORTS)])
+def test_batched_rounds_match_network(n, kind):
+    for shape, alpha in shapes(n):
+        ports = None if kind == "blackboard" else PORTS[kind](shape, 0)
+        for k in (1, 2, 3):
+            got = election_rounds(
+                alpha, BATCH_SEEDS, k=k, ports=ports, max_rounds=MAX_ROUNDS
+            )
+            expected = [
+                network_rounds(node_network(alpha, k, ports, seed))
+                for seed in BATCH_SEEDS
+            ]
+            assert got.tolist() == expected, (shape, k, kind)
+
+
+def restricted_growth(keys):
+    """Label each key by the order of its first appearance."""
+    first = {}
+    return [first.setdefault(key, len(first)) for key in keys]
+
+
+def assert_partitions_match(alpha, k, ports, seeds):
+    """Round by round, the batched labels are the partition of the
+    nodes' knowledge: bit histories on the blackboard, Euclid tags on
+    the clique."""
+    networks = [node_network(alpha, k, ports, seed) for seed in seeds]
+    for r, live, labels, _ in _partitions(
+        alpha, seeds, k, ports, MAX_ROUNDS, None
+    ):
+        for row, s in enumerate(live.tolist()):
+            knowledge = [
+                node._tag if ports else tuple(node._bits)
+                for node in networks[s].nodes
+            ]
+            assert labels[row].tolist() == restricted_growth(knowledge), (
+                alpha.group_sizes, k, seeds[s], r
+            )
+            networks[s].run(max_rounds=1)
+
+
+@pytest.mark.parametrize("kind", ["blackboard", *sorted(PORTS)])
+def test_batched_partitions_match_node_knowledge(kind):
+    for n in range(2, 6):
+        for shape, alpha in shapes(n):
+            ports = None if kind == "blackboard" else PORTS[kind](shape, 0)
+            for k in (1, 2):
+                assert_partitions_match(alpha, k, ports, list(range(16)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (1, 1, 2)])
+def test_batched_matching_move_matches_node_tags(shape):
+    """Decision rounds hardly see the matching move: with it switched
+    off, they stayed the same on every shape with n <= 7 under the
+    adversarial, round-robin and six random port assignments (seeds
+    0-31).  Partitions see it here: with k = 2 on these ports, seed 17
+    (among others) reaches time 4 with a partition that only the
+    move's requests split."""
+    alpha = RandomnessConfiguration.from_group_sizes(shape)
+    ports = random_assignment(4, 1)
+    assert_partitions_match(alpha, 2, ports, list(range(64)))
+
+
+def test_batched_request_ports_match_euclid_node():
+    """The matching move alone, on random partitions and bit histories
+    longer than 63 bits: each node requests through the port
+    ``EuclidLeaderNode`` picks, ties between equal-sized classes
+    included.  Partitions rarely show which class member moved."""
+    rng = random.Random(7)
+    requests = 0
+    for trial in range(400):
+        n = rng.randint(3, 8)
+        ports = random_assignment(n, trial)
+        labels = restricted_growth(
+            [rng.randrange(rng.randint(2, n)) for _ in range(n)]
+        )
+        histories = [
+            [rng.getrandbits(1) for _ in range(rng.randint(1, 80))]
+            for _ in range(n)
+        ]
+        counts = collections.Counter(labels)
+        expected = []
+        for i in range(n):
+            node = EuclidLeaderNode()
+            node._bits = histories[i]
+            port = node._pick_request_port(
+                labels[i], [labels[j] for j in ports.neighbours(i)], counts
+            )
+            expected.append(port or 0)
+        modulus = math.lcm(*range(1, n))
+        index = [
+            int("".join(map(str, bits)), 2) % modulus for bits in histories
+        ]
+        got = _requests(
+            np.array([labels]),
+            np.bincount(labels, minlength=n)[None],
+            np.array([index]),
+            np.array([ports.neighbours(i) for i in range(n)]),
+        )
+        assert got[0].tolist() == expected, (trial, labels)
+        requests += any(expected)
+    assert requests > 100
+
+
+REPORT_SHAPES = [
+    ((1, 1), False), ((1, 2), False), ((1, 2, 2), False), ((1, 1, 2), False),
+    ((2, 3), True), ((1, 2), True),
+]
+
+
+def test_batched_rounds_match_network_on_report_shapes():
+    """The round-complexity experiment's six shapes at all 400 seeds,
+    over one table shared by the six, as the experiment draws it."""
+    seeds = range(400)
+    bits = draw_bits(seeds, 3, TABLE_ROUNDS)
+    for shape, clique in REPORT_SHAPES:
+        alpha = RandomnessConfiguration.from_group_sizes(shape)
+        ports = adversarial_assignment(shape) if clique else None
+        got = election_rounds(
+            alpha, seeds, ports=ports, max_rounds=256, bits=bits
+        )
+        expected = [
+            network_rounds(node_network(alpha, 1, ports, seed), 256)
+            for seed in seeds
+        ]
+        assert got.tolist() == expected, shape
+        assert min(expected) > 0
+
+
+def test_batched_rounds_past_the_bit_table():
+    """Seeds outliving a short table re-draw their streams: a (2,2)
+    adversarial clique never decides, and deciding shapes still match
+    the nodes round for round."""
+    seeds = range(16)
+    ports = adversarial_assignment((2, 2))
+    alpha = RandomnessConfiguration.from_group_sizes((2, 2))
+    got = election_rounds(
+        alpha, seeds, ports=ports, max_rounds=40, bits=draw_bits(seeds, 2, 4)
+    )
+    assert got.tolist() == [-1] * len(seeds)
+    assert all(
+        network_rounds(node_network(alpha, 1, ports, seed), 40) == -1
+        for seed in seeds
+    )
+    for shape, clique in [((1, 1, 2), False), ((2, 3), True)]:
+        alpha = RandomnessConfiguration.from_group_sizes(shape)
+        ports = adversarial_assignment(shape) if clique else None
+        got = election_rounds(
+            alpha, BATCH_SEEDS, ports=ports, bits=draw_bits(BATCH_SEEDS, 3, 2)
+        )
+        expected = [
+            network_rounds(node_network(alpha, 1, ports, seed), 64)
+            for seed in BATCH_SEEDS
+        ]
+        assert got.tolist() == expected, shape
+        assert max(expected) > 3
+
+
+def test_bit_table_is_the_sources_prefix():
+    rounds = 40
+    seeds = [0, 1, 7, 399, 123456789]
+    table = draw_bits(seeds, 3, rounds)
+    assert table.shape == (len(seeds), 3, rounds)
+    for shape in [(1, 1), (2, 3), (1, 2, 2)]:
+        alpha = RandomnessConfiguration.from_group_sizes(shape)
+        for row, seed in enumerate(seeds):
+            for j, source in enumerate(alpha.make_sources(seed)):
+                assert tuple(table[row, j]) == source.prefix(rounds)
+    assert np.unique(table).tolist() == [0, 1]

@@ -34,6 +34,35 @@ def _subparsers(parser):
     ).choices
 
 
+class TestReportSpans:
+    def test_report_runs_each_experiment_in_its_own_span(
+        self, tmp_path, capsys
+    ):
+        # Imported before the command runs, so the root span's self
+        # time holds no import.
+        from repro.analysis import ALL_EXPERIMENTS
+
+        profile = tmp_path / "report.json"
+        assert main(
+            ["report", str(tmp_path / "out"), "--profile-out", str(profile)]
+        ) == 0
+        capsys.readouterr()
+        (root,) = json.loads(profile.read_text())["spans"]
+        assert root["name"] == "repro.report"
+        experiments = [
+            child for child in root["children"]
+            if child["name"] == "analysis.experiment"
+        ]
+        assert len(experiments) == 21
+        assert [span["attrs"]["generator"] for span in experiments] == [
+            generator.__name__ for generator in ALL_EXPERIMENTS
+        ]
+        # The experiment spans cover the command: the root's self time
+        # (argument handling, writing the report) stays small.
+        covered = sum(child["duration"] for child in root["children"])
+        assert root["duration"] - covered < 0.1 * root["duration"]
+
+
 class TestExplain:
     def test_explain_prints_the_profiles_span_tree(self, tmp_path, capsys):
         profile = tmp_path / "run.json"
