@@ -42,6 +42,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ..core.eventual import restricted_growth
 from ..models.ports import PortAssignment
 from ..randomness.configuration import RandomnessConfiguration
 
@@ -163,12 +164,12 @@ def _partitions(
         round_bits = bits[:, : alpha.k, r - 1]
         bit = round_bits[:, source]
         if ports is None:
-            labels = _first_appearance(np.stack([labels, bit], axis=2))
+            labels = restricted_growth(np.stack([labels, bit], axis=2))
             continue
         received = labels[:, neighbour] * 2 + (request[:, neighbour] == back)
         index = (2 * index + round_bits) % modulus
         request = _requests(labels, sizes, index[:, source], neighbour)
-        labels = _first_appearance(
+        labels = restricted_growth(
             np.concatenate(
                 [labels[:, :, None], bit[:, :, None], received], axis=2
             )
@@ -181,15 +182,6 @@ def _has_subset_sum(sizes: np.ndarray, k: int) -> np.ndarray:
     for column in sizes.T.astype(np.uint64):
         reachable |= reachable << column
     return (reachable >> np.uint64(k)) & np.uint64(1) == 1
-
-
-def _first_appearance(keys: np.ndarray) -> np.ndarray:
-    """Restricted-growth labels of the key rows ``keys[s, i, :]`` per ``s``."""
-    same = (keys[:, :, None, :] == keys[:, None, :, :]).all(axis=3)
-    first = same.argmax(axis=2)  # the first node with an equal key
-    opens = first == np.arange(keys.shape[1])
-    rank = np.cumsum(opens, axis=1) - 1
-    return np.take_along_axis(rank, first, axis=1)
 
 
 def _requests(

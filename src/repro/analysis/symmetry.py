@@ -20,7 +20,7 @@ measures its reach:
 The census compiles no chain: it reads
 :func:`~repro.analysis.worst_case_search.port_orbit_table`, which takes
 each orbit representative's limit from the eventual partition
-(:func:`~repro.core.eventual.eventual_partition`, the stable port-aware
+(:func:`~repro.core.eventual.eventual_labels`, the stable port-aware
 refinement of the source partition).  Its orbit-weighted counts are
 exact because anonymity makes the limit constant on every orbit of
 source-preserving node relabelings.  The

@@ -8,6 +8,7 @@ claims, made executable.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from ..core.characterization import (
@@ -218,12 +219,12 @@ def lemma_b1_equiprobability(n_max: int = 4, t_max: int = 3) -> ExperimentResult
         for shape in enumerate_size_shapes(n):
             alpha = RandomnessConfiguration.from_group_sizes(shape)
             for t in range(1, t_max + 1):
-                masses = [
+                counts = Counter(
                     realization_probability(rho, alpha)
                     for rho in iter_consistent_realizations(alpha, t)
-                ]
-                probs = set(masses)
-                total = sum(masses)
+                )
+                probs = set(counts)
+                total = sum(mass * count for mass, count in counts.items())
                 expected = Fraction(1, 2 ** (t * alpha.k))
                 ok = probs == {expected} and total == 1
                 passed &= ok

@@ -14,11 +14,12 @@ the exact eventual-solvability limit for each, and check that
 The sweep also measures how adversarial the worst case is: the fraction
 of assignments that keep leader election solvable (footnote 5 territory).
 
-Each limit comes from :func:`~repro.core.eventual.eventual_partition`:
-the consistency partition almost surely settles at the stable port-aware
-refinement of the source partition, so the limit is 1 exactly when that
-partition elects a leader (Lemma 3.2's zero-one law with its value
-named).  No chain is compiled per assignment; the Lemma 4.3 limit in
+Each limit comes from the eventual partition
+(:mod:`repro.core.eventual`): the consistency partition almost surely
+settles at the stable port-aware refinement of the source partition, so
+the limit is 1 exactly when that partition elects a leader (Lemma 3.2's
+zero-one law with its value named).  No chain is compiled per
+assignment; the Lemma 4.3 limit in
 :func:`worst_case_port_search` is still an exact chain limit, so the
 ``Lemma 4.3 limit == min limit`` check compares two independent methods.
 
@@ -37,6 +38,13 @@ representative per orbit and weights it by the orbit size: the number
 of (solvable) assignments is an exact sum of orbit sizes, and the
 min/max limits range over the representatives.  For ``n = 4`` that is
 60 to 333 refinements per shape instead of 1296.
+
+The tables never exist as objects until the end: they are one integer
+array built by index arithmetic, the orbits are folded on it
+(:func:`~repro.core.anonymous_graphs.fold_orbits`, the fold the
+anonymous-graph sweeps use), and all representatives of a shape are
+refined in one :func:`~repro.core.eventual.eventual_labels` call.  The
+report's seven shapes take 852 refinements in seven calls.
 """
 from __future__ import annotations
 
@@ -49,33 +57,45 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from ..chain import Query, compile_chain, run_queries
-from ..core.eventual import eventual_partition
+from ..core.anonymous_graphs import (
+    fold_orbits,
+    relabel_tables,
+    source_automorphisms,
+)
+from ..core.eventual import eventual_labels, solvable_rows
 from ..core.leader_election import leader_election
-from ..chain.quotient import _is_source_relabeling
+from ..models.graph import GraphTopology
 from ..models.ports import PortAssignment, adversarial_assignment
 from ..randomness.configuration import RandomnessConfiguration
 from .result import ExperimentResult
 
 
-def _all_port_tables(n: int, limit: int = 1 << 14):
-    """The ``(n-1)!^n`` clique port tables as tuples of neighbour rows,
-    in lexicographic order."""
-    total = math.factorial(n - 1) ** n
+def _port_tables(n: int, limit: int = 1 << 14) -> np.ndarray:
+    """The ``(n-1)!^n`` clique port tables as one ``(count, n, n-1)``
+    array of neighbour rows, in lexicographic order."""
+    per_node = math.factorial(n - 1)
+    total = per_node ** n
     if total > limit:
         raise ValueError(f"{total} assignments exceed the limit {limit}")
-    per_node = [
-        list(itertools.permutations([x for x in range(n) if x != i]))
-        for i in range(n)
-    ]
-    return itertools.product(*per_node)
+    orders = np.array(
+        list(itertools.permutations(range(n - 1))), dtype=np.int64
+    ).reshape(per_node, n - 1)
+    others = np.array(
+        [[x for x in range(n) if x != i] for i in range(n)], dtype=np.int64
+    ).reshape(n, n - 1)
+    # Table t picks order digit i (base per_node, node 0 most significant)
+    # for node i.
+    place = per_node ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(total, dtype=np.int64)[:, None] // place % per_node
+    return others[np.arange(n)[:, None], orders[digits]]
 
 
 def iter_all_port_assignments(
     n: int, *, limit: int = 1 << 14
 ) -> Iterator[PortAssignment]:
     """All ``(n-1)!^n`` clique port assignments (guarded by count)."""
-    for rows in _all_port_tables(n, limit):
-        yield PortAssignment(rows)
+    for rows in _port_tables(n, limit):
+        yield PortAssignment(rows.tolist())
 
 
 class PortOrbit(NamedTuple):
@@ -96,42 +116,36 @@ class PortOrbit(NamedTuple):
 def port_orbit_table(shape: tuple[int, ...]) -> tuple[PortOrbit, ...]:
     """Every clique port assignment of ``shape``, one row per orbit.
 
-    Each table is coded as its base-``n`` digit string, which orders
-    codes like the enumeration, so an orbit's minimum code is its first
-    member.  One numpy pass per ``g in G`` takes that minimum and the
-    strict-symmetry flag; only the representatives are refined.
+    The tables are one integer array in enumeration order, folded into
+    orbits by :func:`~repro.core.anonymous_graphs.fold_orbits`; each
+    orbit is represented by its first member.  All representatives are
+    refined in one :func:`~repro.core.eventual.eventual_labels` call,
+    and leader election is asked once per distinct size multiset.
     Memoized per shape: the rows depend on nothing else.
     """
     alpha = RandomnessConfiguration.from_group_sizes(shape)
     n, source = alpha.n, alpha.assignment
-    # The enumeration limit keeps n <= 4, so codes stay below 4^12.
-    tables = np.array(list(_all_port_tables(n)), dtype=np.int64)
-    weights = n ** np.arange(n * (n - 1) - 1, -1, -1, dtype=np.int64)
-    codes = tables.reshape(len(tables), -1) @ weights
-    canonical = codes.copy()
-    symmetric = np.zeros(len(tables), dtype=bool)
+    tables = _port_tables(n)
+    group = source_automorphisms(GraphTopology.complete(n), source)
+    first, inverse = fold_orbits(tables, group)
+    sizes = np.bincount(inverse).tolist()
+    representatives = tables[first]
+    solvable = solvable_rows(
+        eventual_labels(source, representatives), leader_election(n)
+    ).tolist()
+    symmetric = np.zeros(len(first), dtype=bool)
     identity = tuple(range(n))
-    for g in itertools.permutations(range(n)):
-        if not _is_source_relabeling(source, g):
-            continue
-        perm = np.array(g)
-        # (g.T)[k] = g(T[g^-1(k)])
-        image = perm[tables][:, np.argsort(perm), :]
-        image_codes = image.reshape(len(tables), -1) @ weights
-        np.minimum(canonical, image_codes, out=canonical)
+    for g in group:
         if g != identity and all(source[g[i]] == source[i] for i in range(n)):
-            symmetric |= image_codes == codes
-    _, first, sizes = np.unique(
-        canonical, return_index=True, return_counts=True
+            image = relabel_tables(representatives, g)
+            symmetric |= (image == representatives).all(axis=(1, 2))
+    limits = (Fraction(0), Fraction(1))
+    return tuple(
+        PortOrbit(PortAssignment(rows), size, limits[ok], flag)
+        for rows, size, ok, flag in zip(
+            representatives.tolist(), sizes, solvable, symmetric.tolist()
+        )
     )
-    task = leader_election(n)
-    rows = []
-    for index, size in zip(first, sizes):
-        ports = PortAssignment(tables[index].tolist())
-        blocks = eventual_partition(alpha, ports)
-        limit = Fraction(int(task.solvable_from_sizes(map(len, blocks))))
-        rows.append(PortOrbit(ports, int(size), limit, bool(symmetric[index])))
-    return tuple(rows)
 
 
 def exhaustive_worst_case(
@@ -140,7 +154,7 @@ def exhaustive_worst_case(
     """(min limit, max limit, #solvable assignments, #assignments),
     exact over all ``(n-1)!^n`` assignments via :func:`port_orbit_table`."""
     table = port_orbit_table(tuple(shape))
-    limits = [row.limit for row in table]
+    limits = {row.limit for row in table}
     return (
         min(limits),
         max(limits),

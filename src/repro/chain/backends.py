@@ -125,6 +125,52 @@ def absorption_exact(
     return probs
 
 
+def exact_limit(chain: "CompiledChain", mask: Sequence[bool]) -> Fraction:
+    """The exact limit of ``Pr[S(t)]``: absorption into ``mask`` from
+    the start state, decided on the chain's support when it can be.
+
+    One reverse pass over the ``(dst, count)`` table (states are
+    topologically sorted, so every edge but a self-loop points to a
+    later state) tracks two facts per state: it can reach the mask, and
+    it can reach a non-mask absorbing state while avoiding the mask.
+    Every trajectory ends in an absorbing state, so a start that cannot
+    reach the mask has limit 0 and one that cannot avoid it has limit 1.
+    Only when both facts hold -- never for a mask closed under
+    refinement, by the zero-one law -- does the limit lie strictly
+    between, and then the exact ``Fraction`` sweep
+    (:func:`absorption_exact`) computes it.  The pass reads only the
+    support, never the edge weights.
+    """
+    out = chain.out_table()
+    reach = [False] * chain.num_states
+    avoid = [False] * chain.num_states
+    for sid in range(chain.num_states - 1, -1, -1):
+        if mask[sid]:
+            reach[sid] = True
+            continue
+        absorbing = True
+        for dst, _ in out[sid]:
+            if dst != sid:
+                absorbing = False
+                reach[sid] = reach[sid] or reach[dst]
+                avoid[sid] = avoid[sid] or avoid[dst]
+        avoid[sid] = avoid[sid] or absorbing
+    if not reach[chain.start]:
+        return Fraction(0)
+    if not avoid[chain.start]:
+        return Fraction(1)
+    return absorption_exact(chain, mask)[chain.start]
+
+
+def _assert_zero_one(chain: "CompiledChain", limit: Fraction) -> bool:
+    """Definition 3.3 verdict with the machine-checked zero-one law."""
+    if limit not in (Fraction(0), Fraction(1)):
+        raise AssertionError(
+            f"zero-one law violated: limit {limit} for chain {chain.key!r}"
+        )
+    return limit == 1
+
+
 def expected_exact(
     chain: "CompiledChain", mask: Sequence[bool]
 ) -> list[Fraction | None]:
@@ -308,6 +354,7 @@ __all__ = [
     "absorption_float_matrix",
     "distribution_exact",
     "distribution_float",
+    "exact_limit",
     "expected_exact",
     "expected_float",
     "expected_float_matrix",

@@ -14,15 +14,16 @@ which kernels they need, and :meth:`~QueryPlan.execute` runs them under
 either backend.  Exact: the chain's cached task-independent
 distributions are shared across all probability/series queries; each
 distinct mask pays for at most one expected sweep; and limits are
-decided on the chain's support (:func:`exact_limit`), paying for a
+decided on the chain's support
+(:func:`~repro.chain.backends.exact_limit`), paying for a
 ``Fraction`` absorption sweep only when the support leaves the limit
 strictly between 0 and 1.  Float: one scatter-add evolution to the
 deepest horizon covers every mass row, and one batched reverse level
-sweep each covers the limit and expected-time masks.  Apart from the
-support pass these are the very kernels the scalar
-:class:`~repro.chain.engine.CompiledChain` methods use, so exact
-answers equal the scalar ones by construction; the scalar methods stay
-as the reference the tests compare against.
+sweep each covers the limit and expected-time masks.  These are the
+very kernels the scalar :class:`~repro.chain.engine.CompiledChain`
+methods use (their exact limits go through the same support pass), so
+exact answers equal the scalar ones by construction; the scalar
+methods stay as the reference the tests compare against.
 
 :func:`memoized_answers` / :func:`record_answers` are the query-memo
 scan and write-back the front door wraps around every execution.
@@ -31,15 +32,15 @@ scan and write-back the front door wraps around every execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..obs import OBS
 from .backends import (
-    absorption_exact,
+    _assert_zero_one,
     absorption_float_matrix,
+    exact_limit,
     expected_exact,
     expected_float_matrix,
     mass_exact,
@@ -250,52 +251,6 @@ class QueryPlan:
         return results
 
 
-def exact_limit(chain, mask: Sequence[bool]) -> Fraction:
-    """The exact limit of ``Pr[S(t)]``: absorption into ``mask`` from
-    the start state, decided on the chain's support when it can be.
-
-    One reverse pass over the ``(dst, count)`` table (states are
-    topologically sorted, so every edge but a self-loop points to a
-    later state) tracks two facts per state: it can reach the mask, and
-    it can reach a non-mask absorbing state while avoiding the mask.
-    Every trajectory ends in an absorbing state, so a start that cannot
-    reach the mask has limit 0 and one that cannot avoid it has limit 1.
-    Only when both facts hold -- never for a mask closed under
-    refinement, by the zero-one law -- does the limit lie strictly
-    between, and then the exact ``Fraction`` sweep
-    (:func:`~repro.chain.backends.absorption_exact`) computes it.  The
-    pass reads only the support, never the edge weights.
-    """
-    out = chain.out_table()
-    reach = [False] * chain.num_states
-    avoid = [False] * chain.num_states
-    for sid in range(chain.num_states - 1, -1, -1):
-        if mask[sid]:
-            reach[sid] = True
-            continue
-        absorbing = True
-        for dst, _ in out[sid]:
-            if dst != sid:
-                absorbing = False
-                reach[sid] = reach[sid] or reach[dst]
-                avoid[sid] = avoid[sid] or avoid[dst]
-        avoid[sid] = avoid[sid] or absorbing
-    if not reach[chain.start]:
-        return Fraction(0)
-    if not avoid[chain.start]:
-        return Fraction(1)
-    return absorption_exact(chain, mask)[chain.start]
-
-
-def _assert_zero_one(chain, limit: Fraction) -> bool:
-    """Definition 3.3 verdict with the machine-checked zero-one law."""
-    if limit not in (Fraction(0), Fraction(1)):
-        raise AssertionError(
-            f"zero-one law violated: limit {limit} for chain {chain.key!r}"
-        )
-    return limit == 1
-
-
 def memoized_answers(key, queries: Sequence[Query], backend: str):
     """Split ``queries`` into memo hits and misses for the chain ``key``.
 
@@ -367,7 +322,6 @@ __all__ = [
     "QUANTITIES",
     "Query",
     "QueryPlan",
-    "exact_limit",
     "memoized_answers",
     "record_answers",
     "run_queries",

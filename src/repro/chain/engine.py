@@ -30,10 +30,12 @@ import numpy as np
 from ..obs import OBS, trace
 from ..randomness.configuration import RandomnessConfiguration
 from .backends import (
+    _assert_zero_one,
     absorption_exact,
     absorption_float,
     distribution_exact,
     distribution_float,
+    exact_limit,
     expected_exact,
     expected_float,
     mass_exact,
@@ -468,19 +470,16 @@ class CompiledChain:
         return absorption_float(self, mask)
 
     def limit_solving_probability(self, task, *, backend: str = "exact"):
-        """Exact (or float) ``lim_t Pr[S(t) | alpha]``."""
-        return self.absorption_probabilities(task, backend=backend)[
-            self.start
-        ]
+        """Exact (or float) ``lim_t Pr[S(t) | alpha]``; exact limits are
+        decided on the chain's support (:func:`exact_limit`)."""
+        mask = self.solvable_mask(task)
+        if validate_backend(backend) == "exact":
+            return exact_limit(self, mask)
+        return absorption_float(self, mask)[self.start]
 
     def eventually_solvable(self, task) -> bool:
         """Definition 3.3 decided exactly; asserts the zero-one law."""
-        limit = self.limit_solving_probability(task)
-        if limit not in (Fraction(0), Fraction(1)):
-            raise AssertionError(
-                f"zero-one law violated: limit {limit} for chain {self.key!r}"
-            )
-        return limit == 1
+        return _assert_zero_one(self, self.limit_solving_probability(task))
 
     def expected_times(self, task, *, backend: str = "exact"):
         """Per-state expected rounds to first solve (``None`` = infinite)."""

@@ -44,14 +44,16 @@ class PortAssignment:
         n = len(table)
         if n < 1:
             raise ValueError("need at least one node")
+        nodes = set(range(n))
         cleaned: list[tuple[int, ...]] = []
         for i, row in enumerate(table):
-            row = tuple(int(x) for x in row)
+            row = tuple(map(int, row))
             if len(row) != n - 1:
                 raise ValueError(
                     f"node {i}: expected {n - 1} ports, got {len(row)}"
                 )
-            if sorted(row) != sorted(set(range(n)) - {i}):
+            others = set(row)
+            if len(others) != n - 1 or i in others or not others <= nodes:
                 raise ValueError(
                     f"node {i}: ports {row} are not a bijection onto the "
                     f"other {n - 1} nodes"

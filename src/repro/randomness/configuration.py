@@ -27,7 +27,7 @@ class RandomnessConfiguration:
     naming of sources compare equal.
     """
 
-    __slots__ = ("_assignment",)
+    __slots__ = ("_assignment", "_k")
 
     def __init__(self, assignment: Sequence[int]):
         if not assignment:
@@ -39,6 +39,7 @@ class RandomnessConfiguration:
                 relabel[source] = len(relabel)
             normalized.append(relabel[source])
         self._assignment = tuple(normalized)
+        self._k = len(relabel)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -78,7 +79,7 @@ class RandomnessConfiguration:
     @property
     def k(self) -> int:
         """Number of distinct sources actually used (``k(alpha)``)."""
-        return len(set(self._assignment))
+        return self._k
 
     def source_of(self, node: int) -> int:
         return self._assignment[node]

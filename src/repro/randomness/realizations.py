@@ -16,6 +16,7 @@ realizations instead of the ``2^{tn}`` node realizations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -44,7 +45,7 @@ def node_realization(
         raise ValueError(
             f"expected {alpha.k} source strings, got {len(source_bits)}"
         )
-    return tuple(source_bits[alpha.source_of(i)] for i in range(alpha.n))
+    return tuple(map(source_bits.__getitem__, alpha.assignment))
 
 
 def iter_consistent_realizations(
@@ -71,13 +72,9 @@ def is_consistent(
             f"realization has {len(realization)} nodes, alpha has {alpha.n}"
         )
     first_of_source: dict[int, Bits] = {}
-    for node, bits in enumerate(realization):
-        source = alpha.source_of(node)
-        if source in first_of_source:
-            if first_of_source[source] != bits:
-                return False
-        else:
-            first_of_source[source] = bits
+    for source, bits in zip(alpha.assignment, realization):
+        if first_of_source.setdefault(source, bits) != bits:
+            return False
     return True
 
 
@@ -89,13 +86,19 @@ def realization_probability(
     All strings in the realization must have equal length ``t``; ``t`` is
     inferred from the realization itself.
     """
-    lengths = {len(bits) for bits in realization}
+    lengths = set(map(len, realization))
     if len(lengths) != 1:
         raise ValueError(f"ragged realization lengths: {sorted(lengths)}")
     t = lengths.pop()
     if not is_consistent(realization, alpha):
         return Fraction(0)
-    return Fraction(1, 2 ** (t * alpha.k))
+    return _mass(t, alpha.k)
+
+
+@functools.lru_cache(maxsize=None)
+def _mass(t: int, k: int) -> Fraction:
+    """``2^{-tk}``, one shared ``Fraction`` per ``(t, k)``."""
+    return Fraction(1, 2 ** (t * k))
 
 
 def count_consistent_realizations(alpha: RandomnessConfiguration, t: int) -> int:

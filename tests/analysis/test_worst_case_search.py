@@ -85,6 +85,18 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(iter_all_port_assignments(5, limit=100))
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_lexicographic_order(self, n):
+        """The index arithmetic enumerates the product of each node's
+        port orders, the last node varying fastest."""
+        per_node = [
+            itertools.permutations([x for x in range(n) if x != i])
+            for i in range(n)
+        ]
+        assert [
+            PortAssignment(rows) for rows in itertools.product(*per_node)
+        ] == list(iter_all_port_assignments(n))
+
 
 class TestExhaustiveWorstCase:
     def test_gcd_one_all_assignments_solve(self):
@@ -189,6 +201,15 @@ class TestPortOrbitTable:
             assert min(position[image] for image in images) == position[
                 row.ports
             ]
+
+    def test_same_rows_cold_or_warm(self):
+        """The memoized table is the same object warm and equal rows
+        when rebuilt cold, whatever ran before."""
+        port_orbit_table.cache_clear()
+        cold = port_orbit_table((1, 1, 2))
+        assert port_orbit_table((1, 1, 2)) is cold
+        port_orbit_table.cache_clear()
+        assert port_orbit_table((1, 1, 2)) == cold
 
     def test_rows_compile_no_chain(self):
         """Limits come from the eventual-partition oracle, so the

@@ -1,6 +1,6 @@
 """Exact limits decided on the chain's support against the Fraction sweep.
 
-:func:`~repro.chain.batch.exact_limit` answers a limit from one reverse
+:func:`~repro.chain.backends.exact_limit` answers a limit from one reverse
 boolean pass -- can the start reach the mask, and can it end in a
 non-mask absorbing state while avoiding the mask -- and runs
 :func:`~repro.chain.backends.absorption_exact` only when both hold.
@@ -8,6 +8,7 @@ Every chain with ``n <= 6`` (blackboard; adversarial, round-robin and
 random ports; random and adversarial ports with back ports) is checked
 against the sweep for every ``make_task`` family, plus a mask that is
 not closed under refinement, whose limit lies strictly between 0 and 1.
+The scalar ``CompiledChain`` limit methods take the same pass.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 
 from repro.chain import Query, compile_chain, run_queries
 from repro.chain.backends import absorption_exact
-from repro.chain.batch import exact_limit
+from repro.chain.backends import exact_limit
 from repro.models import (
     adversarial_assignment,
     random_assignment,
@@ -85,6 +86,31 @@ def test_limits_never_build_exact_weights(model):
     assert set(limits) == {Fraction(0), Fraction(1)}
     assert verdicts == [limit == 1 for limit in limits]
     assert chain._exact_weights is None
+
+
+@pytest.mark.parametrize("model", ["blackboard", "adversarial"])
+def test_scalar_limits_take_the_support_pass(model):
+    """``limit_solving_probability``, ``eventually_solvable`` and the
+    finiteness test of ``expected_solving_time`` decide exact limits
+    on the support too: no ``Fraction`` weights are built."""
+    shape = (2, 4)
+    alpha = RandomnessConfiguration.from_group_sizes(shape)
+    ports = None if model == "blackboard" else adversarial_assignment(shape)
+    chain = compile_chain(alpha, ports, use_memo=False)
+    tasks = [task for _, task in _task_family(6)]
+    limits = [chain.limit_solving_probability(task) for task in tasks]
+    assert limits == run_queries(chain, [Query.limit(t) for t in tasks])
+    assert [chain.eventually_solvable(task) for task in tasks] == [
+        limit == 1 for limit in limits
+    ]
+    unsolvable = [t for t, limit in zip(tasks, limits) if limit == 0]
+    assert unsolvable
+    assert all(chain.expected_solving_time(t) is None for t in unsolvable)
+    assert chain._exact_weights is None
+    assert limits == [
+        absorption_exact(chain, chain.solvable_mask(task))[chain.start]
+        for task in tasks
+    ]
 
 
 class _ThreeClasses:

@@ -3,10 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from repro.chain import compile_chain
 from repro.core import (
     ConsistencyChain,
+    anonymous_graphs,
     color_refinement_fixpoint,
     deterministic_solvable,
     iter_labeling_verdicts,
@@ -15,6 +18,7 @@ from repro.core import (
     single_block_state,
     worst_case_deterministic_solvable,
 )
+from repro.core.anonymous_graphs import labeling_orbits
 from repro.models import GraphTopology
 from repro.randomness import RandomnessConfiguration
 
@@ -138,4 +142,119 @@ class TestValidation:
         with pytest.raises(ValueError):
             randomized_worst_case_solvable(
                 GraphTopology.ring(4), alpha, leader_election(4)
+            )
+
+
+class TestLabelingOrbits:
+    @pytest.mark.parametrize(
+        "base",
+        [GraphTopology.ring(3), GraphTopology.ring(4), GraphTopology.ring(5),
+         GraphTopology.path(5), GraphTopology.complete_bipartite(2, 3)],
+        ids=["C3", "C4", "C5", "P5", "K23"],
+    )
+    def test_orbit_sizes_sum_to_the_labeling_count(self, base):
+        for alpha in (RandomnessConfiguration.independent(base.n),
+                      RandomnessConfiguration.from_group_sizes((2, base.n - 2))):
+            tables, first, inverse = labeling_orbits(base, alpha.assignment)
+            assert len(tables) == base.labeling_count()
+            sizes = np.bincount(inverse)
+            assert sizes.sum() == base.labeling_count()
+            assert (inverse[first] == np.arange(len(first))).all()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["private", "two"])
+    def test_ring_chain_verdicts_are_orbit_constant(self, split):
+        """A one-shot chain on every labeling of C_3..C_5 gives its
+        orbit representative's verdict (the representatives are the
+        only chains the randomized worst case compiles).  With two
+        sources both verdicts occur."""
+        chains = 0
+        seen = set()
+        for n in (3, 4, 5):
+            base = GraphTopology.ring(n)
+            alpha = (
+                RandomnessConfiguration.from_group_sizes((n // 2, n - n // 2))
+                if split
+                else RandomnessConfiguration.independent(n)
+            )
+            task = leader_election(n)
+            _, first, inverse = labeling_orbits(base, alpha.assignment)
+            verdicts = [
+                compile_chain(
+                    alpha, labeled, include_back_ports=True, use_memo=False
+                ).eventually_solvable(task)
+                for labeled in base.iter_labelings()
+            ]
+            for index, orbit in enumerate(inverse.tolist()):
+                assert verdicts[index] == verdicts[first[orbit]], (n, index)
+            chains += len(first)
+            seen.update(verdicts)
+        if split:
+            assert seen == {False, True}
+        else:
+            assert chains == 10  # of 8 + 16 + 32 labelings
+
+    def test_randomized_worst_case_compiles_one_chain_per_orbit(
+        self, monkeypatch
+    ):
+        import repro.chain
+
+        compiled = []
+        real = repro.chain.compile_chain
+
+        def counting(*args, **kwargs):
+            compiled.append(kwargs.get("use_memo"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.chain, "compile_chain", counting)
+        assert randomized_worst_case_solvable(
+            GraphTopology.ring(5),
+            RandomnessConfiguration.independent(5),
+            leader_election(5),
+        )
+        assert compiled == [False] * 4
+
+
+class TestChunkedSweep:
+    def test_k33_stops_after_one_chunk(self, monkeypatch):
+        """K_{3,3} has 46,656 labelings; the first chunk already holds an
+        unsolvable one, so the sweep refines one chunk and stops."""
+        calls = []
+        real = anonymous_graphs.eventual_labels
+
+        def counting(source, behind, back=None):
+            calls.append(len(behind))
+            return real(source, behind, back)
+
+        monkeypatch.setattr(anonymous_graphs, "eventual_labels", counting)
+        base = GraphTopology.complete_bipartite(3, 3)
+        assert base.labeling_count() == 46656
+        assert not worst_case_deterministic_solvable(base, leader_election(6))
+        assert calls == [anonymous_graphs.CHUNK]
+
+    def test_chunked_verdicts_match_one_labeling_calls(self):
+        base = GraphTopology.complete_bipartite(2, 3)
+        task = leader_election(5)
+        for back_ports in (False, True):
+            got = [
+                (labeled, verdict)
+                for labeled, verdict in iter_labeling_verdicts(
+                    base, task, include_back_ports=back_ports
+                )
+            ]
+            assert [labeled for labeled, _ in got] == list(
+                base.iter_labelings()
+            )
+            assert [verdict for _, verdict in got] == [
+                deterministic_solvable(
+                    labeled, task, include_back_ports=back_ports
+                )
+                for labeled in base.iter_labelings()
+            ]
+
+    def test_labeling_limit_guard(self):
+        with pytest.raises(ValueError, match="exceed the limit"):
+            worst_case_deterministic_solvable(
+                GraphTopology.complete_bipartite(3, 3),
+                leader_election(6),
+                limit=1000,
             )

@@ -9,7 +9,11 @@ seed) and adversarial (``n <= 8``) ports, for five task families and
 both port semantics; the blackboard (Theorem 4.1), whose many-source
 chains grow fastest, up to ``n = 7``.  The oracle's correctness also
 rests on ``solvable_from_sizes`` being monotone under refinement, which
-is checked for every task family.
+is checked for every task family.  The batched kernel
+(:func:`~repro.core.eventual.eventual_labels`) gives every table of a
+shuffled batch its one-row labels: every clique port table with
+``n <= 4`` and every labeling of ``P_7``, ``S_5`` and ``K_{2,3}``, and
+so does the scalar refinement loop it replaced.
 """
 
 import os
@@ -18,9 +22,14 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
+from repro.analysis.worst_case_search import _port_tables
 from repro.chain import Query, compile_chain, run_queries
 from repro.core import eventual_partition
-from repro.models import PortAssignment
+from repro.core.anonymous_graphs import labeling_tables
+from repro.core.eventual import eventual_labels
+from repro.models import GraphTopology, PortAssignment
 from repro.randomness import RandomnessConfiguration, enumerate_size_shapes
 from repro.runner import spec as runner_spec
 
@@ -158,3 +167,100 @@ def test_oracle_runs_no_chain_code():
         sys.setprofile(None)
     assert touched
     assert not [f for f in touched if chain_dir in f]
+
+
+def _clique_back(tables):
+    """``back[b, i, p]``: the port of ``tables[b, i, p]`` facing ``i``."""
+    count, n, _ = tables.shape
+    position = np.zeros((count, n, n), dtype=np.int64)
+    rows = np.arange(count)[:, None, None]
+    position[rows, np.arange(n)[None, :, None], tables] = np.arange(1, n)
+    return position[rows, tables, np.arange(n)[None, :, None]]
+
+
+def _one_row_labels(alpha, topology, back_ports):
+    labels = [0] * alpha.n
+    for label, block in enumerate(
+        eventual_partition(alpha, topology, back_ports=back_ports)
+    ):
+        for node in block:
+            labels[node] = label
+    return labels
+
+
+def _reference_labels(alpha, topology, back_ports):
+    """The scalar refinement loop: Eq. 2's signature (with back ports,
+    each received label paired with the sender's port), renumbered by
+    first appearance until no block splits."""
+
+    def canonical(keys):
+        seen = {}
+        return [seen.setdefault(key, len(seen)) for key in keys]
+
+    labels = canonical(alpha.assignment)
+    while True:
+        refined = canonical(
+            (
+                labels[i],
+                tuple(
+                    (labels[j], topology.port_to(j, i) if back_ports else 0)
+                    for j in topology.neighbours(i)
+                ),
+            )
+            for i in range(alpha.n)
+        )
+        if refined == labels:
+            return labels
+        labels = refined
+
+
+def _assert_batch_invariant(alpha, tables, back, topologies, back_ports):
+    order = np.random.default_rng(SEED).permutation(len(tables))
+    batch = eventual_labels(
+        alpha.assignment,
+        tables[order],
+        None if back is None else back[order],
+    )
+    for row, index in zip(batch.tolist(), order.tolist()):
+        topology = topologies[index]
+        assert row == _one_row_labels(alpha, topology, back_ports), index
+        assert row == _reference_labels(alpha, topology, back_ports), index
+
+
+@pytest.mark.parametrize("back_ports", [False, True], ids=["eq2", "back-ports"])
+@pytest.mark.parametrize(
+    "shape", [s for n in range(1, 5) for s in enumerate_size_shapes(n)]
+)
+def test_batched_clique_tables_match_one_row_calls(shape, back_ports):
+    """Every ``n <= 4`` clique port table refined in one shuffled call
+    gives each table's one-row labels."""
+    alpha = RandomnessConfiguration.from_group_sizes(shape)
+    tables = _port_tables(alpha.n)
+    topologies = [PortAssignment(rows) for rows in tables.tolist()]
+    back = _clique_back(tables) if back_ports else None
+    if back_ports:
+        assert [
+            [[ports.port_to(j, i) for j in ports.neighbours(i)]
+             for i in range(alpha.n)]
+            for ports in topologies[:50]
+        ] == back[:50].tolist()
+    _assert_batch_invariant(alpha, tables, back, topologies, back_ports)
+
+
+@pytest.mark.parametrize("back_ports", [False, True], ids=["eq2", "back-ports"])
+@pytest.mark.parametrize(
+    "base",
+    [GraphTopology.path(7), GraphTopology.star(5),
+     GraphTopology.complete_bipartite(2, 3)],
+    ids=["P7", "S5", "K23"],
+)
+def test_batched_graph_labelings_match_one_row_calls(base, back_ports):
+    """Every labeling of graphs of mixed degree (``-1``-padded rows), for
+    one shared source and for two sources."""
+    tables, back = labeling_tables(
+        base, 0, base.labeling_count(), back_ports=back_ports
+    )
+    topologies = list(base.iter_labelings())
+    for shape in [(base.n,), (2, base.n - 2)]:
+        alpha = RandomnessConfiguration.from_group_sizes(shape)
+        _assert_batch_invariant(alpha, tables, back, topologies, back_ports)
